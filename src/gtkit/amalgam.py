@@ -23,6 +23,11 @@ from .word import Generator, Word, gen, parse_word
 
 EDGE_TAG = "C"
 
+# one block "[tag: word]"; the word may use indexed generators such as a[2]
+_BLOCK = r"\[([^:\[\]]+):((?:[^\[\]]|\[-?\d+\])*)\]"
+_BLOCK_RE = re.compile(_BLOCK)
+_ELEMENT_RE = re.compile(rf"\s*(?:{_BLOCK}\s*)*")
+
 
 class FreeFactor:
     """A free factor group together with its edge-subgroup data."""
@@ -255,16 +260,17 @@ class Amalgam:
     # -- parsing / formatting -------------------------------------------------
 
     def parse_element(self, text: str) -> "AmalgamElement":
+        """Parse blocks ``[tag: word]`` (or ``1``); anything else is an error."""
+        if not _ELEMENT_RE.fullmatch(text) and text.strip() != "1":
+            raise PreconditionError(f"cannot parse element: {text!r}")
         raw = []
-        for tag, body in re.findall(r"\[([^:\]]+):([^\]]*)\]", text):
+        for tag, body in _BLOCK_RE.findall(text):
             tag = tag.strip()
             if tag == EDGE_TAG and tag not in self._by_name:
                 raw.append((EDGE_TAG, parse_word(body, self.edge.alphabet)))
             else:
                 i = self.factor_index(tag)
                 raw.append((i, self.factors[i].parse(body)))
-        if not raw and text.strip() not in ("", "1"):
-            raise PreconditionError(f"cannot parse element: {text!r}")
         return normalize(self, raw)
 
     def to_json(self) -> dict:

@@ -735,6 +735,8 @@ def build_nonlo(e: ExponentMatrix) -> NonLoGroup:
         [factor_a, factor_b],
         EdgeIdentification(edge_alpha, (tuple(alphas), tuple(phi_images))),
     )
+    # factor A's edge automaton is folded from the same alphas as C's
+    csub._aut = factor_a._aut
     return NonLoGroup(e, csub, amal, alphas, betas, phi_images)
 
 

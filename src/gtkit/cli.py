@@ -116,10 +116,7 @@ def cmd_search(args) -> int:
         }
         if res.found:
             out["certificate"] = res.certificate.to_json()
-            if args.out:
-                _dump(out, args.out)
-            else:
-                _dump(out)
+            _dump(out, args.out)
             return EXIT_FOUND
         _dump(out, args.out)
         return EXIT_ERROR if res.capped else EXIT_OK

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import Generator, Word, SyllableWord, gen, flatten
+from .word import IDENTITY, Generator, Word, SyllableWord, gen, flatten
 
 WITNESS_NAME = "g"
 
@@ -54,7 +54,7 @@ class SubgroupAutomaton:
     def _build(self):
         """Fold the bouquet of generator petals, carrying expression tags.
 
-        Each edge record (a, b, g, tag) realizes a --g--> b and stores an
+        Each edge record (a, b, k, tag) realizes a --g_k--> b and stores an
         immutable word over the witness symbols; each state carries a
         witness-word offset in a weighted union-find.  The invariant is
         that evaluating the effective tag phi(a) tag phi(b)^-1 of an edge
@@ -64,54 +64,63 @@ class SubgroupAutomaton:
         discrepancy of their effective tags, which preserves the invariant
         without touching any edge.  Expressions of members are then read
         off by concatenating effective tags along the accepting path.
+
+        g_k is the k-th generator letter in sort_key order, and labels are
+        coded as ints in _lab_key order, 2k for (g_k, -1) and 2k + 1 for
+        (g_k, +1), so the adjacency maps of the fold hash ints, not
+        generators.  Every empty offset and tag is the shared IDENTITY word.
         """
+        alphabet = sorted({g for w in self.generators for g, _ in w.syls},
+                          key=Generator.sort_key)
+        code = {g: k for k, g in enumerate(alphabet)}
+        labels = [(g, s) for g in alphabet for s in (-1, 1)]
         parent = [0]
-        offset = [Word()]  # phi(x) = phi(parent[x]) * offset[x]; phi(root) = 1
-        adj = [dict()]     # root state -> {(gen, sign): edge id}
-        edges = {}         # eid -> (a, b, gen, tag); a --gen(+1)--> b
-        dead = set()
+        offset = [IDENTITY]  # phi(x) = phi(parent[x]) * offset[x]; phi(root) = 1
+        adj = [dict()]       # root state -> {label code: edge id}
+        edges = [None]       # edges[eid] = (a, b, k, tag); a --g_k(+1)--> b
+        dead = bytearray(1)  # dead[eid] once the edge was folded away
 
         def find_phi(x):
+            p = parent[x]
+            if p == x:
+                return x, IDENTITY
+            if parent[p] == p:
+                return p, offset[x]
             path = []
             while parent[x] != x:
                 path.append(x)
                 x = parent[x]
             root = x
-            acc = Word()
+            acc = IDENTITY
             for y in reversed(path):
                 acc = acc * offset[y]
                 offset[y] = acc
                 parent[y] = root
-            return root, (offset[path[0]] if path else Word())
+            return root, offset[path[0]]
 
         def find(x):
-            return find_phi(x)[0]
-
-        def new_state():
-            s = len(parent)
-            parent.append(s)
-            offset.append(Word())
-            adj.append(dict())
-            return s
+            return x if parent[x] == x else find_phi(x)[0]
 
         def effective(eid):
-            a, b, g, tag = edges[eid]
+            a, b, _k, tag = edges[eid]
             ra, pa = find_phi(a)
             rb, pb = find_phi(b)
-            return ra, rb, pa * tag * pb.inverse()
+            if pa.syls:
+                tag = pa * tag
+            if pb.syls:
+                tag = tag * pb.inverse()
+            return ra, rb, tag
 
         queue = []
 
         def insert(eid):
-            if eid in dead:
+            if dead[eid]:
                 return
-            a, b, g, _ = edges[eid]
-            for raw, lab in ((a, (g, 1)), (b, (g, -1))):
+            a, b, k, _ = edges[eid]
+            for raw, lab in ((a, 2 * k + 1), (b, 2 * k)):
                 state = find(raw)
                 cur = adj[state].get(lab)
-                if cur is not None and cur in dead:
-                    cur = None
-                if cur is None:
+                if cur is None or dead[cur]:
                     adj[state][lab] = eid
                     continue
                 if cur == eid:
@@ -119,8 +128,8 @@ class SubgroupAutomaton:
                 # fold: one edge survives, the other dies; effective tags
                 # are read from the shared source side
                 keep, gone = cur, eid
-                kt, ktag = _directed(keep, state, lab)
-                dt, dtag = _directed(gone, state, lab)
+                kt, ktag = _directed(keep, lab)
+                dt, dtag = _directed(gone, lab)
                 if kt != dt and find(0) == dt:
                     # the base class must survive so that its realization
                     # stays trivial; swap the roles
@@ -128,70 +137,89 @@ class SubgroupAutomaton:
                     kt, dt = dt, kt
                     ktag, dtag = dtag, ktag
                     adj[state][lab] = keep
-                dead.add(gone)
+                dead[gone] = 1
                 if kt != dt:
                     delta = ktag.inverse() * dtag
                     parent[dt] = kt
                     offset[dt] = delta
                     moved, adj[dt] = adj[dt], {}
-                    for _mlab, meid in moved.items():
-                        if meid not in dead:
+                    for meid in moved.values():
+                        if not dead[meid]:
                             queue.append(meid)
                 # the survivor may still owe a registration on its other
                 # side (registration is idempotent), the dead edge stops
                 queue.append(keep)
                 return
 
-        def _directed(eid, state, lab):
+        def _directed(eid, lab):
             ra, rb, tag = effective(eid)
-            if lab[1] > 0:
+            if lab & 1:
                 return rb, tag
             return ra, tag.inverse()
 
-        next_eid = 0
         for i, w in enumerate(self.generators):
             cur = 0
-            letters = list(w.letters())
+            left = w.letter_len
             witness = Word([(_witness_gen(i), 1)])
-            for k, (g, s) in enumerate(letters):
-                last = k == len(letters) - 1
-                nxt = 0 if last else new_state()
-                tag = witness if last else Word()
-                next_eid += 1
-                if s > 0:
-                    edges[next_eid] = (cur, nxt, g, tag)
-                else:
-                    edges[next_eid] = (nxt, cur, g, tag.inverse())
-                queue.append(next_eid)
-                while queue:
-                    insert(queue.pop())
-                cur = nxt  # raw id: tags are stated relative to raw states
+            for g, e in w.syls:
+                k = code[g]
+                for _ in range(abs(e)):
+                    left -= 1
+                    if left:
+                        nxt = len(parent)
+                        parent.append(nxt)
+                        offset.append(IDENTITY)
+                        adj.append({})
+                        tag = IDENTITY
+                    else:
+                        nxt, tag = 0, witness
+                    eid = len(edges)
+                    edges.append((cur, nxt, k, tag) if e > 0
+                                 else (nxt, cur, k, tag.inverse()))
+                    dead.append(0)
+                    queue.append(eid)
+                    while queue:
+                        insert(queue.pop())
+                    cur = nxt  # raw id: tags are stated relative to raw states
 
         # Compact reachable representative states, base first.
         base = find(0)
         final_adj: dict = {}
-        for eid, (a, b, g, tag) in edges.items():
-            if eid in dead:
+        for eid in range(1, len(edges)):
+            if dead[eid]:
                 continue
             ra, rb, eff = effective(eid)
-            final_adj.setdefault(ra, {})[(g, 1)] = (rb, eff)
-            final_adj.setdefault(rb, {})[(g, -1)] = (ra, eff.inverse())
+            k = edges[eid][2]
+            final_adj.setdefault(ra, {})[2 * k + 1] = (rb, eff)
+            final_adj.setdefault(rb, {})[2 * k] = (ra, eff.inverse())
         order = {base: 0}
         stack = [base]
         while stack:
-            s = stack.pop()
-            for lab in sorted(final_adj.get(s, {}), key=_lab_key):
-                t = final_adj[s][lab][0]
+            out = final_adj.get(stack.pop(), {})
+            for lab in sorted(out):
+                t = out[lab][0]
                 if t not in order:
                     order[t] = len(order)
                     stack.append(t)
+        n = len(order)
         self.base = 0
-        self.delta = [dict() for _ in range(len(order))]
-        self._tags = [dict() for _ in range(len(order))]
+        self.delta = [dict() for _ in range(n)]
+        self._tags = [dict() for _ in range(n)]
+        # per label: the successor of every state (-1 where missing) and
+        # the states whose edge carries a nontrivial tag
+        rows = [[-1] * n for _ in labels]
+        marks = [{} for _ in labels]
         for s, i in order.items():
+            succ, tags = self.delta[i], self._tags[i]
             for lab, (t, tag) in final_adj.get(s, {}).items():
-                self.delta[i][lab] = order[t]
-                self._tags[i][lab] = tag
+                j = order[t]
+                succ[labels[lab]] = j
+                tags[labels[lab]] = tag
+                rows[lab][i] = j
+                if tag.syls:
+                    marks[lab][i] = tag
+        self._rows = dict(zip(labels, rows))
+        self._marks = dict(zip(labels, marks))
 
     # -- basic queries -------------------------------------------------------
 
@@ -218,12 +246,14 @@ class SubgroupAutomaton:
     def trace(self, w: Word, start: int = 0) -> Optional[int]:
         """Read w from a state; None if some transition is missing."""
         cur = start
+        rows = self._rows
         for g, e in w.syls:
-            s = 1 if e > 0 else -1
-            lab = (g, s)
+            row = rows.get((g, 1) if e > 0 else (g, -1))
+            if row is None:
+                return None
             for _ in range(abs(e)):
-                cur = self.delta[cur].get(lab)
-                if cur is None:
+                cur = row[cur]
+                if cur < 0:
                     return None
         return cur
 
@@ -272,14 +302,20 @@ class SubgroupAutomaton:
         surface loudly, never as a wrong answer.
         """
         cur = self.base
-        out = Word()
-        for g, s in w.letters():
-            lab = (g, s)
-            nxt = self.delta[cur].get(lab)
-            if nxt is None:
+        out = IDENTITY
+        for g, e in w.syls:
+            lab = (g, 1) if e > 0 else (g, -1)
+            row = self._rows.get(lab)
+            if row is None:
                 raise NotMemberError(f"not a member: {w}")
-            out = out * self._tags[cur][lab]
-            cur = nxt
+            marks = self._marks[lab]
+            for _ in range(abs(e)):
+                nxt = row[cur]
+                if nxt < 0:
+                    raise NotMemberError(f"not a member: {w}")
+                if cur in marks:
+                    out = out * marks[cur]
+                cur = nxt
         if cur != self.base:
             raise NotMemberError(f"not a member: {w}")
         if self.evaluate(out) != w:
@@ -288,7 +324,7 @@ class SubgroupAutomaton:
 
     def evaluate(self, expr: Word) -> Word:
         """Evaluate a witness-alphabet word through the generator images."""
-        out = Word()
+        out = IDENTITY
         for g, e in expr.syls:
             if g.name != WITNESS_NAME or g.index is None or not (
                 1 <= g.index <= len(self.generators)

@@ -19,9 +19,13 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .errors import NotMemberError, UnknownGeneratorError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
-    """A named generator, optionally carrying an integer index (a[i] families)."""
+    """A named generator, optionally carrying an integer index (a[i] families).
+
+    The hash is computed once, at construction; equality compares
+    (name, index) after an identity fast path, since gen() interns.
+    """
 
     name: str
     index: Optional[int] = None
@@ -29,6 +33,21 @@ class Generator:
     def __post_init__(self):
         if not self.name:
             raise ValueError("generator name must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # unpickle through the interning constructor; the hash is recomputed
+        return (gen, (self.name, self.index))
 
     def sort_key(self):
         return (self.name, self.index is not None, self.index or 0)
@@ -76,14 +95,20 @@ def _normalize_syllables(pairs) -> tuple:
 
 
 class Word:
-    """A freely reduced word, represented by its syllable decomposition."""
+    """A freely reduced word, represented by its syllable decomposition.
+
+    The hash is computed on the first __hash__ call and cached; a pickled
+    Word carries its syllables only.
+    """
 
     __slots__ = ("syls", "_hash")
 
     def __init__(self, syls: Iterable[tuple] = (), _normalized: bool = False):
-        syls = tuple(syls) if _normalized else _normalize_syllables(syls)
-        object.__setattr__(self, "syls", syls)
-        object.__setattr__(self, "_hash", hash(syls))
+        self.syls = tuple(syls) if _normalized else _normalize_syllables(syls)
+        self._hash = None
+
+    def __reduce__(self):
+        return (Word, (self.syls, True))
 
     # -- basic structure ---------------------------------------------------
 
@@ -159,18 +184,25 @@ class Word:
         return Word(tuple(stack) + b[j:], _normalized=True)
 
     def inverse(self) -> "Word":
+        if not self.syls:
+            return self
         return Word(tuple((g, -e) for g, e in reversed(self.syls)), _normalized=True)
 
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        """Repeated squaring; reduced words are canonical, so the result
+        equals the |n|-fold product."""
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        out = None
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return IDENTITY if out is None else out
 
     def conj(self, g: "Word") -> "Word":
         """The conjugate g^{-1} * self * g."""
@@ -182,7 +214,10 @@ class Word:
         return isinstance(other, Word) and self.syls == other.syls
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.syls)
+        return h
 
     def __str__(self):
         if not self.syls:

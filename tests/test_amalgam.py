@@ -218,6 +218,26 @@ def test_element_text_roundtrip(z2z):
     assert z2z.parse_element("1").is_identity
 
 
+@pytest.mark.parametrize("text", ["[A: a][B b]", "[A: a] junk [B: b]", "x", "[A: a]]"])
+def test_parse_element_rejects_text_outside_blocks(z2z, text):
+    with pytest.raises(PreconditionError):
+        z2z.parse_element(text)
+
+
+def test_parse_element_reads_indexed_generators():
+    fa = FreeFactor("A", [gen("a", 1), gen("a", 2)])
+    fb = FreeFactor("B", [gen("b")])
+    G = Amalgam([fa, fb], EdgeIdentification((gen("e"),), ((W("a[1]^2"),), (W("b^2"),))))
+    x = normalize(G, [(0, W("a[2]^-3 a[1]")), (1, W("b"))])
+    assert x.serialize() == "[A: a[2]^-3 a[1]][B: b]"
+    assert G.parse_element(x.serialize()).equals(x)
+
+
+def test_parse_element_allows_whitespace_between_blocks(z2z):
+    assert z2z.parse_element(" [A: a] [B: b]\n").equals(z2z.parse_element("[A: a][B: b]"))
+    assert z2z.parse_element("  ").is_identity
+
+
 def test_edge_head_serialization(z2z):
     g = z2z.edge_element(W("e^2"))
     assert g.length == 0

@@ -76,6 +76,13 @@ def test_search_gt_none_found(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("elem", ["[A: a][B b]", "[A: a] junk [B: b]"])
+def test_search_gt_rejects_malformed_element(tmp_path, elem):
+    F = free_as_free_product(["a", "b"])
+    group = write(tmp_path, "free2.json", F.to_json())
+    assert main(["search", "gt", "--group", group, "--elem", elem]) == 2
+
+
 def test_search_rtf_violation(tmp_path, capsys):
     group = write(tmp_path, "z.json", {
         "kind": "free", "alphabet": ["a"], "subgroup": ["a^2"],

@@ -202,3 +202,87 @@ def test_express_adversarial_stress():
             shuffled = list(gens)
             rng.shuffle(shuffled)
             assert fold(shuffled).canonical_form() == aut.canonical_form()
+
+
+# ---------------------------------------------------------------------------
+# Pinned fold output: the transition table, the expression tags and the
+# expressions read off them must not change when the fold is re-engineered.
+# ---------------------------------------------------------------------------
+
+def _digest(obj):
+    import hashlib
+    import json
+
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _tag_table(aut):
+    return [sorted([str(g), s, str(t)] for (g, s), t in d.items()) for d in aut._tags]
+
+
+def test_pinned_fold_of_a_dependent_generating_set():
+    # five generators of a rank-four subgroup: the tags depend on fold history
+    gens = [W("a b a^-1"), W("a^2"), W("b^-1 a b"), W("a b^2 a^-1"), W("b a^-2 b")]
+    aut = fold(gens)
+    assert (aut.num_states, aut.rank) == (3, 4)
+    assert aut.to_json() == {"states": 3, "base": 0, "edges": [
+        [0, "a", 1], [0, "b", 2], [1, "a", 0], [1, "b", 1], [2, "a", 2], [2, "b", 0]]}
+    assert aut.canonical_form() == (
+        (("a", -1, 1), ("a", 1, 1), ("b", -1, 2), ("b", 1, 2)),
+        (("a", -1, 0), ("a", 1, 0), ("b", -1, 1), ("b", 1, 1)),
+        (("a", -1, 2), ("a", 1, 2), ("b", -1, 0), ("b", 1, 0)),
+    )
+    assert _tag_table(aut) == [
+        [["a", -1, "g[2]^-1"], ["a", 1, "1"], ["b", -1, "1"], ["b", 1, "g[5] g[3]^2"]],
+        [["a", -1, "1"], ["a", 1, "g[2]"], ["b", -1, "g[1]^-1"], ["b", 1, "g[1]"]],
+        [["a", -1, "g[3]^-1"], ["a", 1, "g[3]"], ["b", -1, "g[3]^-2 g[5]^-1"], ["b", 1, "1"]],
+    ]
+    expected = {
+        "a^2": "g[2]",
+        "a b^2 a^-1": "g[1]^2",
+        "a b a^-1 a^2": "g[1] g[2]",
+        "b^-1 a b a b^2 a^-1": "g[3] g[1]^2",
+        "a^-4": "g[2]^-2",
+        "a b^3 a^-1": "g[1]^3",
+    }
+    for w, expr in expected.items():
+        assert str(aut.express(W(w))) == expr
+
+
+def test_pinned_fold_of_c_10_8():
+    from gtkit import casestudy as cs
+
+    c = cs.generator_words(cs.sample_exponents(10, 8, 5))
+    aut = fold(c)
+    assert aut.num_states == 21646
+    assert _digest(aut.to_json()) == \
+        "e9212d58398276c824689d64381b9c8fd9d663bdb72ec62f1e311bcadfcf5886"
+    assert _digest(aut.canonical_form()) == \
+        "9f28a3aa64d348f0c7ddd59a0bc19c14f30a08c78e8b766653aa6f3be3ca49e0"
+    assert _digest(_tag_table(aut)) == \
+        "ee3083f51b4a94e4ed2b8f213fcebf96d01ca25831c2490325832aae5ddeb11a"
+    assert str(aut.express(c[0] * c[3].inverse() * c[7] * c[7])) == "g[1] g[4]^-1 g[8]^2"
+    assert str(aut.express(c[2].inverse() * c[5] * c[1] * c[2])) == "g[3]^-1 g[6] g[2] g[3]"
+
+
+def test_trace_stops_at_a_missing_label_mid_syllable():
+    # the core graph of <a^3 b> is one cycle of three a-edges and a b-edge
+    aut = fold([W("a^3 b")])
+    q = aut.trace(W("a^3"))
+    assert q is not None and q != aut.base and aut.step(q, A, 1) is None
+    assert aut.trace(W("a^4")) is None
+    assert aut.trace(W("a^3 b a^5")) is None
+    assert aut.trace(W("a^2 c")) is None
+    assert aut.trace(W("a^3 b"), start=0) == 0
+    assert not aut.contains(W("a^4 b"))
+
+
+def test_express_rejects_missing_label_and_non_base_endpoint():
+    aut = fold([W("a^3 b")])
+    assert str(aut.express(W("a^3 b a^3 b"))) == "g[1]^2"
+    with pytest.raises(NotMemberError):
+        aut.express(W("a^4"))       # no a-edge after a^3
+    with pytest.raises(NotMemberError):
+        aut.express(W("a^3 c"))     # a label the automaton never uses
+    with pytest.raises(NotMemberError):
+        aut.express(W("a^3"))       # ends off the base

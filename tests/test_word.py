@@ -233,3 +233,100 @@ def test_presentation_json_roundtrip():
 def test_commutator_convention():
     x, y = W("x"), W("y")
     assert commutator(x, y) == W("x y x^-1 y^-1")
+
+
+# ---------------------------------------------------------------------------
+# powers, hashing and pickling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["a", "a^2 b^-1", "b a^3 b^-1", "a b a^-1 b^-1", "1"])
+def test_pow_equals_repeated_product(text):
+    w = W(text)
+    for n in range(-6, 7):
+        expected = Word()
+        for _ in range(abs(n)):
+            expected = expected * (w if n > 0 else w.inverse())
+        assert w ** n == expected
+
+
+def test_pow_large_exponent_is_fast_and_exact():
+    import time
+
+    t0 = time.perf_counter()
+    p = W("a^2 b^-1") ** 10 ** 6
+    assert p.letter_len == 3 * 10 ** 6
+    assert (W("b a^3 b^-1") ** -(10 ** 6)) == W("b a^-3000000 b^-1")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_identity_inverse_is_itself():
+    from gtkit.word import IDENTITY
+
+    assert IDENTITY.inverse() is IDENTITY
+    assert W("a").inverse() == W("a^-1")
+
+
+def test_generator_equality_and_hash():
+    from gtkit.word import Generator
+
+    assert Generator("a") == gen("a")
+    assert hash(Generator("a")) == hash(gen("a"))
+    assert Generator("a", 2) == gen("a", 2) and hash(Generator("a", 2)) == hash(gen("a", 2))
+    assert gen("a") != gen("a", 0)
+    assert gen("a") != ("a", None)
+    assert ("a", None) != gen("a")
+
+
+def test_equal_words_have_equal_hashes_whether_or_not_hashed_first():
+    w1 = W("a b^-2 a[3]")
+    h = hash(w1)
+    w2 = Word(w1.syls, _normalized=True)        # nothing hashed yet
+    w3 = W("a b^-1") * W("b^-1 a[3]")
+    assert w1 == w2 == w3
+    assert hash(w2) == h and hash(w3) == h
+    assert w2 in {w1} and w1 in {w3}
+    assert hash(w1) == h                         # the cached value is stable
+
+
+def test_pickled_words_and_generators_hash_in_another_process():
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import gtkit
+
+    src = os.path.dirname(os.path.dirname(gtkit.__file__))
+    dump = (
+        "import pickle, sys\n"
+        "from gtkit.word import gen, parse_word as W\n"
+        "ws = [W('a b^-2'), W('a[3]^2 b'), W('1')]\n"
+        "data = (set(ws), {w: i for i, w in enumerate(ws)}, {gen('a'): 1, gen('a', 3): 2}, ws)\n"
+        "sys.stdout.buffer.write(pickle.dumps(data))\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from gtkit.word import gen, parse_word as W\n"
+        "s, d, g, ws = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = [W('a b^-2'), W('a[3]^2 b'), W('1')]\n"
+        "assert all(w in s for w in fresh)\n"
+        "assert [d[w] for w in fresh] == [0, 1, 2]\n"
+        "assert g[gen('a')] == 1 and g[gen('a', 3)] == 2\n"
+        "assert [hash(w) for w in ws] == [hash(w) for w in fresh]\n"
+        "assert pickle.loads(pickle.dumps(gen('a'))) is gen('a')\n"
+        "assert next(iter(g)) is gen('a')\n"
+        "print('ok')\n"
+    )
+
+    def run(code, seed, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True, check=True).stdout
+
+    payload = run(dump, "1")
+    assert run(load, "2", payload).strip() == b"ok"
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        w = W("a b^-2")
+        hash(w)
+        assert pickle.loads(pickle.dumps(w, proto)) == w
+        assert pickle.loads(pickle.dumps(gen("a", 3), proto)) is gen("a", 3)
