@@ -132,6 +132,7 @@ class AbelianFactor:
         if edge_rank == 1 and images[0].is_identity:
             raise PreconditionError("edge image in abelian factor must be nontrivial")
         self.edge_images = images
+        self._edge_vec = self._vec(images[0]) if images else None
 
     def canonical(self, x: Word) -> Word:
         sums = {}
@@ -152,7 +153,6 @@ class AbelianFactor:
         return self.canonical(x).is_identity
 
     def _vec(self, x: Word) -> tuple:
-        x = self.canonical(x)
         return tuple(x.exponent_sum(g) for g in self.alphabet)
 
     def in_edge(self, x: Word) -> bool:
@@ -165,7 +165,7 @@ class AbelianFactor:
         if not self.edge_images:
             return None
         v = self._vec(x)
-        u = self._vec(self.edge_images[0])
+        u = self._edge_vec
         k = None
         for a, b in zip(v, u):
             if b == 0:
@@ -254,8 +254,14 @@ class Amalgam:
 
     def factor_index(self, ref) -> int:
         if isinstance(ref, int):
-            return ref
-        return self._by_name[ref]
+            if 0 <= ref < len(self.factors):
+                return ref
+        elif ref in self._by_name:
+            return self._by_name[ref]
+        raise PreconditionError(
+            f"unknown factor {ref!r}; known factors: "
+            + ", ".join(f"{i} ({f.name})" for i, f in enumerate(self.factors))
+        )
 
     # -- parsing / formatting -------------------------------------------------
 
@@ -319,7 +325,14 @@ def _parse_gen(token: str) -> Generator:
 
 
 class AmalgamElement:
-    """Alternating normal form: head edge word, then components (factor, word)."""
+    """Alternating normal form: head edge word, then components (factor, word).
+
+    Invariant: consecutive components lie in different factors, every
+    component word is canonical in its factor and none lies in the edge
+    subgroup.  Products and inverses rely on it and touch only the junction;
+    raw input goes through normalize, and a hand-built element must already
+    be in this form.
+    """
 
     __slots__ = ("amalgam", "head", "comps")
 
@@ -360,13 +373,29 @@ class AmalgamElement:
     # -- group operations --------------------------------------------------------
 
     def __mul__(self, other: "AmalgamElement") -> "AmalgamElement":
-        return normalize(self.amalgam, self.raw() + other.raw())
+        # normalize(self.raw() + other.raw()) would rebuild other's normal
+        # form unchanged and then absorb self's components from the right;
+        # once one of them settles, the rest of self is copied as it stands.
+        G = self.amalgam
+        head, pending = other.head, list(reversed(other.comps))
+        for j in range(len(self.comps) - 1, -1, -1):
+            fi, x = self.comps[j]
+            head = _absorb(G.factors[fi], fi, x, head, pending)
+            if head is None:
+                return AmalgamElement(G, self.head,
+                                      self.comps[:j] + tuple(reversed(pending)))
+        return AmalgamElement(G, self.head * head, tuple(reversed(pending)))
 
     def inverse(self) -> "AmalgamElement":
-        raw = [(i, self.amalgam.factors[i].inv(x)) for i, x in reversed(self.comps)]
+        G = self.amalgam
+        if not self.comps:
+            return AmalgamElement(G, self.head.inverse(), ())
+        comps = [(i, G.factors[i].inv(x)) for i, x in reversed(self.comps)]
         if not self.head.is_identity:
-            raw.append((EDGE_TAG, self.head.inverse()))
-        return normalize(self.amalgam, raw)
+            i, y = comps[-1]
+            f = G.factors[i]
+            comps[-1] = (i, f.mul(y, f.from_edge(self.head.inverse())))
+        return AmalgamElement(G, Word(), tuple(comps))
 
     __invert__ = inverse
 
@@ -421,40 +450,42 @@ def normalize(G: Amalgam, raw) -> AmalgamElement:
     not canonical).
     """
     head = Word()
-    comps: list = []
-    for entry in reversed(list(raw)):
-        tag, x = entry
+    pending: list = []
+    for tag, x in reversed(list(raw)):
         if tag == EDGE_TAG:
             head = x * head
             continue
         fi = G.factor_index(tag)
         f = G.factors[fi]
-        y = f.canonical(x)
-        if not head.is_identity:
-            y = f.mul(y, f.from_edge(head))
-            head = Word()
-        if f.is_identity(y):
-            continue
-        if comps and comps[0][0] == fi:
-            z = f.mul(y, comps[0][1])
-            e = f.to_edge(z)
-            if e is not None:
-                head = e
-                comps.pop(0)
-            else:
-                comps[0] = (fi, z)
-        else:
-            e = f.to_edge(y)
-            if e is not None:
-                head = e
-            else:
-                comps.insert(0, (fi, y))
-    return AmalgamElement(G, head, tuple(comps))
+        head = _absorb(f, fi, f.canonical(x), head, pending) or Word()
+    return AmalgamElement(G, head, tuple(reversed(pending)))
 
 
-def length(g: AmalgamElement) -> int:
-    """Component count of the alternating normal form."""
-    return g.length
+def _absorb(f, fi: int, y: Word, head: Word, pending: list) -> Optional[Word]:
+    """Absorb the canonical word y of factor f (index fi) from the left.
+
+    pending holds the components to the right of y in reverse order (its
+    last entry is the leftmost) and head the edge word between y and them.
+    Returns the edge word left over for the next component, or None when a
+    component settled (was inserted, or merged outside the edge subgroup).
+    """
+    if not head.is_identity:
+        y = f.mul(y, f.from_edge(head))
+    if f.is_identity(y):
+        return Word()
+    if pending and pending[-1][0] == fi:
+        z = f.mul(y, pending[-1][1])
+        e = f.to_edge(z)
+        if e is not None:
+            pending.pop()
+            return e
+        pending[-1] = (fi, z)
+        return None
+    e = f.to_edge(y)
+    if e is not None:
+        return e
+    pending.append((fi, y))
+    return None
 
 
 # ---------------------------------------------------------------------------

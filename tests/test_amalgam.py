@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gtkit import gentorsion as gt
+from gtkit import suites
 from gtkit.amalgam import (
+    EDGE_TAG,
     AbelianFactor,
     Amalgam,
     AmalgamElement,
@@ -21,8 +25,9 @@ from gtkit.amalgam import (
     normalize,
     right_factors,
 )
-from gtkit.errors import PreconditionError
+from gtkit.errors import GtkitError, PreconditionError
 from gtkit.suites import run_suite
+from gtkit.tamed import TamedSampler, _first_component
 from gtkit.word import Word, gen, parse_word as W
 
 
@@ -71,6 +76,107 @@ def test_equality_via_inverse_product(z2z):
     v = normalize(z2z, [(0, W("a")), (1, W("b^2"))])
     assert u.equals(v)
     assert not u.equals(z2z.identity())
+
+
+# Groups for the property tests: a free product, a free amalgam over a cyclic
+# edge, the abelian BS(m) amalgams and a doubled free group over rank two.
+PROPERTY_GROUPS = {
+    "F2": free_as_free_product(["a", "b"]),
+    "Z2Z": Amalgam(
+        [FreeFactor("A", [gen("a")]), FreeFactor("B", [gen("b")])],
+        EdgeIdentification((gen("e"),), ((W("a^2"),), (W("b^2"),))),
+    ),
+    "BS2": gt.bs_amalgam(2),
+    "BS3": gt.bs_amalgam(3),
+    "doubled": gt.doubled_amalgam(["a", "b"], [W("a^2"), W("b^2")]),
+}
+PROPERTY_BALLS = {
+    name: [f.ball(2) for f in G.factors] for name, G in PROPERTY_GROUPS.items()
+}
+
+# a raw entry: factor 0, factor 1 or (where the edge is nontrivial) an edge
+# word, plus a ball index and an edge exponent; factor entries may repeat,
+# cancel or lie in the edge subgroup
+_entry = st.tuples(st.integers(0, 2), st.integers(0, 10 ** 4),
+                   st.sampled_from([1, -1, 2, -2]))
+_raw_lists = st.lists(_entry, max_size=8)
+
+
+def _raw(name, entries):
+    G, balls = PROPERTY_GROUPS[name], PROPERTY_BALLS[name]
+    rank = len(G.edge.alphabet)
+    out = []
+    for kind, i, e in entries:
+        if kind == 2 and rank:
+            out.append((EDGE_TAG, Word([(G.edge.alphabet[i % rank], e)])))
+        else:
+            ball = balls[kind % 2]
+            out.append((kind % 2, ball[i % len(ball)]))
+    return out
+
+
+def _inverse_raw(G, raw):
+    return [
+        (tag, x.inverse() if tag == EDGE_TAG else G.factors[tag].inv(x))
+        for tag, x in reversed(raw)
+    ]
+
+
+def assert_same_form(x, y):
+    assert x.head == y.head
+    assert x.comps == y.comps
+    assert x.serialize() == y.serialize()
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists, _raw_lists)
+@settings(max_examples=300, deadline=None)
+def test_product_matches_normalize_of_concatenation(name, rx, ry):
+    G = PROPERTY_GROUPS[name]
+    x, y = normalize(G, _raw(name, rx)), normalize(G, _raw(name, ry))
+    assert_same_form(x * y, normalize(G, x.raw() + y.raw()))
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists)
+@settings(max_examples=300, deadline=None)
+def test_inverse_matches_normalize_of_inverted_raw(name, rx):
+    G = PROPERTY_GROUPS[name]
+    x = normalize(G, _raw(name, rx))
+    inv = x.inverse()
+    assert_same_form(inv, normalize(G, _inverse_raw(G, x.raw())))
+    assert (x * inv).is_identity and (inv * x).is_identity
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists)
+@settings(max_examples=100, deadline=None)
+def test_power_matches_repeated_normalized_product(name, rx):
+    G = PROPERTY_GROUPS[name]
+    x = normalize(G, _raw(name, rx))
+    for n in range(-4, 5):
+        base_raw = x.raw() if n >= 0 else _inverse_raw(G, x.raw())
+        expected = G.identity()
+        for _ in range(abs(n)):
+            expected = normalize(G, expected.raw() + base_raw)
+        assert_same_form(x ** n, expected)
+
+
+def test_direct_constructors_build_normal_forms():
+    """Elements built without normalize are fixed points of it."""
+    rng = random.Random(31)
+    for name, G in PROPERTY_GROUPS.items():
+        sampler = TamedSampler(G, rng)
+        elems = gt.amalgam_conjugator_ball(
+            G, gt.SearchBounds(radius=2, max_elt_letters=2))
+        for _ in range(40):
+            g = sampler._rand_elt(4)
+            elems += [g, sampler._rand_t(g), suites._rand_elt(G, rng, max_len=4)]
+            if g.comps:
+                elems.append(_first_component(g))
+            h = normalize(G, _raw(name, [(rng.randrange(3), rng.randrange(99), 1)
+                                         for _ in range(6)]))
+            for left, right in factors(h):
+                elems += [left, right]
+        for x in elems:
+            assert_same_form(normalize(G, x.raw()), x)
 
 
 def test_index_vector_and_ends(fp2):
@@ -222,6 +328,14 @@ def test_element_text_roundtrip(z2z):
 def test_parse_element_rejects_text_outside_blocks(z2z, text):
     with pytest.raises(PreconditionError):
         z2z.parse_element(text)
+
+
+def test_unknown_factor_reference_is_a_package_error(z2z):
+    with pytest.raises(GtkitError, match="known factors: 0 \\(A\\), 1 \\(B\\)"):
+        z2z.parse_element("[Z: a]")
+    for ref in (2, -1):
+        with pytest.raises(GtkitError, match=repr(ref)):
+            normalize(z2z, [(ref, W("a"))])
 
 
 def test_parse_element_reads_indexed_generators():

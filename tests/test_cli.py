@@ -76,7 +76,7 @@ def test_search_gt_none_found(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("elem", ["[A: a][B b]", "[A: a] junk [B: b]"])
+@pytest.mark.parametrize("elem", ["[A: a][B b]", "[A: a] junk [B: b]", "[Z: a]"])
 def test_search_gt_rejects_malformed_element(tmp_path, elem):
     F = free_as_free_product(["a", "b"])
     group = write(tmp_path, "free2.json", F.to_json())

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from gtkit import casestudy as cs
 from gtkit import gentorsion as gt
 from gtkit.amalgam import element_from_free_word, free_as_free_product, normalize
+from gtkit.cli import main
 from gtkit.errors import PreconditionError
 from gtkit.suites import run_suite
 from gtkit.word import Word, gen, parse_word as W
@@ -154,6 +157,61 @@ def test_search_gt_bs33_needs_three_terms():
                                              node_cap=4 * 10 ** 5))
     assert res.found
     assert len(res.certificate.conjugators) == 3
+
+
+# search_gt on the BS(m) commutator at radius 2, max_n = m and 2 element
+# letters: node counts and certificates as the search produced them when
+# products renormalized both operands in full.  A faster product must not
+# change them.
+BS_COMMUTATOR = "[A: a][B: b][A: a^-1][B: b^-1]"
+BS_SEARCH_PINS = {
+    2: (79, '{"base": "[A: a][B: b][A: a^-1][B: b^-1]", '
+            '"conjugators": ["1", "[A: a]"]}'),
+    3: (8431, '{"base": "[A: a][B: b][A: a^-1][B: b^-1]", '
+              '"conjugators": ["1", "[A: a]", "[A: a^-1]"]}'),
+}
+
+BS3_REPORT = """\
+{
+  "bounds": {
+    "max_elt_letters": 2,
+    "max_n": 3,
+    "node_cap": 1000000,
+    "radius": 2,
+    "seed": 0
+  },
+  "capped": false,
+  "certificate": {
+    "base": "[A: a][B: b][A: a^-1][B: b^-1]",
+    "conjugators": [
+      "1",
+      "[A: a]",
+      "[A: a^-1]"
+    ]
+  },
+  "found": true,
+  "nodes": 8431
+}
+"""
+
+
+@pytest.mark.parametrize("m", sorted(BS_SEARCH_PINS))
+def test_search_gt_bs_output_is_pinned(m):
+    G = gt.bs_amalgam(m)
+    res = gt.search_gt(G, G.parse_element(BS_COMMUTATOR),
+                       gt.SearchBounds(radius=2, max_n=m, max_elt_letters=2))
+    nodes, cert = BS_SEARCH_PINS[m]
+    assert not res.capped
+    assert res.nodes == nodes
+    assert json.dumps(res.certificate.to_json()) == cert
+
+
+def test_search_gt_bs3_report_is_pinned(tmp_path, capsys):
+    group = tmp_path / "bs3.json"
+    group.write_text(json.dumps(gt.bs_amalgam(3).to_json()))
+    assert main(["search", "gt", "--group", str(group), "--elem", BS_COMMUTATOR,
+                 "--max-n", "3"]) == 1
+    assert capsys.readouterr().out == BS3_REPORT
 
 
 def test_search_gt_free_group_exhausts(fp2):
