@@ -5,7 +5,7 @@ Submodules:
   stallings  folded subgroup automata (membership, expression, prefixes)
   amalgam    alternating normal forms and cancellation calculus in *_C G_i
   tamed      cancellability, tamedness, delta factorization, length bound
-  gentorsion certificate search/verification, bounded NSS machinery, suites
+  gentorsion certificate search/verification, bounded NSS machinery
   magnus     truncated noncommutative power series and leading terms
   casestudy  the glued-manifold, one-relator and non-left-orderable builders
   cli        command-line front end

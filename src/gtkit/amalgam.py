@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
 from .stallings import SubgroupAutomaton
-from .word import Generator, Word, gen, parse_word
+from .word import Generator, Word, _product_ball, gen, parse_word
 
 EDGE_TAG = "C"
 
@@ -88,19 +88,8 @@ class FreeFactor:
 
     def ball(self, max_letters: int):
         """All nontrivial reduced words with letter length <= max_letters."""
-        out = []
-        letters = [(g, s) for g in self.alphabet for s in (1, -1)]
-        frontier = [Word()]
-        for _ in range(max_letters):
-            nxt = []
-            for w in frontier:
-                for g, s in letters:
-                    w2 = w * Word([(g, s)])
-                    if w2.letter_len == w.letter_len + 1:
-                        nxt.append(w2)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        letters = [Word([(g, s)]) for g in self.alphabet for s in (1, -1)]
+        return _product_ball(letters, max_letters, include_identity=False)
 
     def parse(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
@@ -322,6 +311,15 @@ def _parse_gen(token: str) -> Generator:
     if w.syllable_len != 1 or w.syls[0][1] != 1:
         raise PreconditionError(f"not a generator token: {token!r}")
     return w.syls[0][0]
+
+
+def _outside_edge_balls(G: Amalgam, max_letters: int) -> list:
+    """Per factor, its ball minus the edge subgroup, sorted by sort_key."""
+    return [
+        sorted((x for x in f.ball(max_letters) if not f.in_edge(x)),
+               key=lambda w: w.sort_key())
+        for f in G.factors
+    ]
 
 
 class AmalgamElement:

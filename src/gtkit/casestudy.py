@@ -276,17 +276,8 @@ class CSubgroup:
         p(E) E p(E^{-1})^{-1} in C is verified before returning.
         """
         E = self._as_syllable_word(E)
-        g, ex = E.component(1)
-        comp, merge = self._tables()
-        if (g, ex) in comp:
-            u, k = comp[(g, ex)]
-            p = u.left(k - 1)
-        elif (g, ex) in merge:
-            v, _u = merge[(g, ex)]
-            p = v.left(v.syllable_len - 1)
-        else:
-            raise PreconditionError(f"{E} is not a component of an element of C")
-        p_inv = self._prefix_raw(Word([(g, -ex)]))
+        p = self._prefix_raw(E)
+        p_inv = self._prefix_raw(E.inverse())
         if not self.contains(p * E * p_inv.inverse()):
             raise InternalInvariantError("prefix containment failed")
         return p
@@ -470,9 +461,8 @@ class LfpTrace:
     word, which is the pairwise rule applied iteratively.
     """
 
-    def __init__(self, inputs: Sequence[Word], x: int = 3):
+    def __init__(self, inputs: Sequence[Word]):
         self.inputs = list(inputs)
-        self.x = x
         self.partials: list = []
         self.status: dict = {}
         self.cancel_pairs: set = set()
@@ -504,7 +494,6 @@ class LfpTrace:
         return {
             "inputs": [str(w) for w in self.inputs],
             "partials": [str(w) for w in self.partials],
-            "x": self.x,
             "status": statuses,
             "cancel_pairs": sorted(
                 [list(a), list(b)] for a, b in self.cancel_pairs
@@ -557,21 +546,22 @@ class LfpTrace:
             ))
 
 
-def lfp_trace(inputs: Sequence[Word], x: int = 3) -> LfpTrace:
+def lfp_trace(inputs: Sequence[Word]) -> LfpTrace:
     """Left-first product of the inputs with provenance statuses."""
     if not inputs:
         raise PreconditionError("need at least one input")
-    return LfpTrace(inputs, x=x)
+    return LfpTrace(inputs)
 
 
-class RfpTrace:
-    """Right-first product, realized by tracing reversed inverses."""
+class RfpTrace(LfpTrace):
+    """Right-first product, realized by tracing reversed inverses.
 
-    def __init__(self, inputs: Sequence[Word], x: int = 3):
+    The queries are LfpTrace's; only the construction differs.
+    """
+
+    def __init__(self, inputs: Sequence[Word]):
         self.inputs = list(inputs)
-        self.x = x
-        self._mirror = LfpTrace([w.inverse() for w in reversed(self.inputs)], x=x)
-        n = len(self.inputs)
+        self._mirror = LfpTrace([w.inverse() for w in reversed(self.inputs)])
         self.partials = [p.inverse() for p in self._mirror.partials]
         self.status = {}
         self.cancel_pairs = set()
@@ -587,23 +577,11 @@ class RfpTrace:
         i = n - mi + 1
         return (i, self.inputs[i - 1].syllable_len - mp + 1)
 
-    def product(self) -> Word:
-        return self.partials[-1]
 
-    def is_unaltered(self, i: int, pos: int) -> bool:
-        return self.status[(i, pos)].kind == "unaltered"
-
-    def cancels(self, a: tuple, b: tuple) -> bool:
-        return tuple(sorted((a, b))) in self.cancel_pairs
-
-    def unaltered_run(self, i: int, lo: int, hi: int) -> bool:
-        return all(self.is_unaltered(i, p) for p in range(lo, hi + 1))
-
-
-def rfp_trace(inputs: Sequence[Word], x: int = 3) -> RfpTrace:
+def rfp_trace(inputs: Sequence[Word]) -> RfpTrace:
     if not inputs:
         raise PreconditionError("need at least one input")
-    return RfpTrace(inputs, x=x)
+    return RfpTrace(inputs)
 
 
 # ===========================================================================

@@ -15,7 +15,7 @@ import sys
 
 from . import casestudy, gentorsion
 from .amalgam import Amalgam
-from .errors import GtkitError
+from .errors import GtkitError, PreconditionError
 from .gentorsion import GtCertificate, NclWitness, SearchBounds
 from .word import Presentation, abelianize_snf, parse_word
 
@@ -39,9 +39,20 @@ def _dump(data, path=None):
 
 
 class GroupFile:
-    """Dispatch over the supported group file kinds."""
+    """Dispatch over the supported group file kinds.
+
+    A file whose values have the wrong shape (a number where a list is
+    expected, say) is rejected with PreconditionError, like any other
+    malformed input.
+    """
 
     def __init__(self, data):
+        try:
+            self._load(data)
+        except (AttributeError, IndexError, TypeError) as exc:
+            raise PreconditionError(f"malformed group file: {exc}") from exc
+
+    def _load(self, data):
         self.kind = data.get("kind", "amalgam")
         self.data = data
         if self.kind == "amalgam":
@@ -174,7 +185,7 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .suites import SUITES
+    from .suites import SUITES, run_suite
 
     params = {}
     if args.s is not None:
@@ -190,8 +201,7 @@ def cmd_suite(args) -> int:
     for name in names:
         kw = dict(params) if name in ("lemma_small_cancellation",
                                       "nonlo_witnesses") else {}
-        reports.append(gentorsion.run_suite(
-            name, trials=args.trials, seed=args.seed, **kw))
+        reports.append(run_suite(name, trials=args.trials, seed=args.seed, **kw))
     payload = {
         "seed": args.seed,
         "trials": args.trials,
@@ -208,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Amalgam combinatorics: certificates, bounded searches, "
                     "builders and property suites.",
     )
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism degree (reserved; execution is sequential "
-                        "and already deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="verify a certificate or witness file")

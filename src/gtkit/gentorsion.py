@@ -11,6 +11,7 @@ re-verified by normalization before being surfaced.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,11 +21,12 @@ from .amalgam import (
     AmalgamElement,
     EdgeIdentification,
     FreeFactor,
+    _outside_edge_balls,
     normalize,
 )
 from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton
-from .word import Generator, Word, gen, parse_word
+from .word import Generator, Word, _product_ball, gen, parse_word
 
 
 @dataclass(frozen=True)
@@ -137,20 +139,9 @@ def verify_ncl_witness(relators: Sequence[Word], w: NclWitness) -> bool:
 def free_ball(alphabet: Sequence[Generator], max_letters: int,
               include_identity: bool = True) -> list:
     """Reduced words of letter length <= max_letters, in canonical order."""
-    out = [Word()] if include_identity else []
-    letters = [(g, s) for g in sorted(alphabet, key=lambda g: g.sort_key())
+    letters = [Word([(g, s)]) for g in sorted(alphabet, key=lambda g: g.sort_key())
                for s in (1, -1)]
-    frontier = [Word()]
-    for _ in range(max_letters):
-        nxt = []
-        for w in frontier:
-            for g, s in letters:
-                w2 = w * Word([(g, s)])
-                if w2.letter_len == w.letter_len + 1:
-                    nxt.append(w2)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return _product_ball(letters, max_letters, include_identity)
 
 
 def amalgam_conjugator_ball(G: Amalgam, bounds: SearchBounds) -> list:
@@ -160,11 +151,7 @@ def amalgam_conjugator_ball(G: Amalgam, bounds: SearchBounds) -> list:
     max_elt_letters) minus the edge subgroup.  Deterministic order: by
     component count, then serialization.
     """
-    factor_balls = []
-    for f in G.factors:
-        ball = [x for x in f.ball(bounds.max_elt_letters) if not f.in_edge(x)]
-        ball.sort(key=lambda w: w.sort_key())
-        factor_balls.append(ball)
+    factor_balls = _outside_edge_balls(G, bounds.max_elt_letters)
     out = [G.identity()]
     if G.edge.alphabet:
         for ew in free_ball(G.edge.alphabet, bounds.max_elt_letters,
@@ -196,51 +183,52 @@ class NssBall:
         return {x.serialize() for x in self.elements}
 
 
+def _nss_closure(seeds: Sequence, is_identity, level1, mul, bounds: SearchBounds,
+                 max_elements: int):
+    """The bounded NSS closure behind every NSS ball.
+
+    Level 1 is the lazy iterable ``level1`` (the conjugates of the seeds);
+    levels 2..max_n are each the previous level's new elements times level 1
+    under ``mul``.  Every candidate counts as a node; the node cap and the
+    element cap stop the closure and flag it as capped (a partial but sound
+    inner approximation) rather than failing.  Returns (the elements in
+    order of first appearance, their set, capped).
+    """
+    if not seeds or any(is_identity(s) for s in seeds):
+        raise PreconditionError("seeds must be nonempty and avoid the identity")
+    seen = set()
+    nodes = 0
+
+    def grow(candidates):
+        nonlocal nodes
+        new = []
+        for z in candidates:
+            nodes += 1
+            if nodes > bounds.node_cap or len(seen) >= max_elements:
+                return new, True
+            if z not in seen:
+                seen.add(z)
+                new.append(z)
+        return new, False
+
+    first, capped = grow(level1)
+    out, frontier = list(first), first
+    for _ in range(bounds.max_n - 1):
+        if capped:
+            break
+        frontier, capped = grow(mul(x, y) for x in frontier for y in first)
+        out.extend(frontier)
+    return out, seen, capped
+
+
 def nss_ball(G: Amalgam, R: Sequence[AmalgamElement], bounds: SearchBounds,
              max_elements: int = 200_000) -> NssBall:
     """Products s_1^{g_1} ... s_k^{g_k}, k <= max_n, conjugators in the ball."""
     R = list(R)
-    if not R or any(s.is_identity for s in R):
-        raise PreconditionError("R must be nonempty and avoid the identity")
     conjs = amalgam_conjugator_ball(G, bounds)
-    level1 = []
-    seen = set()
-    capped = False
-    nodes = 0
-    for s in R:
-        for h in conjs:
-            nodes += 1
-            if nodes > bounds.node_cap or len(seen) >= max_elements:
-                capped = True
-                break
-            x = s.conj(h)
-            key = x.serialize()
-            if key not in seen:
-                seen.add(key)
-                level1.append(x)
-        if capped:
-            break
-    out = list(level1)
-    frontier = list(level1)
-    for _ in range(bounds.max_n - 1):
-        if capped:
-            break
-        nxt = []
-        for x in frontier:
-            for y in level1:
-                nodes += 1
-                if nodes > bounds.node_cap or len(seen) >= max_elements:
-                    capped = True
-                    break
-                z = x * y
-                key = z.serialize()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(z)
-            if capped:
-                break
-        out.extend(nxt)
-        frontier = nxt
+    out, _, capped = _nss_closure(
+        R, lambda s: s.is_identity, (s.conj(h) for s in R for h in conjs),
+        operator.mul, bounds, max_elements)
     return NssBall(out, capped)
 
 
@@ -255,44 +243,11 @@ def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
     approximation of the normal subsemigroup.
     """
     seeds = list(seeds)
-    if not seeds or any(w.is_identity for w in seeds):
-        raise PreconditionError("seeds must be nonempty and avoid the identity")
     if conjugators is None:
         conjugators = free_ball(alphabet, bounds.radius)
-    level1 = []
-    seen = set()
-    capped = False
-    nodes = 0
-    for s in seeds:
-        for h in conjugators:
-            nodes += 1
-            if nodes > bounds.node_cap or len(seen) >= max_elements:
-                capped = True
-                break
-            x = s.conj(h)
-            if x not in seen:
-                seen.add(x)
-                level1.append(x)
-        if capped:
-            break
-    frontier = list(level1)
-    for _ in range(bounds.max_n - 1):
-        if capped:
-            break
-        nxt = []
-        for x in frontier:
-            for y in level1:
-                nodes += 1
-                if nodes > bounds.node_cap or len(seen) >= max_elements:
-                    capped = True
-                    break
-                z = x * y
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-            if capped:
-                break
-        frontier = nxt
+    _, seen, capped = _nss_closure(
+        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
+        operator.mul, bounds, max_elements)
     return seen, capped
 
 
@@ -506,20 +461,7 @@ def subgroup_product_ball(generators: Sequence[Word], radius: int,
                           include_identity: bool = True) -> list:
     """Products of <= radius generators (and inverses), deduplicated."""
     units = list(generators) + [w.inverse() for w in generators]
-    seen = {Word()} if include_identity else set()
-    out = [Word()] if include_identity else []
-    frontier = [Word()]
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for u in units:
-                w2 = w * u
-                if w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-                    out.append(w2)
-        frontier = nxt
-    return out
+    return _product_ball(units, radius, include_identity)
 
 
 def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
@@ -676,21 +618,12 @@ class FamilySpec:
 
 def _factor_nss_ball(f, seeds: Sequence[Word], bounds: SearchBounds):
     if f.kind == "free":
-        ball, capped = nss_ball_free(f.alphabet, seeds, bounds)
-        return ball, capped
+        return nss_ball_free(f.alphabet, seeds, bounds)
     # abelian: conjugation is trivial, the NSS is the set of sums
-    seen = set()
-    frontier = [f.canonical(Word())]
-    for _ in range(bounds.max_n):
-        nxt = []
-        for w in frontier:
-            for s in seeds:
-                z = f.mul(w, s)
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return seen, False
+    seeds = list(seeds)
+    _, ball, capped = _nss_closure(
+        seeds, f.is_identity, (f.canonical(s) for s in seeds), f.mul, bounds, 200_000)
+    return ball, capped
 
 
 def check_family(G: Amalgam, fam: FamilySpec, bounds: SearchBounds) -> SuiteReport:
@@ -749,19 +682,3 @@ def check_family(G: Amalgam, fam: FamilySpec, bounds: SearchBounds) -> SuiteRepo
                     }))
     return report
 
-
-# ---------------------------------------------------------------------------
-# Property-suite front door (registry lives in suites.py)
-# ---------------------------------------------------------------------------
-
-def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteReport:
-    """Run one registered property suite; deterministic given the seed."""
-    from .suites import run_suite as _run
-
-    return _run(name, trials, seed, **params)
-
-
-def available_suites() -> list:
-    from .suites import SUITES
-
-    return sorted(SUITES)

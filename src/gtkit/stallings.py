@@ -12,28 +12,12 @@ in the sets L_i(C) and R_i(C).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
 from .word import IDENTITY, Generator, Word, SyllableWord, gen, flatten
 
 WITNESS_NAME = "g"
-
-
-@dataclass(frozen=True)
-class MembershipWitness:
-    """An expression over the subgroup's generator symbols g[1], g[2], ...
-
-    Evaluating the expression through the generator images reproduces the
-    queried word; this is checked before any witness is returned.
-    """
-
-    expression: Word
-
-    def __str__(self):
-        return str(self.expression)
 
 
 def _witness_gen(i: int) -> Generator:
@@ -364,24 +348,7 @@ def _lab_key(lab):
     return (g.sort_key(), sign)
 
 
-# -- module-level operation surface ----------------------------------------
-
-def fold(generators: Iterable[Word]) -> SubgroupAutomaton:
-    """Fold the bouquet of the given reduced words into a core automaton."""
-    return SubgroupAutomaton(generators)
-
-
-def contains(aut: SubgroupAutomaton, w: Word) -> bool:
-    return aut.contains(w)
-
-
-def express(aut: SubgroupAutomaton, w: Word) -> MembershipWitness:
-    return MembershipWitness(aut.express(w))
-
-
-def prefix_acceptable(aut: SubgroupAutomaton, p, i: int, side: str = "left") -> bool:
-    return aut.prefix_acceptable(p, i, side)
-
+# -- syllable-exact prefix values ------------------------------------------
 
 def lambda_value(aut: SubgroupAutomaton, w: Word) -> int:
     """Largest i <= l(w) with L_i(w) syllable-exactly extendable in the subgroup."""
@@ -403,7 +370,3 @@ def rho_value(aut: SubgroupAutomaton, w: Word) -> int:
         else:
             break
     return val
-
-
-def automaton_to_json(aut: SubgroupAutomaton) -> str:
-    return json.dumps(aut.to_json(), sort_keys=True)

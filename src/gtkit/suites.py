@@ -17,6 +17,7 @@ from .amalgam import (
     Amalgam,
     AmalgamElement,
     SandwichDecomposition,
+    _outside_edge_balls,
     cancellation_number,
     check_sandwich_nontrivial,
     end_preserving,
@@ -40,6 +41,7 @@ from .stallings import SubgroupAutomaton
 from .tamed import (
     ConjTuple,
     TamedSampler,
+    _rand_alternating,
     cancellability,
     delta_factorize,
     tamed_length_bound,
@@ -102,28 +104,6 @@ def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
 _AB = (gen("a"), gen("b"))
 
 
-def _rand_elt(G: Amalgam, rng, max_len: int = 3, max_exp: int = 3,
-              balls=None) -> AmalgamElement:
-    if balls is None:
-        balls = _factor_balls(G, max_exp)
-    n = rng.randint(0, max_len)
-    comps = []
-    last = None
-    for _ in range(n):
-        fi = rng.choice([i for i in range(len(G.factors)) if i != last])
-        comps.append((fi, balls[fi][rng.randrange(len(balls[fi]))]))
-        last = fi
-    return AmalgamElement(G, Word(), tuple(comps))
-
-
-def _factor_balls(G: Amalgam, max_exp: int):
-    return [
-        sorted((x for x in f.ball(max_exp) if not f.in_edge(x)),
-               key=lambda w: w.sort_key())
-        for f in G.factors
-    ]
-
-
 def _indexed_word(rng, max_letters: int, index_lo: int = -2, index_hi: int = 2,
                   nonempty: bool = False) -> Word:
     alphabet = [casestudy.a_i(i) for i in range(index_lo, index_hi + 1)]
@@ -143,11 +123,11 @@ def suite_oracle_cancellation_number(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("oracle_cancellation_number", trials, seed)
     groups = [_fp2(), _z2z()]
-    balls = {id(G): _factor_balls(G, 3) for G in groups}
+    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
     for t in range(trials):
         G = groups[t % 2]
-        g = _rand_elt(G, rng, 4, balls=balls[id(G)])
-        h = _rand_elt(G, rng, 4, balls=balls[id(G)])
+        g = _rand_alternating(G, rng, balls[id(G)], 4)
+        h = _rand_alternating(G, rng, balls[id(G)], 4)
         got = cancellation_number(g, h)
         want = _brute_cancellation(G, g, h)
         if got != want:
@@ -172,7 +152,7 @@ def suite_oracle_normalize_shuffle(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("oracle_normalize_shuffle", trials, seed)
     groups = [_fp2(), _z2z()]
-    balls = {id(G): _factor_balls(G, 3) for G in groups}
+    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
     for t in range(trials):
         G = groups[t % 2]
         raw = []
@@ -400,11 +380,11 @@ def suite_lemma_end_preserving(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("lemma_end_preserving", trials, seed)
     groups = [_fp2(), _z2z()]
-    balls = {id(G): _factor_balls(G, 3) for G in groups}
+    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
     for t in range(trials):
         G = groups[t % 2]
-        alpha = _rand_elt(G, rng, 4, balls=balls[id(G)])
-        beta = _rand_elt(G, rng, 4, balls=balls[id(G)])
+        alpha = _rand_alternating(G, rng, balls[id(G)], 4)
+        beta = _rand_alternating(G, rng, balls[id(G)], 4)
         if alpha.length == 0:
             rep.skips += 1
             continue
@@ -429,11 +409,11 @@ def suite_length_subadditivity(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("length_subadditivity", trials, seed)
     groups = [_fp2(), _z2z()]
-    balls = {id(G): _factor_balls(G, 3) for G in groups}
+    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
     for t in range(trials):
         G = groups[t % 2]
-        g = _rand_elt(G, rng, 4, balls=balls[id(G)])
-        h = _rand_elt(G, rng, 4, balls=balls[id(G)])
+        g = _rand_alternating(G, rng, balls[id(G)], 4)
+        h = _rand_alternating(G, rng, balls[id(G)], 4)
         k = cancellation_number(g, h)
         n = (g * h).length
         if not (n <= g.length + h.length and n >= g.length + h.length - 2 * k - 1):
@@ -447,11 +427,11 @@ def suite_sandwich_nontrivial(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("sandwich_nontrivial", trials, seed)
     G = _fp2()
-    balls = _factor_balls(G, 3)
+    balls = _outside_edge_balls(G, 3)
     for _ in range(trials):
         n = rng.randint(1, 3)
-        gs = [_rand_elt(G, rng, 3, balls=balls) for _ in range(n + 1)]
-        alphas = [_rand_elt(G, rng, 2, balls=balls) for _ in range(n)]
+        gs = [_rand_alternating(G, rng, balls, 3) for _ in range(n + 1)]
+        alphas = [_rand_alternating(G, rng, balls, 2) for _ in range(n)]
         d = SandwichDecomposition(gs, alphas)
         res = check_sandwich_nontrivial(d)
         if res.verified and d.product().is_identity:
@@ -498,21 +478,21 @@ def suite_prop_two_sided(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
     rep = _report("prop_two_sided", trials, seed)
     G = _fp2()
-    balls = _factor_balls(G, 3)
+    balls = _outside_edge_balls(G, 3)
     for _ in range(trials):
         # reverse construction: pick c in C (trivial here: c = 1), L, t, g
-        t_pick = _rand_elt(G, rng, 1, balls=balls)
+        t_pick = _rand_alternating(G, rng, balls, 1)
         while t_pick.length != 1:
-            t_pick = _rand_elt(G, rng, 1, balls=balls)
-        g_mid = _rand_elt(G, rng, 2, balls=balls)
+            t_pick = _rand_alternating(G, rng, balls, 1)
+        g_mid = _rand_alternating(G, rng, balls, 2)
         if g_mid.length and g_mid.lei == t_pick.lei:
             rep.skips += 1
             continue
         x = t_pick.conj(g_mid)
-        lf = _rand_elt(G, rng, 2, balls=balls)
+        lf = _rand_alternating(G, rng, balls, 2)
         rf_val = x.inverse() * lf.inverse()
-        g_prev = _rand_elt(G, rng, 2, balls=balls) * rf_val
-        g_next = (lf * _rand_elt(G, rng, 2, balls=balls)).inverse()
+        g_prev = _rand_alternating(G, rng, balls, 2) * rf_val
+        g_next = (lf * _rand_alternating(G, rng, balls, 2)).inverse()
         v = ConjTuple(G, [
             (t_pick, g_prev),
             (t_pick, g_mid),
@@ -1125,14 +1105,14 @@ def suite_factor_multimalnormal(trials: int, seed: int) -> SuiteReport:
     from .amalgam import free_product_of_free
 
     G = free_product_of_free([["a"], ["x"]])
-    balls = _factor_balls(G, 2)
+    balls = _outside_edge_balls(G, 2)
     a_seed = normalize(G, [(0, parse_word("a"))])
     for _ in range(trials):
         n = rng.randint(1, 3)
         prod = G.identity()
         for _ in range(n):
             d = a_seed ** rng.randint(1, 2)
-            conj_elt = _rand_elt(G, rng, 3, balls=balls)
+            conj_elt = _rand_alternating(G, rng, balls, 3)
             if not any(fi == 1 for fi, _ in conj_elt.comps):
                 conj_elt = conj_elt * normalize(G, [(1, parse_word("x"))])
             prod = prod * d.conj(conj_elt)
@@ -1194,6 +1174,3 @@ def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteRep
         return SuiteReport(name, 0, seed=seed, params=params)
     return SUITES[name](trials, seed, **params)
 
-
-def run_all(trials: int = 120, seed: int = 7) -> list:
-    return [run_suite(name, trials, seed) for name in sorted(SUITES)]

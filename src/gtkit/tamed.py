@@ -17,6 +17,7 @@ from typing import Optional
 from .amalgam import (
     Amalgam,
     AmalgamElement,
+    _outside_edge_balls,
     is_reduced,
     left_factors,
     right_factors,
@@ -212,6 +213,20 @@ def delta_factorize(v: ConjTuple) -> DeltaFactorization:
     return DeltaFactorization(deltas, triples, partials)
 
 
+def _rand_alternating(G: Amalgam, rng, balls: list, max_len: int) -> AmalgamElement:
+    """A random alternating element with at most max_len components.
+
+    Draws rng.randint(0, max_len) components; each is rng.choice of a factor
+    other than the previous one, then rng.randrange into that factor's ball.
+    """
+    comps = []
+    for _ in range(rng.randint(0, max_len)):
+        last = comps[-1][0] if comps else None
+        fi = rng.choice([i for i in range(len(G.factors)) if i != last])
+        comps.append((fi, balls[fi][rng.randrange(len(balls[fi]))]))
+    return AmalgamElement(G, Word(), tuple(comps))
+
+
 class TamedSampler:
     """Rejection sampler for conjugate tuples, tamed ones by default.
 
@@ -227,24 +242,7 @@ class TamedSampler:
         self.max_g_len = max_g_len
         self.reject = reject
         self.max_tries = max_tries
-        self.balls = [
-            sorted((x for x in f.ball(elt_letters) if not f.in_edge(x)),
-                   key=lambda w: w.sort_key())
-            for f in G.factors
-        ]
-
-    def _rand_elt(self, max_len: int) -> AmalgamElement:
-        n = self.rng.randint(0, max_len)
-        comps = []
-        last = None
-        for _ in range(n):
-            fi = self.rng.choice(
-                [i for i in range(len(self.G.factors)) if i != last]
-            )
-            ball = self.balls[fi]
-            comps.append((fi, ball[self.rng.randrange(len(ball))]))
-            last = fi
-        return AmalgamElement(self.G, Word(), tuple(comps))
+        self.balls = _outside_edge_balls(G, elt_letters)
 
     def _rand_t(self, g: AmalgamElement) -> AmalgamElement:
         banned = g.lei
@@ -259,7 +257,7 @@ class TamedSampler:
     def raw_tuple(self, n: int) -> ConjTuple:
         entries = []
         for _ in range(n):
-            g = self._rand_elt(self.max_g_len)
+            g = _rand_alternating(self.G, self.rng, self.balls, self.max_g_len)
             entries.append((self._rand_t(g), g))
         return ConjTuple(self.G, entries)
 

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotMemberError, UnknownGeneratorError
 
@@ -261,6 +261,30 @@ def cancellation_syllables(g: Word, h: Word) -> int:
         else:
             break
     return k
+
+
+def _product_ball(units: Sequence[Word], radius: int,
+                  include_identity: bool = True) -> list:
+    """Distinct products of at most ``radius`` units, breadth-first.
+
+    Each level extends the previous one by every unit in the given order;
+    a product seen before (the identity included) is dropped, so the list
+    is in order of first appearance.
+    """
+    seen = {IDENTITY}
+    out = [IDENTITY] if include_identity else []
+    frontier = [IDENTITY]
+    for _ in range(radius):
+        nxt = []
+        for w in frontier:
+            for u in units:
+                w2 = w * u
+                if w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
+        out.extend(nxt)
+        frontier = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------

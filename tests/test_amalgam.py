@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtkit import gentorsion as gt
-from gtkit import suites
 from gtkit.amalgam import (
     EDGE_TAG,
     AbelianFactor,
@@ -27,7 +26,7 @@ from gtkit.amalgam import (
 )
 from gtkit.errors import GtkitError, PreconditionError
 from gtkit.suites import run_suite
-from gtkit.tamed import TamedSampler, _first_component
+from gtkit.tamed import TamedSampler, _first_component, _rand_alternating
 from gtkit.word import Word, gen, parse_word as W
 
 
@@ -167,8 +166,8 @@ def test_direct_constructors_build_normal_forms():
         elems = gt.amalgam_conjugator_ball(
             G, gt.SearchBounds(radius=2, max_elt_letters=2))
         for _ in range(40):
-            g = sampler._rand_elt(4)
-            elems += [g, sampler._rand_t(g), suites._rand_elt(G, rng, max_len=4)]
+            g = _rand_alternating(G, rng, sampler.balls, 4)
+            elems += [g, sampler._rand_t(g), _rand_alternating(G, rng, sampler.balls, 4)]
             if g.comps:
                 elems.append(_first_component(g))
             h = normalize(G, _raw(name, [(rng.randrange(3), rng.randrange(99), 1)

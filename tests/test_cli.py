@@ -83,6 +83,26 @@ def test_search_gt_rejects_malformed_element(tmp_path, elem):
     assert main(["search", "gt", "--group", group, "--elem", elem]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "amalgam", "factors": 5},
+    {"kind": "amalgam", "factors": [{"kind": "free", "name": "A", "alphabet": 3}],
+     "edge": {"alphabet": [], "images": [[]]}},
+    {"kind": "free", "alphabet": ["a"], "subgroup": 7},
+    {"kind": "nonlo", "exponents": []},
+    [1, 2],
+])
+def test_search_malformed_group_file_exit_2(tmp_path, capsys, data):
+    group = write(tmp_path, "bad.json", data)
+    assert main(["search", "gt", "--group", group, "--elem", "[A: a]"]) == 2
+    assert "malformed group file" in capsys.readouterr().err
+
+
+def test_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "suite", "magnus_inverse", "--trials", "1"])
+    assert exc.value.code == 2
+
+
 def test_search_rtf_violation(tmp_path, capsys):
     group = write(tmp_path, "z.json", {
         "kind": "free", "alphabet": ["a"], "subgroup": ["a^2"],

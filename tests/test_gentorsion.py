@@ -1,13 +1,21 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from gtkit import casestudy as cs
 from gtkit import gentorsion as gt
-from gtkit.amalgam import element_from_free_word, free_as_free_product, normalize
+from gtkit.amalgam import (
+    FreeFactor,
+    element_from_free_word,
+    free_as_free_product,
+    normalize,
+)
 from gtkit.cli import main
 from gtkit.errors import PreconditionError
-from gtkit.suites import run_suite
+from gtkit.suites import SUITES, run_suite
+from gtkit.tamed import TamedSampler
 from gtkit.word import Word, gen, parse_word as W
 
 AB = [gen("a"), gen("b")]
@@ -360,28 +368,172 @@ def test_check_family_onerelator_samples():
     assert not any(v.kind == "family-edge-mismatch" for v in rep.violations)
 
 
+_BS_FAMILY = [
+    [("P", [W("a")]), ("N", [W("a^-1")])],
+    [("P", [W("b"), W("c")]), ("N", [W("b^-1"), W("c^-1")]), ("M", [W("b"), W("c^-1")])],
+]
+
+
+def test_check_family_abelian_factor_honours_node_cap():
+    G = gt.bs_amalgam(2)
+    full = gt.check_family(G, gt.FamilySpec(_BS_FAMILY),
+                           gt.SearchBounds(radius=1, max_n=3, max_elt_letters=2))
+    assert not full.capped
+    # the free factor's closures take at most 5 nodes, the abelian P and M
+    # closures 12: only the abelian factor reaches a cap of 6
+    small = gt.check_family(G, gt.FamilySpec(_BS_FAMILY),
+                            gt.SearchBounds(radius=1, max_n=3, max_elt_letters=2,
+                                            node_cap=6))
+    assert small.capped
+    for _, seeds in _BS_FAMILY[0]:
+        _, capped = gt.nss_ball_free([gen("a")], seeds,
+                                     gt.SearchBounds(radius=1, max_n=3, node_cap=6))
+        assert not capped
+
+
+def test_check_family_abelian_factor_rejects_identity_seed():
+    G = gt.bs_amalgam(2)
+    # b c b^-1 c^-1 is a nontrivial free word but the identity of Z^2
+    fam = gt.FamilySpec([_BS_FAMILY[0], [("P", [W("b c b^-1 c^-1")])]])
+    with pytest.raises(PreconditionError):
+        gt.check_family(G, fam, gt.SearchBounds(radius=1, max_n=2))
+
+
+# ---------------------------------------------------------------------------
+# pinned enumerator outputs
+#
+# Balls, NSS balls, the alternating sampler and the checks built on them were
+# recorded before those enumerators shared one implementation each; the
+# lists are compared literally and larger outputs through a digest of their
+# sorted-key JSON.
+# ---------------------------------------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_pinned_free_balls():
+    assert [str(w) for w in gt.free_ball([gen("b"), gen("a")], 2)] == [
+        "1", "a", "a^-1", "b", "b^-1", "a^2", "a b", "a b^-1", "a^-2", "a^-1 b",
+        "a^-1 b^-1", "b a", "b a^-1", "b^2", "b^-1 a", "b^-1 a^-1", "b^-2"]
+    # a factor ball keeps the factor's alphabet order and leaves out 1
+    assert [str(w) for w in FreeFactor("X", [gen("b"), gen("a")]).ball(2)] == [
+        "b", "b^-1", "a", "a^-1", "b^2", "b a", "b a^-1", "b^-2", "b^-1 a",
+        "b^-1 a^-1", "a b", "a b^-1", "a^2", "a^-1 b", "a^-1 b^-1", "a^-2"]
+    with_one = [str(w) for w in gt.subgroup_product_ball([W("a b"), W("a^2")], 2)]
+    assert with_one == [
+        "1", "a b", "a^2", "b^-1 a^-1", "a^-2", "a b a b", "a b a^2", "a b a^-2",
+        "a^3 b", "a^4", "a^2 b^-1 a^-1", "b^-1 a", "b^-1 a^-1 b^-1 a^-1",
+        "b^-1 a^-3", "a^-1 b", "a^-2 b^-1 a^-1", "a^-4"]
+
+
+def test_subgroup_product_ball_leaves_out_identity_at_every_radius():
+    ball = gt.subgroup_product_ball([W("a")], 2, include_identity=False)
+    assert ball == [W("a"), W("a^-1"), W("a^2"), W("a^-2")]
+    gens = [W("a b"), W("a^2")]
+    assert (gt.subgroup_product_ball(gens, 3, include_identity=False)
+            == gt.subgroup_product_ball(gens, 3)[1:])
+    for radius in range(5):
+        ball = gt.subgroup_product_ball([W("a b"), W("b^-1")], radius,
+                                        include_identity=False)
+        assert Word() not in ball
+
+
+@pytest.mark.parametrize("text, bounds, max_elements, size, capped, digest", [
+    ("[A: a][B: b]", dict(radius=1, max_n=3, max_elt_letters=1), 200_000,
+     75, False, "c576427d471a58b0"),
+    ("[A: a]", dict(radius=2, max_n=2, max_elt_letters=1, node_cap=30), 200_000,
+     22, True, "bd01e677f2ad2bcb"),
+    ("[A: a]", dict(radius=1, max_n=3, max_elt_letters=1), 20,
+     20, True, "651211d5e0da456b"),
+])
+def test_pinned_nss_ball(fp2, text, bounds, max_elements, size, capped, digest):
+    ball = gt.nss_ball(fp2, [fp2.parse_element(text)], gt.SearchBounds(**bounds),
+                       max_elements=max_elements)
+    assert (len(ball.elements), ball.capped) == (size, capped)
+    assert _digest([x.serialize() for x in ball.elements]) == digest
+
+
+def test_pinned_nss_ball_abelian_amalgam():
+    G = gt.bs_amalgam(3)
+    ball = gt.nss_ball(G, [G.parse_element("[A: a][B: b]")],
+                       gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2))
+    assert (len(ball.elements), ball.capped) == (245, False)
+    assert _digest([x.serialize() for x in ball.elements]) == "c367fa6dcdbe277a"
+
+
+@pytest.mark.parametrize("seeds, bounds, max_elements, size, capped, digest", [
+    (["a b"], dict(radius=2, max_n=2), 200_000, 148, False, "b590e7525eed953f"),
+    (["a^2", "b a b^-1"], dict(radius=1, max_n=3, node_cap=500), 200_000,
+     444, True, "adab02b35a087c49"),
+    (["a b^-1"], dict(radius=2, max_n=3), 300, 300, True, "c71179d1b878441d"),
+])
+def test_pinned_nss_ball_free(seeds, bounds, max_elements, size, capped, digest):
+    ball, got_capped = gt.nss_ball_free(AB, [W(s) for s in seeds],
+                                        gt.SearchBounds(**bounds),
+                                        max_elements=max_elements)
+    assert (len(ball), got_capped) == (size, capped)
+    assert _digest(sorted(str(w) for w in ball)) == digest
+
+
+def test_pinned_check_reports():
+    C = [W("a^2"), W("b a b^-1")]
+    rep = gt.check_nss_intersection(AB, C, W("a^2"),
+                                    gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2))
+    assert _digest(rep.to_json()) == "f330b4047a84b187"
+    rep = gt.check_rtf(AB, [W("a^2 b^2"), W("a b a^-1 b^-1")],
+                       gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2,
+                                       node_cap=20_000))
+    assert _digest(rep.to_json()) == "277bd256f3202164"
+    rep = gt.check_multimalnormal(AB, C, [W("a^2")],
+                                  gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2,
+                                                  node_cap=20_000))
+    assert _digest(rep.to_json()) == "c0d34cfb7c2bd772"
+
+
+def test_pinned_family_reports():
+    G, fam, _ = _positive_cone_family()
+    rep = gt.check_family(G, fam, gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2,
+                                                  node_cap=50))
+    assert _digest(rep.to_json()) == "fbd0872ccaa49015"
+    rep = gt.check_family(gt.bs_amalgam(2), gt.FamilySpec(_BS_FAMILY),
+                          gt.SearchBounds(radius=1, max_n=3, max_elt_letters=2))
+    assert _digest(rep.to_json()) == "39a3378ed5d49362"
+
+
+def test_pinned_tamed_sampler():
+    sampler = TamedSampler(gt.bs_amalgam(2), random.Random(3))
+    assert _digest([sampler.sample(2).to_json() for _ in range(5)]) == "8398e2c9175d11ff"
+
+
+def test_pinned_suite_all_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["suite", "all", "--trials", "20", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "f4bec8a9666b19e9"
+
+
 # ---------------------------------------------------------------------------
 # run_suite plumbing
 # ---------------------------------------------------------------------------
 
 def test_run_suite_unknown_name():
     with pytest.raises(PreconditionError):
-        gt.run_suite("nosuch")
+        run_suite("nosuch")
 
 
 def test_run_suite_zero_trials_empty_report():
-    rep = gt.run_suite("magnus_inverse", trials=0, seed=1)
+    rep = run_suite("magnus_inverse", trials=0, seed=1)
     assert rep.trials == 0 and rep.ok
 
 
 def test_run_suite_deterministic():
-    a = gt.run_suite("length_subadditivity", trials=50, seed=3).to_json()
-    b = gt.run_suite("length_subadditivity", trials=50, seed=3).to_json()
+    a = run_suite("length_subadditivity", trials=50, seed=3).to_json()
+    b = run_suite("length_subadditivity", trials=50, seed=3).to_json()
     assert a == b
 
 
 def test_available_suites_nonempty():
-    names = gt.available_suites()
+    names = sorted(SUITES)
     assert "prop_length_bound" in names and "lemma_small_cancellation" in names
 
 

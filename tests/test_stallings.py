@@ -1,14 +1,7 @@
 import pytest
 
 from gtkit.errors import NotMemberError, PreconditionError
-from gtkit.stallings import (
-    SubgroupAutomaton,
-    contains,
-    express,
-    fold,
-    lambda_value,
-    prefix_acceptable,
-)
+from gtkit.stallings import SubgroupAutomaton, lambda_value
 from gtkit.suites import run_suite
 from gtkit.word import Word, gen, parse_word as W
 
@@ -22,45 +15,45 @@ def c6_generators():
 
 
 def test_cyclic_subgroup_is_one_looped_state():
-    aut = fold([W("a")])
+    aut = SubgroupAutomaton([W("a")])
     assert aut.num_states == 1
     assert aut.contains(W("a^5"))
     assert not aut.contains(W("b"))
 
 
 def test_c6_rejects_b():
-    aut = fold(c6_generators())
+    aut = SubgroupAutomaton(c6_generators())
     assert aut.rank == 2
-    assert not contains(aut, W("b"))
+    assert not aut.contains(W("b"))
     # independent reason: both generators have b-weight zero, b does not
     for g in c6_generators():
         assert g.exponent_sum(B) == 0
 
 
 def test_contains_examples():
-    aut = fold(c6_generators())
-    assert contains(aut, W("a"))
-    a2 = fold([W("a^2")])
+    aut = SubgroupAutomaton(c6_generators())
+    assert aut.contains(W("a"))
+    a2 = SubgroupAutomaton([W("a^2")])
     assert not a2.contains(W("a"))
     assert a2.contains(W("a^6"))
 
 
 def test_express_generator_and_product():
     g1, g2 = c6_generators()
-    aut = fold([g1, g2])
-    assert express(aut, W("a")).expression == W("g[1]")
-    assert express(aut, g2 * g1).expression == W("g[2] g[1]")
-    assert express(fold([W("a^2")]), W("a^6")).expression == W("g[1]^3")
+    aut = SubgroupAutomaton([g1, g2])
+    assert aut.express(W("a")) == W("g[1]")
+    assert aut.express(g2 * g1) == W("g[2] g[1]")
+    assert SubgroupAutomaton([W("a^2")]).express(W("a^6")) == W("g[1]^3")
 
 
 def test_express_rejects_nonmembers():
-    aut = fold(c6_generators())
+    aut = SubgroupAutomaton(c6_generators())
     with pytest.raises(NotMemberError):
-        express(aut, W("b"))
+        aut.express(W("b"))
 
 
 def test_express_handles_dependent_generators():
-    aut = fold([W("a"), W("a^3"), W("b a b^-1")])
+    aut = SubgroupAutomaton([W("a"), W("a^3"), W("b a b^-1")])
     assert aut.rank == 2
     w = W("a^2") * W("b a^2 b^-1") * W("a^-1")
     expr = aut.express(w)
@@ -69,11 +62,12 @@ def test_express_handles_dependent_generators():
 
 def test_fold_deterministic_in_generator_order():
     g1, g2 = c6_generators()
-    assert fold([g1, g2]).canonical_form() == fold([g2, g1]).canonical_form()
+    assert (SubgroupAutomaton([g1, g2]).canonical_form()
+            == SubgroupAutomaton([g2, g1]).canonical_form())
 
 
 def test_automaton_json_shape():
-    aut = fold([W("a")])
+    aut = SubgroupAutomaton([W("a")])
     data = aut.to_json()
     assert data["states"] == 1 and data["base"] == 0
     assert data["edges"] == [[0, "a", 0]]
@@ -85,29 +79,29 @@ def test_automaton_json_shape():
 
 def test_prefix_acceptable_on_generator_prefixes():
     g1, g2 = c6_generators()
-    aut = fold([g1, g2])
-    assert prefix_acceptable(aut, g2.left(1), 1, "left")
-    assert prefix_acceptable(aut, g2.left(3), 3, "left")
-    assert prefix_acceptable(aut, g2.right(2), 2, "right")
+    aut = SubgroupAutomaton([g1, g2])
+    assert aut.prefix_acceptable(g2.left(1), 1, "left")
+    assert aut.prefix_acceptable(g2.left(3), 3, "left")
+    assert aut.prefix_acceptable(g2.right(2), 2, "right")
 
 
 def test_prefix_acceptable_requires_exact_exponent():
     # L_1 candidates must match a first syllable exactly, not extend it
-    aut = fold([W("a^3 b a^-1")])
-    assert prefix_acceptable(aut, W("a^3"), 1, "left")
-    assert not prefix_acceptable(aut, W("a^4"), 1, "left")
-    assert not prefix_acceptable(aut, W("a^2 b"), 2, "left")
+    aut = SubgroupAutomaton([W("a^3 b a^-1")])
+    assert aut.prefix_acceptable(W("a^3"), 1, "left")
+    assert not aut.prefix_acceptable(W("a^4"), 1, "left")
+    assert not aut.prefix_acceptable(W("a^2 b"), 2, "left")
 
 
 def test_prefix_acceptable_length_mismatch():
-    aut = fold([W("a")])
+    aut = SubgroupAutomaton([W("a")])
     with pytest.raises(PreconditionError):
-        prefix_acceptable(aut, W("a"), 2, "left")
+        aut.prefix_acceptable(W("a"), 2, "left")
 
 
 def test_lambda_value_against_small_enumeration():
     gens = [W("a b a"), W("b^2 a^-1")]
-    aut = fold(gens)
+    aut = SubgroupAutomaton(gens)
     w = W("a b a b^2")
     lam = lambda_value(aut, w)
     # brute force: members as short products of generators
@@ -148,7 +142,7 @@ def test_suite_oracle_prefix_acceptable():
 def test_express_regression_whole_group_tuple():
     # <a^2, a b^2, b^-1 a> is all of F(a,b); expression must still work
     gens = [W("a^2"), W("a b^2"), W("b^-1 a"), W("a^2")]
-    aut = fold(gens)
+    aut = SubgroupAutomaton(gens)
     assert aut.num_states == 1 and aut.rank == 2
     for w in (W("a"), W("b"), W("a b a^-1"), W("b^-5 a^3")):
         assert aut.evaluate(aut.express(w)) == w
@@ -157,7 +151,7 @@ def test_express_regression_whole_group_tuple():
 def test_express_regression_offset_through_fold():
     # the second generator's petal rides through a fold with the first's
     gens = [W("a^3"), W("a^-1 b a b")]
-    aut = fold(gens)
+    aut = SubgroupAutomaton(gens)
     for w in gens + [gens[0] * gens[1], gens[1].inverse() * gens[0]]:
         assert aut.evaluate(aut.express(w)) == w
 
@@ -168,7 +162,7 @@ def test_fold_confluence_regression():
     import itertools
 
     for perm in itertools.permutations(gens):
-        forms.add(fold(list(perm)).canonical_form())
+        forms.add(SubgroupAutomaton(list(perm)).canonical_form())
     assert len(forms) == 1
 
 
@@ -193,7 +187,7 @@ def test_express_adversarial_stress():
             gens[rng.randrange(k)] = gens[0] ** rng.choice((1, -1, 2))
         if rng.random() < 0.3:
             gens[rng.randrange(k)] = gens[rng.randrange(k)].conj(rand_word(3, alpha))
-        aut = fold(gens)
+        aut = SubgroupAutomaton(gens)
         w = Word()
         for _ in range(rng.randint(0, 6)):
             w = w * (gens[rng.randrange(k)] ** rng.choice((1, -1)))
@@ -201,7 +195,7 @@ def test_express_adversarial_stress():
         if trial % 10 == 0:
             shuffled = list(gens)
             rng.shuffle(shuffled)
-            assert fold(shuffled).canonical_form() == aut.canonical_form()
+            assert SubgroupAutomaton(shuffled).canonical_form() == aut.canonical_form()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def _tag_table(aut):
 def test_pinned_fold_of_a_dependent_generating_set():
     # five generators of a rank-four subgroup: the tags depend on fold history
     gens = [W("a b a^-1"), W("a^2"), W("b^-1 a b"), W("a b^2 a^-1"), W("b a^-2 b")]
-    aut = fold(gens)
+    aut = SubgroupAutomaton(gens)
     assert (aut.num_states, aut.rank) == (3, 4)
     assert aut.to_json() == {"states": 3, "base": 0, "edges": [
         [0, "a", 1], [0, "b", 2], [1, "a", 0], [1, "b", 1], [2, "a", 2], [2, "b", 0]]}
@@ -253,7 +247,7 @@ def test_pinned_fold_of_c_10_8():
     from gtkit import casestudy as cs
 
     c = cs.generator_words(cs.sample_exponents(10, 8, 5))
-    aut = fold(c)
+    aut = SubgroupAutomaton(c)
     assert aut.num_states == 21646
     assert _digest(aut.to_json()) == \
         "e9212d58398276c824689d64381b9c8fd9d663bdb72ec62f1e311bcadfcf5886"
@@ -267,7 +261,7 @@ def test_pinned_fold_of_c_10_8():
 
 def test_trace_stops_at_a_missing_label_mid_syllable():
     # the core graph of <a^3 b> is one cycle of three a-edges and a b-edge
-    aut = fold([W("a^3 b")])
+    aut = SubgroupAutomaton([W("a^3 b")])
     q = aut.trace(W("a^3"))
     assert q is not None and q != aut.base and aut.step(q, A, 1) is None
     assert aut.trace(W("a^4")) is None
@@ -278,7 +272,7 @@ def test_trace_stops_at_a_missing_label_mid_syllable():
 
 
 def test_express_rejects_missing_label_and_non_base_endpoint():
-    aut = fold([W("a^3 b")])
+    aut = SubgroupAutomaton([W("a^3 b")])
     assert str(aut.express(W("a^3 b a^3 b"))) == "g[1]^2"
     with pytest.raises(NotMemberError):
         aut.express(W("a^4"))       # no a-edge after a^3
