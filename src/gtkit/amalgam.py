@@ -110,6 +110,7 @@ class AbelianFactor:
     def __init__(self, name: str, alphabet: Sequence[Generator]):
         self.name = name
         self.alphabet = tuple(sorted(alphabet, key=lambda g: g.sort_key()))
+        self._rank = {g: i for i, g in enumerate(self.alphabet)}
         self.edge_images: tuple = ()
 
     def _attach_edge(self, images: Sequence[Word], edge_rank: int):
@@ -124,16 +125,32 @@ class AbelianFactor:
         self._edge_vec = self._vec(images[0]) if images else None
 
     def canonical(self, x: Word) -> Word:
+        """x with its exponents summed per generator, in alphabet order.
+
+        A word whose generators are distinct alphabet letters in alphabet
+        order is canonical already and is returned as it is.
+        """
+        rank = self._rank
+        prev = -1
+        for g, _e in x.syls:
+            r = rank.get(g, -1)
+            if r <= prev:
+                return self._collect(x.syls)
+            prev = r
+        return x
+
+    def _collect(self, syls) -> Word:
+        """Exponents summed per generator, zeros dropped, in sort_key order."""
         sums = {}
-        for g, e in x.syls:
+        for g, e in syls:
             sums[g] = sums.get(g, 0) + e
         return Word(sorted(
             ((g, e) for g, e in sums.items() if e),
             key=lambda p: p[0].sort_key(),
-        ))
+        ), _normalized=True)
 
     def mul(self, x: Word, y: Word) -> Word:
-        return self.canonical(Word(tuple(x.syls) + tuple(y.syls)))
+        return self._collect(x.syls + y.syls)
 
     def inv(self, x: Word) -> Word:
         return self.canonical(x.inverse())
@@ -469,7 +486,7 @@ def _absorb(f, fi: int, y: Word, head: Word, pending: list) -> Optional[Word]:
     """
     if not head.is_identity:
         y = f.mul(y, f.from_edge(head))
-    if f.is_identity(y):
+    if y.is_identity:  # y is canonical
         return Word()
     if pending and pending[-1][0] == fi:
         z = f.mul(y, pending[-1][1])

@@ -683,16 +683,18 @@ class NonLoGroup:
     phi_images: list  # phi(alpha_i) as words over {c, d}
 
     def to_json(self) -> dict:
-        return {
-            "kind": "nonlo",
-            "exponents": self.exponents.to_json(),
-        }
+        return nonlo_json(self.exponents)
 
     @classmethod
     def from_json(cls, data) -> "NonLoGroup":
         if isinstance(data, str):
             data = json.loads(data)
         return build_nonlo(ExponentMatrix.from_json(data["exponents"]))
+
+
+def nonlo_json(e: ExponentMatrix) -> dict:
+    """The group file of the nonlo group glued along C(e)."""
+    return {"kind": "nonlo", "exponents": e.to_json()}
 
 
 def build_nonlo(e: ExponentMatrix) -> NonLoGroup:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import casestudy, gentorsion
 from .amalgam import Amalgam
@@ -38,40 +39,58 @@ def _dump(data, path=None):
         print(text)
 
 
+@contextmanager
+def _file_shape(kind: str):
+    """Turn a wrong-shaped value in a file into PreconditionError.
+
+    A number where a list is expected, say, would otherwise escape as a
+    TypeError and exit 1, the code for "refuted / found".
+    """
+    try:
+        yield
+    except GtkitError:
+        raise
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed {kind} file: {exc}") from exc
+
+
 class GroupFile:
     """Dispatch over the supported group file kinds.
 
-    A file whose values have the wrong shape (a number where a list is
-    expected, say) is rejected with PreconditionError, like any other
-    malformed input.
+    A nonlo file is validated here, but its amalgam (two folds of C-sized
+    automata) is built only when `require_amalgam` asks for it; the free
+    group searches read just the alphabet and C's generators.
     """
 
     def __init__(self, data):
-        try:
+        with _file_shape("group"):
             self._load(data)
-        except (AttributeError, IndexError, TypeError) as exc:
-            raise PreconditionError(f"malformed group file: {exc}") from exc
 
     def _load(self, data):
         self.kind = data.get("kind", "amalgam")
-        self.data = data
+        self.amalgam = None
+        self.alphabet = None
+        self.subgroup = None
         if self.kind == "amalgam":
             self.amalgam = Amalgam.from_json(data)
-            self.alphabet = None
-            self.subgroup = None
         elif self.kind == "free":
-            self.amalgam = None
             self.alphabet = [_gen_token(t) for t in data["alphabet"]]
             self.subgroup = [parse_word(w, self.alphabet)
                              for w in data.get("subgroup", [])]
         elif self.kind == "nonlo":
-            g = casestudy.NonLoGroup.from_json(data)
-            self.nonlo = g
-            self.amalgam = g.amalgam
+            self._exponents = casestudy.ExponentMatrix.from_json(data["exponents"])
+            casestudy.validate_exponent_matrix(self._exponents)
             self.alphabet = [casestudy.A_GEN, casestudy.B_GEN]
-            self.subgroup = g.alphas
+            self.subgroup = casestudy.generator_words(self._exponents)
         else:
             raise GtkitError(f"unknown group kind: {self.kind!r}")
+
+    def require_amalgam(self, message: str) -> Amalgam:
+        if self.kind == "nonlo" and self.amalgam is None:
+            self.amalgam = casestudy.build_nonlo(self._exponents).amalgam
+        if self.amalgam is None:
+            raise GtkitError(message)
+        return self.amalgam
 
 
 def _gen_token(tok: str):
@@ -80,9 +99,12 @@ def _gen_token(tok: str):
 
 
 def _bounds(args) -> SearchBounds:
+    # --max-n and --max-k name the same bound; an explicit 0 reaches
+    # SearchBounds and is rejected there
+    max_n = next((v for v in (args.max_n, args.max_k) if v is not None), 3)
     return SearchBounds(
         radius=args.radius,
-        max_n=getattr(args, "max_n", None) or getattr(args, "max_k", None) or 3,
+        max_n=max_n,
         max_elt_letters=args.elt_letters,
         node_cap=args.node_cap,
         seed=args.seed,
@@ -94,19 +116,23 @@ def cmd_verify(args) -> int:
         data = _load_json(args.ncl)
         if args.free:
             free_data = _load_json(args.free)
-            alphabet = [_gen_token(t) for t in free_data["alphabet"]]
-            relators = [parse_word(w, alphabet) for w in free_data["relators"]]
+            with _file_shape("presentation"):
+                alphabet = [_gen_token(t) for t in free_data["alphabet"]]
+                relators = [parse_word(w, alphabet) for w in free_data["relators"]]
         else:
-            relators = [parse_word(w) for w in data["relators"]]
-        witness = NclWitness.from_json(data)
+            with _file_shape("witness"):
+                relators = [parse_word(w) for w in data["relators"]]
+        with _file_shape("witness"):
+            witness = NclWitness.from_json(data)
         ok = gentorsion.verify_ncl_witness(relators, witness)
         _dump({"verified": ok, "type": "ncl"}, args.out)
         return EXIT_OK if ok else EXIT_FOUND
     group = GroupFile(_load_json(args.group))
-    if group.amalgam is None:
-        raise GtkitError("gt certificates require an amalgam group file")
-    cert = GtCertificate.from_json(group.amalgam, _load_json(args.cert))
-    ok = gentorsion.verify_gt_certificate(group.amalgam, cert)
+    G = group.require_amalgam("gt certificates require an amalgam group file")
+    cert_data = _load_json(args.cert)
+    with _file_shape("certificate"):
+        cert = GtCertificate.from_json(G, cert_data)
+    ok = gentorsion.verify_gt_certificate(G, cert)
     _dump({"verified": ok, "type": "gt-certificate"}, args.out)
     return EXIT_OK if ok else EXIT_FOUND
 
@@ -115,10 +141,9 @@ def cmd_search(args) -> int:
     group = GroupFile(_load_json(args.group))
     bounds = _bounds(args)
     if args.what == "gt":
-        if group.amalgam is None:
-            raise GtkitError("gt search requires an amalgam group file")
-        g = group.amalgam.parse_element(args.elem)
-        res = gentorsion.search_gt(group.amalgam, g, bounds)
+        G = group.require_amalgam("gt search requires an amalgam group file")
+        g = G.parse_element(args.elem)
+        res = gentorsion.search_gt(G, g, bounds)
         out = {
             "found": res.found,
             "capped": res.capped,
@@ -166,14 +191,16 @@ def cmd_build(args) -> int:
         return EXIT_OK
     if args.target == "nonlo":
         e = casestudy.sample_exponents(args.s, args.m, args.seed)
-        g = casestudy.build_nonlo(e)
-        _dump(g.to_json(), args.out)
+        casestudy.validate_exponent_matrix(e)
+        _dump(casestudy.nonlo_json(e), args.out)
         return EXIT_OK
     raise GtkitError(f"unknown build target: {args.target!r}")
 
 
 def cmd_abelianize(args) -> int:
-    pres = Presentation.from_json(_load_json(args.pres))
+    data = _load_json(args.pres)
+    with _file_shape("presentation"):
+        pres = Presentation.from_json(data)
     inv = abelianize_snf(pres)
     _dump({
         "free_rank": inv.free_rank,

@@ -49,8 +49,10 @@ class SearchBounds:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.radius, self.max_n, self.max_elt_letters) < 0 or self.node_cap <= 0:
-            raise PreconditionError("bounds must be positive")
+        if min(self.radius, self.max_elt_letters) < 0:
+            raise PreconditionError("radius and max_elt_letters must be non-negative")
+        if self.max_n < 1 or self.node_cap < 1:
+            raise PreconditionError("max_n and node_cap must be positive")
 
     def to_json(self) -> dict:
         return {

@@ -50,9 +50,14 @@ class SubgroupAutomaton:
         off by concatenating effective tags along the accepting path.
 
         g_k is the k-th generator letter in sort_key order, and labels are
-        coded as ints in _lab_key order, 2k for (g_k, -1) and 2k + 1 for
+        coded as ints in that order, 2k for (g_k, -1) and 2k + 1 for
         (g_k, +1), so the adjacency maps of the fold hash ints, not
         generators.  Every empty offset and tag is the shared IDENTITY word.
+
+        The folded automaton keeps one list per label, the successor of
+        every state (-1 where missing), and per label a dict of the states
+        whose outgoing edge carries a nontrivial tag; delta and _tags are
+        per-state views computed from them.
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
@@ -166,66 +171,84 @@ class SubgroupAutomaton:
                         insert(queue.pop())
                     cur = nxt  # raw id: tags are stated relative to raw states
 
-        # Compact reachable representative states, base first.
+        # Number the classes depth-first from the base, taking each state's
+        # live edges in label-code order, and fill the per-label successor
+        # rows (-1 where missing) and tag marks (nontrivial tags only)
+        # straight from the fold's adjacency.  Tags are re-read through the
+        # union-find only for edges with a merged endpoint.
+        size = len(parent)
+        rows = [[-1] * size for _ in labels]
+        marks = [{} for _ in labels]
+        order = [-1] * size
         base = find(0)
-        final_adj: dict = {}
-        for eid in range(1, len(edges)):
-            if dead[eid]:
-                continue
-            ra, rb, eff = effective(eid)
-            k = edges[eid][2]
-            final_adj.setdefault(ra, {})[2 * k + 1] = (rb, eff)
-            final_adj.setdefault(rb, {})[2 * k] = (ra, eff.inverse())
-        order = {base: 0}
+        order[base] = 0
+        n = 1
         stack = [base]
         while stack:
-            out = final_adj.get(stack.pop(), {})
+            s = stack.pop()
+            i = order[s]
+            out = adj[s]
             for lab in sorted(out):
-                t = out[lab][0]
-                if t not in order:
-                    order[t] = len(order)
-                    stack.append(t)
-        n = len(order)
-        self.base = 0
-        self.delta = [dict() for _ in range(n)]
-        self._tags = [dict() for _ in range(n)]
-        # per label: the successor of every state (-1 where missing) and
-        # the states whose edge carries a nontrivial tag
-        rows = [[-1] * n for _ in labels]
-        marks = [{} for _ in labels]
-        for s, i in order.items():
-            succ, tags = self.delta[i], self._tags[i]
-            for lab, (t, tag) in final_adj.get(s, {}).items():
+                eid = out[lab]
+                if dead[eid]:
+                    continue
+                a, b, _k, tag = edges[eid]
+                t = b if lab & 1 else a
+                if parent[t] != t:
+                    t = find(t)
                 j = order[t]
-                succ[labels[lab]] = j
-                tags[labels[lab]] = tag
+                if j < 0:
+                    j = order[t] = n
+                    n += 1
+                    stack.append(t)
                 rows[lab][i] = j
-                if tag.syls:
-                    marks[lab][i] = tag
+                if lab & 1:
+                    if parent[a] != a or parent[b] != b:
+                        tag = effective(eid)[2]
+                    if tag.syls:
+                        marks[lab][i] = tag
+                        marks[lab - 1][j] = tag.inverse()
+        for row in rows:
+            del row[n:]
+        self.base = 0
+        self.num_states = n
         self._rows = dict(zip(labels, rows))
         self._marks = dict(zip(labels, marks))
 
     # -- basic queries -------------------------------------------------------
 
     @property
-    def num_states(self) -> int:
-        return len(self.delta)
+    def delta(self) -> "_StateView":
+        """Read-only view: delta[q] is a fresh {label: successor} dict."""
+        return _StateView(self, False)
+
+    @property
+    def _tags(self) -> "_StateView":
+        """Read-only view: _tags[q] is a fresh {label: expression tag} dict."""
+        return _StateView(self, True)
 
     @property
     def num_edges(self) -> int:
         """Undirected edge count."""
-        return sum(len(d) for d in self.delta) // 2
+        return sum(self.num_states - row.count(-1) for row in self._rows.values()) // 2
 
     @property
     def rank(self) -> int:
         """First Betti number: the rank of the subgroup."""
         return self.num_edges - self.num_states + 1
 
+    def successors(self, state: int) -> list:
+        """The (label, successor) pairs leaving a state, in label order."""
+        return [(lab, row[state]) for lab, row in self._rows.items() if row[state] >= 0]
+
     def degree(self, state: int) -> int:
-        return len(self.delta[state])
+        return len(self.successors(state))
 
     def step(self, state: int, g: Generator, sign: int) -> Optional[int]:
-        return self.delta[state].get((g, sign))
+        row = self._rows.get((g, sign))
+        if row is None or row[state] < 0:
+            return None
+        return row[state]
 
     def trace(self, w: Word, start: int = 0) -> Optional[int]:
         """Read w from a state; None if some transition is missing."""
@@ -248,30 +271,29 @@ class SubgroupAutomaton:
 
     def canonical_form(self):
         """BFS-renumbered transition table; equal iff automata are isomorphic."""
+        rows = [(str(g), sign, row) for (g, sign), row in self._rows.items()]
         order = {self.base: 0}
         queue = [self.base]
         i = 0
         while i < len(queue):
             s = queue[i]
             i += 1
-            for lab in sorted(self.delta[s], key=_lab_key):
-                t = self.delta[s][lab]
-                if t not in order:
+            for _name, _sign, row in rows:
+                t = row[s]
+                if t >= 0 and t not in order:
                     order[t] = len(order)
                     queue.append(t)
-        table = []
-        for s in queue:
-            table.append(tuple(sorted(
-                ((str(lab[0]), lab[1], order[t]) for lab, t in self.delta[s].items())
-            )))
-        return tuple(table)
+        return tuple(
+            tuple(sorted((name, sign, order[row[s]])
+                         for name, sign, row in rows if row[s] >= 0))
+            for s in queue)
 
     def to_json(self) -> dict:
         edges = []
-        for s, d in enumerate(self.delta):
-            for (g, sign), t in d.items():
-                if sign > 0:
-                    edges.append([s, str(g), t])
+        for (g, sign), row in self._rows.items():
+            if sign > 0:
+                name = str(g)
+                edges.extend([s, name, t] for s, t in enumerate(row) if t >= 0)
         return {"states": self.num_states, "base": self.base, "edges": sorted(edges)}
 
     # -- expression over the original generators -----------------------------
@@ -340,12 +362,31 @@ class SubgroupAutomaton:
         if q == self.base:
             return True
         last_gen = w.syls[-1][0]
-        return any(g != last_gen for (g, _s) in self.delta[q])
+        return any(row[q] >= 0 for (g, _s), row in self._rows.items() if g != last_gen)
 
 
-def _lab_key(lab):
-    g, sign = lab
-    return (g.sort_key(), sign)
+class _StateView:
+    """Per-state dicts computed on access from an automaton's successor rows."""
+
+    __slots__ = ("_aut", "_with_tags")
+
+    def __init__(self, aut: SubgroupAutomaton, with_tags: bool):
+        self._aut = aut
+        self._with_tags = with_tags
+
+    def __len__(self) -> int:
+        return self._aut.num_states
+
+    def __getitem__(self, state: int) -> dict:
+        state = range(self._aut.num_states)[state]
+        pairs = self._aut.successors(state)
+        if not self._with_tags:
+            return dict(pairs)
+        marks = self._aut._marks
+        return {lab: marks[lab].get(state, IDENTITY) for lab, _t in pairs}
+
+    def __iter__(self):
+        return (self[q] for q in range(len(self)))
 
 
 # -- syllable-exact prefix values ------------------------------------------

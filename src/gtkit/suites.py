@@ -244,8 +244,7 @@ def _prefix_witness(aut: SubgroupAutomaton, p: Word, i: int) -> Optional[Word]:
     if q == aut.base:
         return p
     last_gen = p.syls[-1][0]
-    for (g, s), nxt in sorted(aut.delta[q].items(),
-                              key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
+    for (g, s), _nxt in aut.successors(q):
         if g == last_gen:
             continue
         path = _immersed_path_to_base(aut, q, (g, s))
@@ -256,15 +255,14 @@ def _prefix_witness(aut: SubgroupAutomaton, p: Word, i: int) -> Optional[Word]:
 
 def _immersed_path_to_base(aut, state, first_lab) -> Optional[Word]:
     """BFS over (state, last label) for a reduced path with a forced first edge."""
-    start = (aut.delta[state][first_lab], first_lab)
+    start = (aut.step(state, *first_lab), first_lab)
     seen = {start}
     queue = [(start, Word([(first_lab[0], first_lab[1])]))]
     while queue:
         (cur, last), w = queue.pop(0)
         if cur == aut.base:
             return w
-        for lab, nxt in sorted(aut.delta[cur].items(),
-                               key=lambda kv: (kv[0][0].sort_key(), kv[0][1])):
+        for lab, nxt in aut.successors(cur):
             if lab == (last[0], -last[1]):
                 continue
             key = (nxt, lab)

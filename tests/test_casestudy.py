@@ -443,6 +443,7 @@ def test_nonlo_perturbations_detected(nonlo):
 
 
 def test_nonlo_json_roundtrip(nonlo):
+    assert nonlo.to_json() == cs.nonlo_json(nonlo.exponents)
     back = cs.NonLoGroup.from_json(nonlo.to_json())
     assert back.alphas == nonlo.alphas
     assert back.phi_images == nonlo.phi_images

@@ -97,6 +97,36 @@ def test_search_malformed_group_file_exit_2(tmp_path, capsys, data):
     assert "malformed group file" in capsys.readouterr().err
 
 
+def test_verify_malformed_certificate_exit_2(bs2_files, tmp_path, capsys):
+    group, _ = bs2_files
+    cert = write(tmp_path, "c.json", {"base": 5, "conjugators": ["1"]})
+    assert main(["verify", "--group", group, "--cert", cert]) == 2
+    assert "malformed certificate file" in capsys.readouterr().err
+
+
+def test_abelianize_malformed_presentation_exit_2(tmp_path, capsys):
+    pres = write(tmp_path, "p.json", {"generators": 5, "relators": 3})
+    assert main(["abelianize", "--pres", pres]) == 2
+    assert "malformed presentation file" in capsys.readouterr().err
+
+
+def test_verify_malformed_ncl_witness_exit_2(tmp_path, capsys):
+    ncl = write(tmp_path, "n.json", {"target": "a", "terms": [[0, 1]],
+                                     "relators": ["a"]})
+    assert main(["verify", "--ncl", ncl]) == 2
+    assert "malformed witness file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+def test_search_zero_max_n_exit_2(tmp_path, capsys, flag):
+    # an explicit 0 is rejected, not replaced by the default 3
+    group = write(tmp_path, "f.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a"],
+    })
+    assert main(["search", "rtf", "--group", group, flag, "0"]) == 2
+    assert "max_n" in capsys.readouterr().err
+
+
 def test_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "2", "suite", "magnus_inverse", "--trials", "1"])
@@ -146,6 +176,36 @@ def test_build_nonlo_and_rtf_view(tmp_path):
                  "--radius", "1", "--max-k", "1", "--elt-letters", "1",
                  "--node-cap", "30000"])
     assert code in (0, 2)  # none found; 2 when the cap bites first
+
+
+def test_build_nonlo_writes_the_group_file_without_folding(tmp_path, monkeypatch):
+    from gtkit import casestudy as cs
+    from gtkit.stallings import SubgroupAutomaton
+
+    folds = []
+    fold = SubgroupAutomaton._build
+    monkeypatch.setattr(SubgroupAutomaton, "_build",
+                        lambda self: folds.append(1) or fold(self))
+    out = str(tmp_path / "nonlo.json")
+    assert main(["build", "nonlo", "--s", "10", "--m", "8", "--seed", "3",
+                 "--out", out]) == 0
+    e = cs.sample_exponents(10, 8, 3)
+    assert json.loads(open(out).read()) == {"kind": "nonlo", "exponents": e.to_json()}
+    assert folds == []
+    # search rtf reads C's generators only; the amalgam is never built
+    assert main(["search", "rtf", "--group", out, "--radius", "0", "--max-k", "1",
+                 "--elt-letters", "1", "--node-cap", "1"]) in (0, 2)
+    assert len(folds) == 1  # check_rtf's own fold of C
+
+
+def test_nonlo_group_file_validates_before_any_search(tmp_path, capsys):
+    from gtkit import casestudy as cs
+
+    data = cs.nonlo_json(cs.sample_exponents(10, 8, 0))
+    data["exponents"]["a_exp"][0][0] = 0
+    group = write(tmp_path, "bad.json", data)
+    assert main(["search", "rtf", "--group", group]) == 2
+    assert "exponents must be nonzero" in capsys.readouterr().err
 
 
 def test_build_nonlo_small_s_rejected(capsys):

@@ -135,6 +135,16 @@ def test_nss_ball_rejects_identity_seed(fp2):
         gt.nss_ball(fp2, [fp2.identity()], gt.SearchBounds())
 
 
+@pytest.mark.parametrize("bounds", [dict(max_n=0), dict(node_cap=0), dict(radius=-1),
+                                    dict(max_elt_letters=-1)])
+def test_search_bounds_reject_empty_products_and_negative_sizes(bounds):
+    # max_n = 0 would allow no product at all; it used to be accepted and
+    # then read as max_n = 1 by the NSS closure
+    with pytest.raises(PreconditionError):
+        gt.SearchBounds(**bounds)
+    gt.SearchBounds(radius=0, max_n=1, max_elt_letters=0, node_cap=1)
+
+
 def test_nss_ball_deterministic(fp2):
     b = gt.SearchBounds(radius=1, max_n=2, max_elt_letters=1)
     x = [e.serialize() for e in gt.nss_ball(fp2, [el(fp2, "a")], b).elements]

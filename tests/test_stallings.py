@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtkit.errors import NotMemberError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton, lambda_value
@@ -280,3 +281,94 @@ def test_express_rejects_missing_label_and_non_base_endpoint():
         aut.express(W("a^3 c"))     # a label the automaton never uses
     with pytest.raises(NotMemberError):
         aut.express(W("a^3"))       # ends off the base
+
+
+# ---------------------------------------------------------------------------
+# Property check against a reference fold
+# ---------------------------------------------------------------------------
+
+def _reference_fold(gens):
+    """Textbook Stallings fold with dicts and no tags: {state: {label: state}}.
+
+    Glue one petal per generator at state 0, then merge the two targets of
+    any pair of equally labelled edges leaving one state (the smaller id
+    survives, so the base stays 0) until the graph is deterministic.
+    """
+    edges = set()  # (u, g, v): u --g--> v, read backwards as g^-1
+    fresh = 1
+    for w in gens:
+        letters = list(w.letters())
+        cur = 0
+        for pos, (g, s) in enumerate(letters):
+            nxt = 0 if pos == len(letters) - 1 else fresh
+            fresh += nxt != 0
+            edges.add((cur, g, nxt) if s > 0 else (nxt, g, cur))
+            cur = nxt
+    while True:
+        out, merge = {}, None
+        for u, g, v in edges:
+            for key, t in (((u, (g, 1)), v), ((v, (g, -1)), u)):
+                if out.setdefault(key, t) != t:
+                    merge = sorted((out[key], t))
+        if merge is None:
+            break
+        keep, gone = merge
+        edges = {tuple(keep if x == gone else x for x in e) for e in edges}
+    graph = {0: {}}
+    for (u, lab), t in out.items():
+        graph.setdefault(u, {})[lab] = t
+    return graph
+
+
+def _reference_canonical_form(graph):
+    def key(lab):
+        return (lab[0].sort_key(), lab[1])
+
+    order, queue = {0: 0}, [0]
+    for s in queue:
+        for lab in sorted(graph[s], key=key):
+            if graph[s][lab] not in order:
+                order[graph[s][lab]] = len(order)
+                queue.append(graph[s][lab])
+    return tuple(tuple(sorted((str(g), sign, order[t]) for (g, sign), t in graph[s].items()))
+                 for s in queue)
+
+
+def _reference_prefix_acceptable(graph, w):
+    q = 0
+    for lab in w.letters():
+        q = graph[q].get(lab)
+        if q is None:
+            return False
+    last = w.syls[-1][0]
+    return q == 0 or any(g != last for g, _s in graph[q])
+
+
+_letter = st.tuples(st.sampled_from([A, B]), st.sampled_from([1, -1]))
+_word = st.lists(_letter, min_size=1, max_size=7).map(
+    lambda ls: Word(ls)).filter(lambda w: not w.is_identity)
+
+
+@given(st.lists(_word, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=5),
+       _word)
+@settings(max_examples=300, deadline=None)
+def test_fold_matches_reference_fold(gens, picks, probe):
+    aut = SubgroupAutomaton(gens)
+    graph = _reference_fold(gens)
+    n_edges = sum(len(d) for d in graph.values()) // 2
+    assert aut.num_states == len(graph)
+    assert (aut.num_edges, aut.rank) == (n_edges, n_edges - len(graph) + 1)
+    assert aut.canonical_form() == _reference_canonical_form(graph)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    assert aut.evaluate(aut.express(member)) == member
+    # prefixes of a member are always acceptable; those of the random probe
+    # and of the member with a prolonged last syllable mostly are not
+    for w in (member, probe, member * Word(member.syls[-1:])):
+        for i in range(1, w.syllable_len + 1):
+            for p, side in ((w.left(i), "left"), (w.right(i), "right")):
+                want = _reference_prefix_acceptable(
+                    graph, p if side == "left" else p.inverse())
+                assert aut.prefix_acceptable(p, i, side) == want
