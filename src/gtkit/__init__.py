@@ -11,7 +11,7 @@ Submodules:
   cli        command-line front end
 """
 
-from .word import Generator, Word, gen, parse_word, reduce  # noqa: F401
+from .word import Generator, Word, gen, parse_word  # noqa: F401
 from .amalgam import Amalgam, AmalgamElement, normalize  # noqa: F401
 
 __version__ = "0.1.0"

@@ -159,7 +159,14 @@ class AbelianFactor:
         return self.canonical(x).is_identity
 
     def _vec(self, x: Word) -> tuple:
-        return tuple(x.exponent_sum(g) for g in self.alphabet)
+        """Exponent sums per alphabet letter; other generators are ignored."""
+        rank = self._rank
+        v = [0] * len(rank)
+        for g, e in x.syls:
+            r = rank.get(g)
+            if r is not None:
+                v[r] += e
+        return tuple(v)
 
     def in_edge(self, x: Word) -> bool:
         return self.to_edge(x) is not None

@@ -732,8 +732,9 @@ def verify_nonlo_witnesses(g: NonLoGroup) -> list:
         alpha = g.alphas[i - 1]
         image = g.phi_images[i - 1]
         elem = normalize(g.amalgam, [(0, alpha), (1, image.inverse())])
-        letters = {(gn.name, sg) for gn, sg in alpha.letters()}
-        letters |= {(gn.name, sg) for gn, sg in image.inverse().letters()}
+        # the letter signs of alpha, and those of image^-1: image's negated
+        letters = {(gn.name, 1 if e > 0 else -1) for gn, e in alpha.syls}
+        letters |= {(gn.name, -1 if e > 0 else 1) for gn, e in image.syls}
         out.append({
             "i": i,
             "identity": elem.is_identity,

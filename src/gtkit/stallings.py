@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import IDENTITY, Generator, Word, SyllableWord, gen, flatten
+from .word import IDENTITY, Generator, Word, gen
 
 WITNESS_NAME = "g"
 
@@ -341,7 +341,7 @@ class SubgroupAutomaton:
 
     # -- syllable-exact prefix acceptance ------------------------------------
 
-    def prefix_acceptable(self, p, i: int, side: str = "left") -> bool:
+    def prefix_acceptable(self, p: Word, i: int, side: str = "left") -> bool:
         """Whether some member c with l(c) >= i has L_i(c) = p (or R_i(c) = p).
 
         p must be alternating with l(p) = i >= 1.  A completion must either
@@ -349,7 +349,7 @@ class SubgroupAutomaton:
         the base with the final syllable exponent consumed exactly; this is
         what syllable-exact prefix equality requires.
         """
-        w = flatten(p) if isinstance(p, SyllableWord) else p
+        w = p
         if i < 1 or w.syllable_len != i:
             raise PreconditionError(f"prefix length mismatch: l(p)={w.syllable_len}, i={i}")
         if side == "right":

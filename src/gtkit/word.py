@@ -19,45 +19,36 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import NotMemberError, UnknownGeneratorError
 
 
-@dataclass(frozen=True, eq=False)
-class Generator:
+class Generator(str):
     """A named generator, optionally carrying an integer index (a[i] families).
 
-    The hash is computed once, at construction; equality compares
-    (name, index) after an identity fast path, since gen() interns.
+    A Generator is a str equal to its display form, ``"a"`` or ``"a[2]"``,
+    so hashing, equality and tuple comparison of syllables run in C and the
+    hash is str's cached one.  Hence ``gen("a") == "a"``.  ``name``,
+    ``index`` and the ``sort_key()`` tuple are attributes set once, at
+    construction; gen() interns.
     """
 
-    name: str
-    index: Optional[int] = None
+    def __new__(cls, name: str, index: Optional[int] = None):
+        # "[" stays out of names so that equal strings mean equal (name, index)
+        if not name or "[" in name:
+            raise ValueError(f"generator name must be nonempty and bracket-free: {name!r}")
+        self = super().__new__(cls, name if index is None else f"{name}[{index}]")
+        vars(self).update(name=name, index=index,
+                          _key=(name, index is not None, index or 0))
+        return self
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("generator name must be nonempty")
-        object.__setattr__(self, "_hash", hash((self.name, self.index)))
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Generator is immutable: cannot set {attr!r}")
 
     def __reduce__(self):
-        # unpickle through the interning constructor; the hash is recomputed
+        # unpickle through the interning constructor
         return (gen, (self.name, self.index))
 
     def sort_key(self):
-        return (self.name, self.index is not None, self.index or 0)
+        return self._key
 
-    def __str__(self):
-        if self.index is None:
-            return self.name
-        return f"{self.name}[{self.index}]"
-
-    __repr__ = __str__
+    __repr__ = str.__str__
 
 
 _GEN_CACHE: dict[tuple[str, Optional[int]], Generator] = {}
@@ -233,7 +224,7 @@ class Word:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return (self.letter_len, tuple((g.sort_key(), e) for g, e in self.syls))
+        return (self.letter_len, tuple([(g._key, e) for g, e in self.syls]))
 
 
 IDENTITY = Word()
@@ -315,69 +306,6 @@ def parse_word(text: str, alphabet: Optional[Iterable[Generator]] = None) -> Wor
     return Word(pairs)
 
 
-def reduce(letters, alphabet: Optional[Iterable[Generator]] = None) -> Word:
-    """Freely reduce a raw letter (or syllable) sequence into a Word.
-
-    Accepts an iterable of (Generator, exponent) pairs or a text string in
-    the parse_word format.  Idempotent on already reduced input.
-    """
-    if isinstance(letters, str):
-        return parse_word(letters, alphabet)
-    if isinstance(letters, Word):
-        return letters
-    allowed = set(alphabet) if alphabet is not None else None
-    pairs = []
-    for g, e in letters:
-        if not isinstance(g, Generator):
-            raise UnknownGeneratorError(f"not a generator: {g!r}")
-        if allowed is not None and g not in allowed:
-            raise UnknownGeneratorError(f"generator {g} not in alphabet")
-        pairs.append((g, e))
-    return Word(pairs)
-
-
-# ---------------------------------------------------------------------------
-# Syllable decompositions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SyllableWord:
-    """The alternating syllable decomposition of a reduced word."""
-
-    syllables: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.syllables)
-
-    def __iter__(self):
-        return iter(self.syllables)
-
-    def __str__(self):
-        return str(flatten(self))
-
-
-def syllables(w: Word, alphabet: Optional[Iterable[Generator]] = None) -> SyllableWord:
-    """Decompose w into maximal generator powers.
-
-    When ``alphabet`` is given, a strict decomposition over exactly those
-    generators is requested and any other generator is an error.
-    """
-    if alphabet is not None:
-        allowed = set(alphabet)
-        extra = w.generators() - allowed
-        if extra:
-            raise UnknownGeneratorError(
-                f"word uses generators outside the declared alphabet: {sorted(map(str, extra))}"
-            )
-    return SyllableWord(tuple(Syllable(g, e) for g, e in w.syls))
-
-
-def flatten(sw: SyllableWord) -> Word:
-    """Inverse of syllables()."""
-    return Word(tuple(sw.syllables))
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -410,11 +338,6 @@ class HomSpec:
     def compose(self, inner: "HomSpec") -> "HomSpec":
         """self after inner, on inner's domain."""
         return HomSpec({g: self.apply(w) for g, w in inner.mapping.items()})
-
-
-def apply_hom(h: HomSpec, w: Word) -> Word:
-    """Image of w under h, freely reduced."""
-    return h.apply(w)
 
 
 def weight(w: Word, t: Generator, basis: Optional[HomSpec] = None) -> int:

@@ -379,6 +379,16 @@ def test_abelian_factor_edge_arithmetic():
     assert b.mul(W("c b"), W("b^-1 c")) == W("c^2")
 
 
+@given(st.lists(st.tuples(st.sampled_from([gen("b"), gen("c"), gen("c", 1), gen("x")]),
+                          st.integers(-3, 3)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_abelian_exponent_vector_matches_per_letter_sums(pairs):
+    # x and c[1] lie outside the alphabet and count for nothing
+    fb = AbelianFactor("B", [gen("c"), gen("b")])
+    w = Word(pairs)
+    assert fb._vec(w) == tuple(w.exponent_sum(g) for g in fb.alphabet)
+
+
 def test_edge_rank_validation():
     fa = FreeFactor("A", [gen("a"), gen("b")])
     fb = FreeFactor("B", [gen("c"), gen("d")])

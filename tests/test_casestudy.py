@@ -425,6 +425,17 @@ def test_nonlo_witnesses(nonlo):
     assert set(rows[5]["letters"]) <= {("a", 1), ("b", -1), ("c", 1), ("d", 1)}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_nonlo_witness_signs_match_letter_walk(seed):
+    g = cs.build_nonlo(cs.sample_exponents(10, 8, seed))
+    rows = cs.verify_nonlo_witnesses(g)
+    for row, alpha, image in zip(rows, g.alphas, g.phi_images):
+        letters = {(gn.name, sg) for gn, sg in alpha.letters()}
+        letters |= {(gn.name, sg) for gn, sg in image.inverse().letters()}
+        assert row["letters"] == sorted(letters)
+        assert row["identity"] and row["signs_ok"], row
+
+
 def test_nonlo_perturbations_detected(nonlo):
     # swapping beta_1 and beta_2 keeps the sign pattern but kills the identity
     swapped = list(nonlo.phi_images)

@@ -8,15 +8,13 @@ from gtkit.word import (
     Presentation,
     Word,
     abelianize_snf,
-    apply_hom,
+    Generator,
+    Syllable,
     cancellation_syllables,
     commutator,
-    flatten,
     gen,
     parse_word as W,
-    reduce,
     smith_invariants,
-    syllables,
     weight,
 )
 
@@ -25,26 +23,26 @@ X, Y = gen("x"), gen("y")
 
 
 # ---------------------------------------------------------------------------
-# reduce
+# free reduction: parse_word and Word
 # ---------------------------------------------------------------------------
 
 def test_reduce_inverse_pair():
-    assert reduce("a a^-1").is_identity
+    assert W("a a^-1").is_identity
 
 
 def test_reduce_inner_cancellation():
-    assert reduce("a b b^-1 a") == W("a^2")
+    assert W("a b b^-1 a") == W("a^2")
 
 
 def test_reduce_idempotent_on_letters():
-    w = reduce([(A, 1), (A, 1), (B, -1), (B, 1), (A, -1)])
+    w = Word([(A, 1), (A, 1), (B, -1), (B, 1), (A, -1)])
     assert w == W("a")
-    assert reduce(w.syls) == w
+    assert Word(w.syls) == w
 
 
 def test_reduce_unknown_generator():
     with pytest.raises(UnknownGeneratorError):
-        reduce("q", alphabet=[A, B])
+        W("q", alphabet=[A, B])
 
 
 def test_parse_indexed_and_exponents():
@@ -63,7 +61,7 @@ letters = st.lists(
 @given(letters)
 @settings(max_examples=200, deadline=None)
 def test_reduce_involution(pairs):
-    w = reduce(pairs)
+    w = Word(pairs)
     assert (w * w.inverse()).is_identity
     assert w.inverse().inverse() == w
     assert w.letter_len <= len(pairs)
@@ -72,33 +70,33 @@ def test_reduce_involution(pairs):
 @given(letters, letters)
 @settings(max_examples=200, deadline=None)
 def test_product_associates_with_reduction(p1, p2):
-    assert reduce(list(p1) + list(p2)) == reduce(p1) * reduce(p2)
+    assert Word(list(p1) + list(p2)) == Word(p1) * Word(p2)
 
 
 # ---------------------------------------------------------------------------
-# syllables
+# syllables: Word.syls and Syllable
 # ---------------------------------------------------------------------------
 
 def test_syllables_basic():
-    sw = syllables(W("a^3 b^-2"), alphabet=[A, B])
+    sw = [Syllable(*s) for s in W("a^3 b^-2", alphabet=[A, B]).syls]
     assert [(s.generator, s.exponent) for s in sw] == [(A, 3), (B, -2)]
-    assert sw.length == 2
+    assert W("a^3 b^-2").syllable_len == 2
 
 
 def test_syllables_identity():
-    assert syllables(W("")).length == 0
+    assert W("").syllable_len == 0
 
 
 def test_syllables_strict_alphabet():
     with pytest.raises(UnknownGeneratorError):
-        syllables(W("a x"), alphabet=[A, B])
+        W("a x", alphabet=[A, B])
 
 
 @given(letters)
 @settings(max_examples=100, deadline=None)
 def test_syllable_roundtrip(pairs):
-    w = reduce(pairs)
-    assert flatten(syllables(w)) == w
+    w = Word(pairs)
+    assert Word(w.syls) == w
 
 
 def test_component_accessors():
@@ -154,37 +152,37 @@ def test_weight_not_expressible_is_reported():
 @given(letters, letters)
 @settings(max_examples=100, deadline=None)
 def test_weight_homomorphism(p1, p2):
-    u, v = reduce(p1), reduce(p2)
+    u, v = Word(p1), Word(p2)
     for t in (A, B, X):
         assert weight(u * v, t) == weight(u, t) + weight(v, t)
 
 
 # ---------------------------------------------------------------------------
-# apply_hom
+# homomorphisms: HomSpec.apply
 # ---------------------------------------------------------------------------
 
 def test_apply_hom_identity():
     h = HomSpec.identity([A, B])
-    assert apply_hom(h, W("a b")) == W("a b")
+    assert h.apply(W("a b")) == W("a b")
 
 
 def test_apply_hom_expansion():
     h = HomSpec({gen("a", 1): W("b^-1 a b")})
-    assert apply_hom(h, W("a[1]^2")) == W("b^-1 a^2 b")
+    assert h.apply(W("a[1]^2")) == W("b^-1 a^2 b")
 
 
 def test_apply_hom_outside_domain():
     h = HomSpec({A: W("a")})
     with pytest.raises(UnknownGeneratorError):
-        apply_hom(h, W("b"))
+        h.apply(W("b"))
 
 
 @given(letters, letters)
 @settings(max_examples=100, deadline=None)
 def test_apply_hom_respects_products(p1, p2):
     h = HomSpec({A: W("x y"), B: W("y^-1"), X: W("x^2")})
-    u, v = reduce(p1), reduce(p2)
-    assert apply_hom(h, u * v) == apply_hom(h, u) * apply_hom(h, v)
+    u, v = Word(p1), Word(p2)
+    assert h.apply(u * v) == h.apply(u) * h.apply(v)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +265,44 @@ def test_identity_inverse_is_itself():
 
 
 def test_generator_equality_and_hash():
-    from gtkit.word import Generator
-
     assert Generator("a") == gen("a")
     assert hash(Generator("a")) == hash(gen("a"))
     assert Generator("a", 2) == gen("a", 2) and hash(Generator("a", 2)) == hash(gen("a", 2))
     assert gen("a") != gen("a", 0)
     assert gen("a") != ("a", None)
     assert ("a", None) != gen("a")
+
+
+def test_generator_is_its_display_string():
+    a2 = gen("a", 2)
+    assert str(A) == repr(A) == "a"
+    assert str(a2) == repr(a2) == "a[2]"
+    assert str(gen("a", -2)) == "a[-2]"
+    assert (A.name, A.index) == ("a", None)
+    assert (a2.name, a2.index) == ("a", 2)
+    # documented: a Generator equals (and hashes as) its display string
+    assert gen("a") == "a" and hash(gen("a")) == hash("a")
+    assert a2 == "a[2]" and a2 != "a"
+    assert gen("a") != ("a", None)
+
+
+def test_generator_rejects_bad_names_and_is_immutable():
+    with pytest.raises(ValueError):
+        Generator("")
+    with pytest.raises(ValueError):
+        gen("a[2]")  # would equal gen("a", 2) as a string
+    with pytest.raises(AttributeError):
+        A.index = 3
+    assert A.index is None and gen("a") is A
+
+
+def test_generator_sort_key_order():
+    a1, am2 = gen("a", 1), gen("a", -2)
+    assert sorted([B, a1, A, am2], key=Generator.sort_key) == [A, am2, a1, B]
+    assert A.sort_key() == ("a", False, 0)
+    assert am2.sort_key() == ("a", True, -2)
+    w = W("b a[1]^2 a^-1")
+    assert w.sort_key() == (4, tuple((g.sort_key(), e) for g, e in w.syls))
 
 
 def test_equal_words_have_equal_hashes_whether_or_not_hashed_first():
