@@ -259,9 +259,6 @@ class Amalgam:
     def identity(self) -> "AmalgamElement":
         return AmalgamElement(self, Word(), ())
 
-    def element(self, raw) -> "AmalgamElement":
-        return normalize(self, raw)
-
     def edge_element(self, ew: Word) -> "AmalgamElement":
         return normalize(self, [(EDGE_TAG, ew)])
 

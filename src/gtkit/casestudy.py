@@ -214,21 +214,13 @@ class CSubgroup:
     def rho(self, w: Word) -> int:
         return rho_value(self.automaton, w)
 
-    def in_left_prefix_set(self, w: Word) -> bool:
-        """Whether w itself lies in L_{l(w)}(C)."""
-        n = w.syllable_len
-        return n >= 1 and self.automaton.prefix_acceptable(w, n, "left")
-
     def is_left_simplified(self, w: Word) -> bool:
-        return self.lam(w) < self.s or (
-            w.syllable_len == self.s and self.in_left_prefix_set(w)
-        )
+        """l(w) <= s, or L_s(w) is not in L_s(C)."""
+        return w.syllable_len <= self.s or self.lam(w.left(self.s)) < self.s
 
     def is_right_simplified(self, w: Word) -> bool:
-        return self.rho(w) < self.s or (
-            w.syllable_len == self.s
-            and self.automaton.prefix_acceptable(w, self.s, "right")
-        )
+        """l(w) <= s, or R_s(w) is not in R_s(C)."""
+        return w.syllable_len <= self.s or self.rho(w.right(self.s)) < self.s
 
     def is_simplified(self, w: Word) -> bool:
         return self.is_left_simplified(w) and self.is_right_simplified(w)
@@ -476,15 +468,8 @@ class LfpTrace:
     def is_unaltered(self, i: int, pos: int) -> bool:
         return self.status[(i, pos)].kind == "unaltered"
 
-    def is_canceled(self, i: int, pos: int) -> bool:
-        return self.status[(i, pos)].kind == "canceled"
-
     def cancels(self, a: tuple, b: tuple) -> bool:
         return (a, b) in self.cancel_pairs or (b, a) in self.cancel_pairs
-
-    def unaltered_run(self, i: int, lo: int, hi: int) -> bool:
-        """Whether the factor B_[lo,hi] of input i is unaltered."""
-        return all(self.is_unaltered(i, p) for p in range(lo, hi + 1))
 
     def to_json(self) -> dict:
         statuses = {}
@@ -588,13 +573,12 @@ def rfp_trace(inputs: Sequence[Word]) -> RfpTrace:
 # Small-cancellation report
 # ===========================================================================
 
-def small_cancellation_report(csub: CSubgroup, trials: int = 300, seed: int = 0,
-                              kmax: int = 5) -> dict:
+def small_cancellation_report(csub: CSubgroup, trials: int = 300, seed: int = 0) -> dict:
     """Exhaustive pairwise checks plus randomized k-fold product checks.
 
     Pairs: K(u, v) = 0 and l(uv) >= 4s - 1 over S u S^-1 with uv != 1.
-    Random products: almost-reducedness, prefix/suffix stability at 2s - 1,
-    the length lower bound 2ks - (k - 1), and the no-symmetric-components
+    Random products of k = 2..5 units: almost-reducedness, prefix/suffix
+    stability at 2s - 1, the length lower bound 2ks - (k - 1), and the no-symmetric-components
     property of prefixes of members.
     """
     s = csub.s
@@ -612,7 +596,7 @@ def small_cancellation_report(csub: CSubgroup, trials: int = 300, seed: int = 0,
                 violations.append(("pair-length", str(u), str(v)))
     rng = random.Random(seed)
     for _ in range(trials):
-        k = rng.randint(2, kmax)
+        k = rng.randint(2, 5)
         tup = _random_reduced_tuple(rng, units, k)
         prod = tup[0]
         ok_pairwise = True

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes follow one contract everywhere: 0 = verified / none-found,
-1 = refuted / violation or certificate found, 2 = parse error, unknown
-target, or a capped search that found nothing (inconclusive).
+1 = refuted / violation or certificate found, 2 = malformed input (parse
+error, missing key, wrong shape), unknown target, or a capped search that
+found nothing (inconclusive), 3 = internal error (a failed invariant or an
+unexpected exception; the traceback goes to stderr).
 All randomness flows from --seed; reports embed the seed and bounds, and
 identical invocations produce byte-identical reports.
 """
@@ -12,17 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from contextlib import contextmanager
 
 from . import casestudy, gentorsion
 from .amalgam import Amalgam
-from .errors import GtkitError, PreconditionError
+from .errors import GtkitError, InternalInvariantError, PreconditionError
 from .gentorsion import GtCertificate, NclWitness, SearchBounds
 from .word import Presentation, abelianize_snf, parse_word
 
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _load_json(path: str):
@@ -41,15 +45,17 @@ def _dump(data, path=None):
 
 @contextmanager
 def _file_shape(kind: str):
-    """Turn a wrong-shaped value in a file into PreconditionError.
+    """Turn a missing key or wrong-shaped value in a file into PreconditionError.
 
     A number where a list is expected, say, would otherwise escape as a
-    TypeError and exit 1, the code for "refuted / found".
+    TypeError and exit 3, the code for an internal error.
     """
     try:
         yield
     except GtkitError:
         raise
+    except KeyError as exc:
+        raise PreconditionError(f"malformed {kind} file: missing key {exc}") from exc
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed {kind} file: {exc}") from exc
 
@@ -298,9 +304,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GtkitError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except InternalInvariantError:
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    except (GtkitError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception:  # a bug, never a verdict on the input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

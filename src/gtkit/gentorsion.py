@@ -574,13 +574,12 @@ def check_multimalnormal(alphabet: Sequence[Generator],
 def check_nss_intersection(alphabet: Sequence[Generator],
                            subgroup_gens: Sequence[Word],
                            alpha: Word,
-                           bounds: SearchBounds,
-                           boost: int = 2) -> SuiteReport:
+                           bounds: SearchBounds) -> SuiteReport:
     """Ball corroboration of NSS_A({alpha}) cap C = NSS_C({alpha}).
 
     Every element of the ambient NSS ball landing in C must reappear in the
-    C-internal NSS ball computed at boosted bounds.  Misses are reported as
-    inconclusive (radius effects), never as violations.
+    C-internal NSS ball computed at twice the radius and max_n.  Misses are
+    reported as inconclusive (radius effects), never as violations.
     """
     aut = SubgroupAutomaton(subgroup_gens)
     if not aut.contains(alpha) or alpha.is_identity:
@@ -589,8 +588,8 @@ def check_nss_intersection(alphabet: Sequence[Generator],
     members = sorted((w for w in ambient if aut.contains(w)),
                      key=lambda w: w.sort_key())
     big = SearchBounds(
-        radius=bounds.radius * boost,
-        max_n=bounds.max_n * boost,
+        radius=bounds.radius * 2,
+        max_n=bounds.max_n * 2,
         max_elt_letters=bounds.max_elt_letters,
         node_cap=bounds.node_cap,
         seed=bounds.seed,

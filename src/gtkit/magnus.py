@@ -40,19 +40,6 @@ class TruncatedSeries:
     def one(cls, cap: int) -> "TruncatedSeries":
         return cls(cap, {(): 1})
 
-    @classmethod
-    def var(cls, i: int, cap: int) -> "TruncatedSeries":
-        return cls(cap, {(i,): 1})
-
-    def copy(self) -> "TruncatedSeries":
-        s = TruncatedSeries(self.cap)
-        s.coeffs = dict(self.coeffs)
-        return s
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
@@ -62,26 +49,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash((self.cap, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        res = TruncatedSeries(min(self.cap, other.cap))
-        res.coeffs = {m: c for m, c in out.items() if len(m) <= res.cap}
-        return res
-
-    def __neg__(self) -> "TruncatedSeries":
-        res = TruncatedSeries(self.cap)
-        res.coeffs = {m: -c for m, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         cap = min(self.cap, other.cap)
@@ -190,13 +157,6 @@ class LeadingTerm:
             out.update(m)
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeadingTerm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
     def __hash__(self):
         return hash((self.degree, frozenset(self.coeffs.items())))
 
@@ -206,7 +166,7 @@ class LeadingTerm:
         return str(s)
 
 
-def leading_term(w: Word, max_d: Optional[int] = None) -> Optional[LeadingTerm]:
+def leading_term(w: Word) -> Optional[LeadingTerm]:
     """Leading term of mu(w), or None for the trivial word.
 
     The truncation degree is raised geometrically; letter length is a
@@ -215,7 +175,7 @@ def leading_term(w: Word, max_d: Optional[int] = None) -> Optional[LeadingTerm]:
     """
     if w.is_identity:
         return None
-    limit = w.letter_len if max_d is None else min(max_d, w.letter_len)
+    limit = w.letter_len
     d = 1
     while True:
         s = mu(w, d)
@@ -226,8 +186,6 @@ def leading_term(w: Word, max_d: Optional[int] = None) -> Optional[LeadingTerm]:
         if d >= limit:
             break
         d = min(2 * d, limit)
-    if max_d is not None and max_d < w.letter_len:
-        return None
     raise InternalInvariantError(
         f"no leading term for nontrivial word at cap {limit}: {w}"
     )

@@ -241,18 +241,15 @@ class SubgroupAutomaton:
         """The (label, successor) pairs leaving a state, in label order."""
         return [(lab, row[state]) for lab, row in self._rows.items() if row[state] >= 0]
 
-    def degree(self, state: int) -> int:
-        return len(self.successors(state))
-
     def step(self, state: int, g: Generator, sign: int) -> Optional[int]:
         row = self._rows.get((g, sign))
         if row is None or row[state] < 0:
             return None
         return row[state]
 
-    def trace(self, w: Word, start: int = 0) -> Optional[int]:
-        """Read w from a state; None if some transition is missing."""
-        cur = start
+    def trace(self, w: Word) -> Optional[int]:
+        """Read w from the base; None if some transition is missing."""
+        cur = self.base
         rows = self._rows
         for g, e in w.syls:
             row = rows.get((g, 1) if e > 0 else (g, -1))
@@ -356,13 +353,31 @@ class SubgroupAutomaton:
             w = w.inverse()
         elif side != "left":
             raise PreconditionError(f"side must be left or right: {side!r}")
-        q = self.trace(w)
-        if q is None:
-            return False
-        if q == self.base:
-            return True
-        last_gen = w.syls[-1][0]
-        return any(row[q] >= 0 for (g, _s), row in self._rows.items() if g != last_gen)
+        return self._acceptable_run(w) == i
+
+    def _acceptable_run(self, w: Word) -> int:
+        """Largest i <= l(w) such that L_1(w), ..., L_i(w) are all acceptable.
+
+        Acceptance is monotone in i: if L_{i+1}(w) is acceptable, the state
+        after L_i(w) has an out-edge on w's (i+1)-st generator, which differs
+        from the i-th.  So L_i(w) is acceptable exactly when i is at most
+        this value, and one trace that stops at the first failure decides
+        every prefix of w.
+        """
+        rows = self._rows
+        cur = self.base
+        for i, (g, e) in enumerate(w.syls):
+            row = rows.get((g, 1) if e > 0 else (g, -1))
+            if row is None:
+                return i
+            for _ in range(abs(e)):
+                cur = row[cur]
+                if cur < 0:
+                    return i
+            if cur != self.base and not any(
+                    r[cur] >= 0 for (h, _s), r in rows.items() if h != g):
+                return i
+        return len(w.syls)
 
 
 class _StateView:
@@ -393,21 +408,9 @@ class _StateView:
 
 def lambda_value(aut: SubgroupAutomaton, w: Word) -> int:
     """Largest i <= l(w) with L_i(w) syllable-exactly extendable in the subgroup."""
-    val = 0
-    for i in range(1, w.syllable_len + 1):
-        if aut.prefix_acceptable(w.left(i), i, "left"):
-            val = i
-        else:
-            break
-    return val
+    return aut._acceptable_run(w)
 
 
 def rho_value(aut: SubgroupAutomaton, w: Word) -> int:
-    """Right-side analogue of lambda_value."""
-    val = 0
-    for i in range(1, w.syllable_len + 1):
-        if aut.prefix_acceptable(w.right(i), i, "right"):
-            val = i
-        else:
-            break
-    return val
+    """Right-side analogue of lambda_value: R_i(w) is L_i(w^-1) inverted."""
+    return aut._acceptable_run(w.inverse())

@@ -86,11 +86,6 @@ def _csystem(s: int = 10, m: int = 8, seed: int = 0):
     return casestudy.CSubgroup.from_matrix(e)
 
 
-@functools.lru_cache(maxsize=None)
-def _onerelator():
-    return casestudy.build_onerelator_amalgam()
-
-
 def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
                nonempty: bool = False) -> Word:
     n = rng.randint(1 if nonempty else 0, max_letters)
@@ -104,10 +99,11 @@ def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
 _AB = (gen("a"), gen("b"))
 
 
-def _indexed_word(rng, max_letters: int, index_lo: int = -2, index_hi: int = 2,
-                  nonempty: bool = False) -> Word:
-    alphabet = [casestudy.a_i(i) for i in range(index_lo, index_hi + 1)]
-    return _rand_word(rng, alphabet, max_letters, nonempty)
+_INDEXED = tuple(casestudy.a_i(i) for i in range(-2, 3))
+
+
+def _indexed_word(rng, max_letters: int, nonempty: bool = False) -> Word:
+    return _rand_word(rng, _INDEXED, max_letters, nonempty)
 
 
 def _report(name, trials, seed, **params) -> SuiteReport:
@@ -519,15 +515,13 @@ def suite_prop_two_sided(trials: int, seed: int) -> SuiteReport:
     return rep
 
 
-def suite_prop_length_bound(trials: int, seed: int, group: str = "both") -> SuiteReport:
-    """Tamed products satisfy l(T) >= l(g_1) + n + l(g_n)."""
+def suite_prop_length_bound(trials: int, seed: int) -> SuiteReport:
+    """Tamed products in F2 and Z *_2Z Z satisfy l(T) >= l(g_1) + n + l(g_n)."""
     rng = random.Random(seed)
-    rep = _report("prop_length_bound", trials, seed, group=group)
-    groups = {"fp2": [_fp2()], "z2z": [_z2z()], "both": [_fp2(), _z2z()]}[group]
-    samplers = [TamedSampler(G, rng) for G in groups]
+    rep = _report("prop_length_bound", trials, seed, group="both")
+    samplers = [TamedSampler(_fp2(), rng), TamedSampler(_z2z(), rng)]
     for t in range(trials):
-        sampler = samplers[t % len(samplers)]
-        v = sampler.sample()
+        v = samplers[t % 2].sample()
         lhs, rhs, holds = tamed_length_bound(v)
         if not holds:
             rep.violations.append(Violation("length-bound", {
@@ -558,8 +552,9 @@ def suite_delta_factorization(trials: int, seed: int) -> SuiteReport:
 # Magnus suites
 # ---------------------------------------------------------------------------
 
-def suite_magnus_homomorphism(trials: int, seed: int, cap: int = 4) -> SuiteReport:
+def suite_magnus_homomorphism(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
+    cap = 4
     rep = _report("magnus_homomorphism", trials, seed, cap=cap)
     for _ in range(trials):
         u = _indexed_word(rng, 5)
@@ -569,8 +564,9 @@ def suite_magnus_homomorphism(trials: int, seed: int, cap: int = 4) -> SuiteRepo
     return rep
 
 
-def suite_magnus_inverse(trials: int, seed: int, cap: int = 4) -> SuiteReport:
+def suite_magnus_inverse(trials: int, seed: int) -> SuiteReport:
     rng = random.Random(seed)
+    cap = 4
     rep = _report("magnus_inverse", trials, seed, cap=cap)
     one = TruncatedSeries.one(cap)
     for _ in range(trials):
@@ -977,12 +973,13 @@ def suite_conjugate_local_property(trials: int, seed: int) -> SuiteReport:
 
 
 def suite_block_cancellation(trials: int, seed: int) -> SuiteReport:
-    """Detected mu-mu cancellations certify C-membership of the bridge.
+    """Standard forms and the product tracer on conjugates that cancel mu into mu.
 
-    Fixtures force a cancellation between the mu parts of two conjugates;
-    whenever the tracer reports one, the bridge g_r C_{r+1}..C_{t-1} g_t^-1
-    must normalize into C and the rewriting with one fewer conjugate must
-    reproduce the product.
+    Fixtures c1 = u1 u2 and c2 = u2^-1 u3 share the unit u2, so the mu parts
+    of c1^g and c2^g can cancel.  Each trial builds both standard forms
+    (which re-verify their own structural facts) and the left-first trace
+    of the product, and counts a skip when the tracer reports no mu-mu
+    cancellation pair.  Bridges between distinct conjugators are not built.
     """
     rng = random.Random(seed)
     rep = _report("block_cancellation", trials, seed)
@@ -1007,23 +1004,9 @@ def suite_block_cancellation(trials: int, seed: int) -> SuiteReport:
                           d1.lam.syllable_len + d1.mu.syllable_len + 1)
         mu2_range = range(d2.lam.syllable_len + 1,
                           d2.lam.syllable_len + d2.mu.syllable_len + 1)
-        mumu = [
-            pair for pair in trace.cancel_pairs
-            if pair[0][0] == 1 and pair[1][0] == 2
-            and pair[0][1] in mu1_range and pair[1][1] in mu2_range
-        ]
-        if not mumu:
+        if not any(a[0] == 1 and b[0] == 2 and a[1] in mu1_range and b[1] in mu2_range
+                   for a, b in trace.cancel_pairs):
             rep.skips += 1
-            continue
-        bridge = g * g.inverse()  # r = 1, t = 2: empty middle
-        if not csub.contains(bridge):
-            rep.violations.append(Violation("bridge-outside-c", {
-                "c1": str(c1), "c2": str(c2), "g": str(g)}))
-            continue
-        rewritten = (c1 * (c2.conj(bridge.inverse()))).conj(g)
-        if rewritten != conj1 * conj2:
-            rep.violations.append(Violation("rewriting-mismatch", {
-                "c1": str(c1), "c2": str(c2), "g": str(g)}))
     return rep
 
 
@@ -1125,43 +1108,9 @@ def suite_factor_multimalnormal(trials: int, seed: int) -> SuiteReport:
 # Registry
 # ---------------------------------------------------------------------------
 
-SUITES: dict = {
-    "oracle_cancellation_number": suite_oracle_cancellation_number,
-    "oracle_normalize_shuffle": suite_oracle_normalize_shuffle,
-    "oracle_prefix_acceptable": suite_oracle_prefix_acceptable,
-    "express_soundness": suite_express_soundness,
-    "fold_confluence": suite_fold_confluence,
-    "subgroup_closure": suite_subgroup_closure,
-    "snf_row_invariance": suite_snf_row_invariance,
-    "lemma_end_preserving": suite_lemma_end_preserving,
-    "length_subadditivity": suite_length_subadditivity,
-    "sandwich_nontrivial": suite_sandwich_nontrivial,
-    "lemma_cancellable_one_side": suite_lemma_cancellable_one_side,
-    "prop_two_sided": suite_prop_two_sided,
-    "prop_length_bound": suite_prop_length_bound,
-    "delta_factorization": suite_delta_factorization,
-    "magnus_homomorphism": suite_magnus_homomorphism,
-    "magnus_inverse": suite_magnus_inverse,
-    "magnus_leading_conjugation": suite_magnus_leading_conjugation,
-    "magnus_degree1": suite_magnus_degree1,
-    "magnus_ideal_transfer": suite_magnus_ideal_transfer,
-    "magnus_c_degree1": suite_magnus_c_degree1,
-    "magnus_c_leading_vars": suite_magnus_c_leading_vars,
-    "lemma_small_cancellation": suite_lemma_small_cancellation,
-    "lemma_k_beta_h": suite_lemma_k_beta_h,
-    "lemma_k_alpha_n": suite_lemma_k_alpha_n,
-    "cor_k_alpha_n_h": suite_cor_k_alpha_n_h,
-    "prop_two_sided_bound": suite_prop_two_sided_bound,
-    "lfp_multiplicativity": suite_lfp_multiplicativity,
-    "lfp_restriction": suite_lfp_restriction,
-    "lfp_pair_cancellation": suite_lfp_pair_cancellation,
-    "conjugate_local_property": suite_conjugate_local_property,
-    "block_cancellation": suite_block_cancellation,
-    "claim_a_shortening": suite_claim_a_shortening,
-    "nonlo_witnesses": suite_nonlo_witnesses,
-    "exponent_condition_a": suite_exponent_condition_a,
-    "factor_multimalnormal": suite_factor_multimalnormal,
-}
+# every suite_<name> function above, in definition order
+SUITES: dict = {name.removeprefix("suite_"): fn
+                for name, fn in globals().items() if name.startswith("suite_")}
 
 
 def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteReport:

@@ -235,14 +235,15 @@ class TamedSampler:
     remaining tamedness clauses hold.
     """
 
-    def __init__(self, G: Amalgam, rng, max_g_len: int = 3, elt_letters: int = 3,
-                 reject: bool = True, max_tries: int = 500):
+    MAX_G_LEN = 3
+    ELT_LETTERS = 3
+    MAX_TRIES = 500
+
+    def __init__(self, G: Amalgam, rng, reject: bool = True):
         self.G = G
         self.rng = rng
-        self.max_g_len = max_g_len
         self.reject = reject
-        self.max_tries = max_tries
-        self.balls = _outside_edge_balls(G, elt_letters)
+        self.balls = _outside_edge_balls(G, self.ELT_LETTERS)
 
     def _rand_t(self, g: AmalgamElement) -> AmalgamElement:
         banned = g.lei
@@ -257,13 +258,13 @@ class TamedSampler:
     def raw_tuple(self, n: int) -> ConjTuple:
         entries = []
         for _ in range(n):
-            g = _rand_alternating(self.G, self.rng, self.balls, self.max_g_len)
+            g = _rand_alternating(self.G, self.rng, self.balls, self.MAX_G_LEN)
             entries.append((self._rand_t(g), g))
         return ConjTuple(self.G, entries)
 
     def sample(self, n: Optional[int] = None) -> ConjTuple:
         target = n or self.rng.randint(1, 3)
-        for _ in range(self.max_tries):
+        for _ in range(self.MAX_TRIES):
             v = self.raw_tuple(target)
             if not self.reject or is_tamed(v):
                 return v

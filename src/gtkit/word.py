@@ -335,10 +335,6 @@ class HomSpec:
             out = out * (self.image(g) ** e)
         return out
 
-    def compose(self, inner: "HomSpec") -> "HomSpec":
-        """self after inner, on inner's domain."""
-        return HomSpec({g: self.apply(w) for g, w in inner.mapping.items()})
-
 
 def weight(w: Word, t: Generator, basis: Optional[HomSpec] = None) -> int:
     """Exponent sum of t after rewriting w over the given free basis.

@@ -5,6 +5,7 @@ import pytest
 from gtkit import gentorsion as gt
 from gtkit.amalgam import element_from_free_word, free_as_free_product
 from gtkit.cli import main
+from gtkit.errors import InternalInvariantError
 from gtkit.word import parse_word as W
 
 
@@ -232,3 +233,50 @@ def test_suite_reports_are_deterministic(tmp_path):
     main(["suite", "length_subadditivity", "--trials", "30", "--seed", "5",
           "--out", b])
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize("argv, files, kind", [
+    (["search", "rtf", "--group", "{0}"], [{"kind": "free"}], "group"),
+    (["search", "rtf", "--group", "{0}"], [{"kind": "nonlo"}], "group"),
+    (["search", "rtf", "--group", "{0}"], [{"kind": "nonlo", "exponents": {"m": 8}}],
+     "group"),
+    (["search", "gt", "--group", "{0}", "--elem", "[A: a]"], [{"kind": "amalgam"}],
+     "group"),
+    (["verify", "--group", "bs2", "--cert", "{0}"], [{"base": "[A: a]"}], "certificate"),
+    (["abelianize", "--pres", "{0}"], [{"generators": ["a"]}], "presentation"),
+    (["verify", "--ncl", "{0}", "--free", "{1}"],
+     [{"target": "a", "terms": []}, {"relators": ["a"]}], "presentation"),
+    (["verify", "--ncl", "{0}"], [{"target": "a", "terms": []}], "witness"),
+    (["verify", "--ncl", "{0}"], [{"terms": [], "relators": ["a"]}], "witness"),
+], ids=["free-alphabet", "nonlo-exponents", "nonlo-s", "amalgam-factors",
+        "cert-conjugators", "pres-relators", "free-pres-alphabet", "ncl-relators",
+        "ncl-target"])
+def test_missing_key_exits_2_as_malformed(bs2_files, tmp_path, capsys, argv, files, kind):
+    paths = [write(tmp_path, f"f{i}.json", data) for i, data in enumerate(files)]
+    argv = [bs2_files[0] if a == "bs2" else a.format(*paths) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"malformed {kind} file: missing key" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [KeyError("internal"),
+                                 InternalInvariantError("broken invariant")],
+                         ids=["KeyError", "InternalInvariantError"])
+def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch, exc):
+    def broken(*_args):
+        raise exc
+
+    monkeypatch.setattr(gt, "check_rtf", broken)
+    group = write(tmp_path, "f.json", {"kind": "free", "alphabet": ["a", "b"],
+                                       "subgroup": ["a"]})
+    assert main(["search", "rtf", "--group", group]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and type(exc).__name__ in err
+
+
+def test_undecodable_group_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["search", "rtf", "--group", str(bad)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,8 +1,11 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import functools
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gtkit import casestudy as cs
 from gtkit.errors import NotMemberError, PreconditionError
-from gtkit.stallings import SubgroupAutomaton, lambda_value
+from gtkit.stallings import SubgroupAutomaton, lambda_value, rho_value
 from gtkit.suites import run_suite
 from gtkit.word import Word, gen, parse_word as W
 
@@ -268,7 +271,7 @@ def test_trace_stops_at_a_missing_label_mid_syllable():
     assert aut.trace(W("a^4")) is None
     assert aut.trace(W("a^3 b a^5")) is None
     assert aut.trace(W("a^2 c")) is None
-    assert aut.trace(W("a^3 b"), start=0) == 0
+    assert aut.trace(W("a^3 b")) == 0
     assert not aut.contains(W("a^4 b"))
 
 
@@ -372,3 +375,72 @@ def test_fold_matches_reference_fold(gens, picks, probe):
                 want = _reference_prefix_acceptable(
                     graph, p if side == "left" else p.inverse())
                 assert aut.prefix_acceptable(p, i, side) == want
+
+
+# ---------------------------------------------------------------------------
+# One-pass prefix values against the per-prefix loop
+# ---------------------------------------------------------------------------
+
+def _retrace_acceptable(aut, p, side):
+    """Acceptance of one prefix by a fresh trace from the base."""
+    w = p if side == "left" else p.inverse()
+    q = aut.trace(w)
+    if q is None:
+        return False
+    last = w.syls[-1][0]
+    return q == aut.base or any(g != last for (g, _s), _t in aut.successors(q))
+
+
+def _check_prefix_values(aut, w):
+    """lambda/rho against a retrace of every prefix, which must be monotone."""
+    n = w.syllable_len
+    for side, value in (("left", lambda_value(aut, w)), ("right", rho_value(aut, w))):
+        prefixes = [w.left(i) if side == "left" else w.right(i) for i in range(1, n + 1)]
+        accepted = [_retrace_acceptable(aut, p, side) for p in prefixes]
+        assert accepted == [True] * value + [False] * (n - value)
+        assert [aut.prefix_acceptable(p, i, side)
+                for i, p in enumerate(prefixes, start=1)] == accepted
+
+
+@given(st.lists(_word, min_size=1, max_size=4), _word,
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_prefix_values_match_per_prefix_loop_over_ab(gens, probe, picks):
+    aut = SubgroupAutomaton(gens)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    for w in (probe, member * probe, member):
+        _check_prefix_values(aut, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _c_10_8():
+    return cs.CSubgroup.from_matrix(cs.sample_exponents(10, 8, 0))
+
+
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=3),
+       st.integers(0, 200), st.sampled_from([-2, -1, 1, 2]),
+       st.lists(_letter, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_prefix_values_and_simplified_on_perturbed_c_products(picks, pos, delta, tail):
+    csub = _c_10_8()
+    units = csub.gen_set()
+    w = Word()
+    for k in picks:
+        w = w * units[k]
+    assume(not w.is_identity)
+    syls = list(w.syls)
+    g, e = syls[pos % len(syls)]
+    syls[pos % len(syls)] = (g, e + delta)
+    w = Word(syls) * Word(tail)
+    assume(not w.is_identity)
+    s = csub.s
+    for v in (w, w.left(s), w.right(s), w.left(s + 1), w.right(s + 1)):
+        _check_prefix_values(csub.automaton, v)
+        n = v.syllable_len
+        left_s = n >= s and _retrace_acceptable(csub.automaton, v.left(s), "left")
+        right_s = n >= s and _retrace_acceptable(csub.automaton, v.right(s), "right")
+        # the two-clause definition: lambda(v) < s, or v itself is a length-s prefix
+        assert csub.is_left_simplified(v) == (csub.lam(v) < s or (n == s and left_s))
+        assert csub.is_right_simplified(v) == (csub.rho(v) < s or (n == s and right_s))
