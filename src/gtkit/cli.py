@@ -143,12 +143,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FOUND
 
 
+def _elem(args) -> str:
+    if args.elem is None:
+        raise GtkitError(f"search {args.what} requires --elem")
+    return args.elem
+
+
 def cmd_search(args) -> int:
     group = GroupFile(_load_json(args.group))
     bounds = _bounds(args)
     if args.what == "gt":
         G = group.require_amalgam("gt search requires an amalgam group file")
-        g = G.parse_element(args.elem)
+        g = G.parse_element(_elem(args))
         res = gentorsion.search_gt(G, g, bounds)
         out = {
             "found": res.found,
@@ -162,17 +168,22 @@ def cmd_search(args) -> int:
             return EXIT_FOUND
         _dump(out, args.out)
         return EXIT_ERROR if res.capped else EXIT_OK
-    if group.subgroup is None:
-        raise GtkitError(f"{args.what} search requires a free or nonlo group file")
+    if not group.subgroup:
+        raise GtkitError(f"{args.what} search requires a free or nonlo group file "
+                         "with a nonempty subgroup")
     if args.what == "rtf":
         rep = gentorsion.check_rtf(group.alphabet, group.subgroup, bounds)
     elif args.what == "multimal":
-        seeds = ([parse_word(w, group.alphabet) for w in args.seeds.split(";")]
-                 if args.seeds else [group.subgroup[0]])
+        seeds = [group.subgroup[0]]
+        if args.seeds is not None:
+            words = args.seeds.split(";")
+            if not all(w.strip() for w in words):
+                raise GtkitError(f"--seeds needs nonempty ';'-separated words: {args.seeds!r}")
+            seeds = [parse_word(w, group.alphabet) for w in words]
         rep = gentorsion.check_multimalnormal(
             group.alphabet, group.subgroup, seeds, bounds)
     elif args.what == "nss-intersection":
-        alpha = parse_word(args.elem, group.alphabet)
+        alpha = parse_word(_elem(args), group.alphabet)
         rep = gentorsion.check_nss_intersection(
             group.alphabet, group.subgroup, alpha, bounds)
     else:

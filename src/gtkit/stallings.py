@@ -12,6 +12,7 @@ in the sets L_i(C) and R_i(C).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
@@ -54,6 +55,16 @@ class SubgroupAutomaton:
         (g_k, +1), so the adjacency maps of the fold hash ints, not
         generators.  Every empty offset and tag is the shared IDENTITY word.
 
+        Once a petal leaves the graph built so far (its newest state was not
+        folded away), no fold can happen before its last letter: the word is
+        reduced and the queue is empty.  Those letters are added as one chain
+        run of consecutive state and edge ids, with no adjacency dict or edge
+        record; the run's syllables give each letter's label.  Such a state
+        stays *fresh* until a fold step touches it (reads or writes its
+        adjacency, merges it, or kills one of its edges), which builds the
+        dict and edge records it would have had.  Fresh states are roots
+        with exactly their two chain edges, both untagged.
+
         The folded automaton keeps one list per label, the successor of
         every state (-1 where missing), and per label a dict of the states
         whose outgoing edge carries a nontrivial tag; delta and _tags are
@@ -65,9 +76,12 @@ class SubgroupAutomaton:
         labels = [(g, s) for g in alphabet for s in (-1, 1)]
         parent = [0]
         offset = [IDENTITY]  # phi(x) = phi(parent[x]) * offset[x]; phi(root) = 1
-        adj = [dict()]       # root state -> {label code: edge id}
+        adj = [dict()]       # state -> {label code: edge id}; None while fresh
         edges = [None]       # edges[eid] = (a, b, k, tag); a --g_k(+1)--> b
         dead = bytearray(1)  # dead[eid] once the edge was folded away
+        fresh = bytearray(1)  # fresh[x] while x is an untouched chain state
+        runs = []            # (first state, first edge, syllable bounds, labels)
+        run_starts = []      # first state of each run, for bisect
 
         def find_phi(x):
             p = parent[x]
@@ -100,6 +114,30 @@ class SubgroupAutomaton:
                 tag = tag * pb.inverse()
             return ra, rb, tag
 
+        def chain_out(x):
+            """The live adjacency of fresh state x, building its edge records.
+
+            A run's states first, first + 1, ... are entered by consecutive
+            letters of one petal, along edges eid, eid + 1, ...  Its last
+            state is left by the petal's last letter, whose edge record
+            exists by the time that state is touched.
+            """
+            first, eid, bounds, labs = runs[bisect_right(run_starts, x) - 1]
+            eid += x - first
+            out = {}
+            for e, lab, far in ((eid, labs[bisect_right(bounds, x) - 1] ^ 1, x - 1),
+                                (eid + 1, labs[bisect_right(bounds, x + 1) - 1], x + 1)):
+                if edges[e] is None:
+                    edges[e] = ((x, far, lab >> 1, IDENTITY) if lab & 1
+                                else (far, x, lab >> 1, IDENTITY))
+                if not dead[e]:
+                    out[lab] = e
+            return out
+
+        def touch(x):
+            fresh[x] = 0
+            adj[x] = chain_out(x)
+
         queue = []
 
         def insert(eid):
@@ -108,6 +146,8 @@ class SubgroupAutomaton:
             a, b, k, _ = edges[eid]
             for raw, lab in ((a, 2 * k + 1), (b, 2 * k)):
                 state = find(raw)
+                if fresh[state]:
+                    touch(state)
                 cur = adj[state].get(lab)
                 if cur is None or dead[cur]:
                     adj[state][lab] = eid
@@ -127,7 +167,13 @@ class SubgroupAutomaton:
                     ktag, dtag = dtag, ktag
                     adj[state][lab] = keep
                 dead[gone] = 1
+                for y in edges[gone][:2]:
+                    if fresh[y]:
+                        touch(y)
                 if kt != dt:
+                    for y in (kt, dt):
+                        if fresh[y]:
+                            touch(y)
                     delta = ktag.inverse() * dtag
                     parent[dt] = kt
                     offset[dt] = delta
@@ -146,30 +192,56 @@ class SubgroupAutomaton:
                 return rb, tag
             return ra, tag.inverse()
 
+        def link(a, b, lab, tag):
+            """Add a --lab--> b with tag (given from a) and fold."""
+            k = lab >> 1
+            eid = len(edges)
+            edges.append((a, b, k, tag) if lab & 1 else (b, a, k, tag.inverse()))
+            dead.append(0)
+            queue.append(eid)
+            while queue:
+                insert(queue.pop())
+
         for i, w in enumerate(self.generators):
-            cur = 0
-            left = w.letter_len
-            witness = Word([(_witness_gen(i), 1)])
+            if not w.syls:
+                continue
+            bounds, labs = [], []  # first letter and label code of each syllable
+            last = 0
             for g, e in w.syls:
-                k = code[g]
-                for _ in range(abs(e)):
-                    left -= 1
-                    if left:
-                        nxt = len(parent)
-                        parent.append(nxt)
-                        offset.append(IDENTITY)
-                        adj.append({})
-                        tag = IDENTITY
-                    else:
-                        nxt, tag = 0, witness
-                    eid = len(edges)
-                    edges.append((cur, nxt, k, tag) if e > 0
-                                 else (nxt, cur, k, tag.inverse()))
-                    dead.append(0)
-                    queue.append(eid)
-                    while queue:
-                        insert(queue.pop())
-                    cur = nxt  # raw id: tags are stated relative to raw states
+                bounds.append(last)
+                labs.append(2 * code[g] + (e > 0))
+                last += abs(e)
+            bounds.append(last)
+            last -= 1              # the last letter closes the petal at the base
+            cur = p = q = 0        # raw state, letter, syllable
+            while p < last:
+                if p == bounds[q + 1]:
+                    q += 1
+                nxt = len(parent)
+                parent.append(nxt)
+                offset.append(IDENTITY)
+                adj.append({})
+                fresh.append(0)
+                link(cur, nxt, labs[q], IDENTITY)
+                cur = nxt  # raw id: tags are stated relative to raw states
+                p += 1
+                if parent[nxt] == nxt and p < last:
+                    # the petal has left the graph at nxt: letters p..last-1
+                    # make the fresh states nxt + 1..nxt + m of a run from nxt
+                    m = last - p
+                    runs.append((nxt, len(edges) - 1,
+                                 [b + nxt + 1 - p for b in bounds[q:]], labs[q:]))
+                    run_starts.append(nxt)
+                    parent.extend(range(nxt + 1, nxt + 1 + m))
+                    offset.extend([IDENTITY] * m)
+                    adj.extend([None] * m)
+                    fresh.extend(b"\x01" * m)
+                    edges.extend([None] * m)
+                    dead.extend(bytes(m))
+                    touch(nxt)  # registers the run's first edge at nxt
+                    cur = nxt + m
+                    p = last
+            link(cur, 0, labs[-1], Word([(_witness_gen(i), 1)]))
 
         # Number the classes depth-first from the base, taking each state's
         # live edges in label-code order, and fill the per-label successor
@@ -180,6 +252,27 @@ class SubgroupAutomaton:
         rows = [[-1] * size for _ in labels]
         marks = [{} for _ in labels]
         order = [-1] * size
+
+        def fill(x0, x1):
+            """Rows of fresh states x0..x1-1 whose fresh neighbours are
+            numbered and whose own numbers run consecutively (up or down in
+            x): one slice per syllable and direction, copied from order."""
+            if x0 >= x1:
+                return
+            bounds, labs = runs[bisect_right(run_starts, x0) - 1][2:]
+            down = order[x0] > order[x1 - 1]
+            for j, lab in enumerate(labs):
+                # in-edges of states bounds[j].., out-edges of the states before
+                for at, lo, d in ((lab ^ 1, bounds[j], -1), (lab, bounds[j] - 1, 1)):
+                    a = max(lo, x0)
+                    b = min(lo + bounds[j + 1] - bounds[j], x1)
+                    if a < b:
+                        vals = order[a + d:b + d]
+                        if down:
+                            vals.reverse()
+                            a = b - 1
+                        rows[at][order[a]:order[a] + len(vals)] = vals
+
         base = find(0)
         order[base] = 0
         n = 1
@@ -187,7 +280,37 @@ class SubgroupAutomaton:
         while stack:
             s = stack.pop()
             i = order[s]
-            out = adj[s]
+            if fresh[s]:
+                if fresh[s - 1] and fresh[s + 1]:
+                    # Inside a chain: the loop below would number the rest
+                    # of it one state after another up to a numbered state,
+                    # or up to the state before a touched one, which it
+                    # would push.  Do that by slices.
+                    if order[s + 1] < 0:
+                        end = y = fresh.find(0, s + 1)
+                        while order[y - 1] >= 0:
+                            y -= 1
+                        order[s + 1:y] = range(n, n + y - s - 1)
+                        n += y - s - 1
+                        if y == end:
+                            y -= 1
+                            stack.append(y)
+                        fill(s + 1, y)
+                    elif order[s - 1] < 0:
+                        end = y = fresh.rfind(0, 0, s)
+                        while order[y + 1] >= 0:
+                            y += 1
+                        order[y + 1:s] = range(n + s - y - 2, n - 1, -1)
+                        n += s - y - 1
+                        if y == end:
+                            y += 1
+                            stack.append(y)
+                        fill(y + 1, s)
+                    fill(s, s + 1)
+                    continue
+                out = chain_out(s)
+            else:
+                out = adj[s]
             for lab in sorted(out):
                 eid = out[lab]
                 if dead[eid]:

@@ -161,6 +161,38 @@ def test_search_multimal(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("what, data", [
+    ("gt", None),
+    ("nss-intersection", {"kind": "free", "alphabet": ["a", "b"], "subgroup": ["a"]}),
+], ids=["gt", "nss-intersection"])
+def test_search_missing_elem_exit_2(tmp_path, capsys, what, data):
+    if data is None:
+        data = free_as_free_product(["a", "b"]).to_json()
+    group = write(tmp_path, "g.json", data)
+    assert main(["search", what, "--group", group]) == 2
+    err = capsys.readouterr().err
+    assert "--elem" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seeds", ["", ";", "a^2;", " "])
+def test_search_multimal_rejects_empty_seeds(tmp_path, capsys, seeds):
+    # an empty --seeds is not read as "no seeds given", which would search
+    # from the subgroup's first generator instead
+    group = write(tmp_path, "z.json", {
+        "kind": "free", "alphabet": ["a"], "subgroup": ["a^2"],
+    })
+    assert main(["search", "multimal", "--group", group, "--seeds", seeds,
+                 "--radius", "1", "--max-n", "2", "--elt-letters", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "Traceback" not in err
+
+
+def test_search_multimal_empty_subgroup_exit_2(tmp_path, capsys):
+    group = write(tmp_path, "e.json", {"kind": "free", "alphabet": ["a"], "subgroup": []})
+    assert main(["search", "multimal", "--group", group]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_build_w_and_abelianize(tmp_path, capsys):
     out = str(tmp_path / "w.json")
     assert main(["build", "w", "--out", out]) == 0

@@ -444,3 +444,61 @@ def test_prefix_values_and_simplified_on_perturbed_c_products(picks, pos, delta,
         # the two-clause definition: lambda(v) < s, or v itself is a length-s prefix
         assert csub.is_left_simplified(v) == (csub.lam(v) < s or (n == s and left_s))
         assert csub.is_right_simplified(v) == (csub.rho(v) < s or (n == s and right_s))
+
+
+# ---------------------------------------------------------------------------
+# Chain runs: petals added a syllable run at a time and numbered by slices
+# ---------------------------------------------------------------------------
+
+_C = gen("c")
+_long_syllable = st.tuples(st.sampled_from([A, B, _C]), st.integers(1, 40),
+                           st.sampled_from([1, -1]))
+_chain_word = st.lists(_long_syllable, min_size=1, max_size=3).map(
+    lambda ls: Word([(g, s * e) for g, e, s in ls]))
+
+
+@given(_chain_word, st.lists(_chain_word, min_size=1, max_size=3), _chain_word,
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([1, -1, 2])),
+                max_size=2),
+       st.booleans(),
+       st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1, -1])), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_chain_heavy_folds_match_reference_fold(u, xs, v, deps, bare, picks):
+    # u x_i v share a long prefix and suffix, so later petals fold along
+    # earlier chains and their end cascades run back into them; dependent
+    # words (products and powers of earlier ones) fold away completely
+    gens = [u * x * v for x in xs] + ([xs[0]] if bare else [])
+    for i, j, e in deps:
+        gens.append(gens[i % len(gens)] * gens[j % len(gens)] ** e)
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    graph = _reference_fold(gens)
+    n_edges = sum(len(d) for d in graph.values()) // 2
+    assert aut.num_states == len(graph)
+    assert aut.rank == n_edges - len(graph) + 1
+    assert aut.canonical_form() == _reference_canonical_form(graph)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    for w in [member] + gens:
+        assert aut.evaluate(aut.express(w)) == w
+
+
+def _rows_and_marks_digest(aut):
+    rows = {f"{g}{s:+d}": row for (g, s), row in aut._rows.items()}
+    marks = {f"{g}{s:+d}": sorted([q, str(t)] for q, t in m.items())
+             for (g, s), m in aut._marks.items()}
+    return _digest([rows, marks])[:16]
+
+
+@pytest.mark.parametrize("shape, states, digest", [
+    ((12, 8), 27838, "d2ec2fc3f3930230"),
+    ((10, 10), 37913, "cffcf973fec85c79"),
+])
+def test_pinned_rows_and_marks_of_large_c_folds(shape, states, digest):
+    # the state numbering, successor rows and tag marks of the letter-at-a-time
+    # fold; they do not depend on PYTHONHASHSEED
+    aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape, 0)))
+    assert aut.num_states == states
+    assert _rows_and_marks_digest(aut) == digest
