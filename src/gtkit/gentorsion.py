@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -25,8 +26,8 @@ from .amalgam import (
     normalize,
 )
 from .errors import InternalInvariantError, PreconditionError
-from .stallings import SubgroupAutomaton
-from .word import Generator, Word, _product_ball, gen, parse_word
+from .stallings import SubgroupAutomaton, _witness_gen
+from .word import Generator, Word, _product_ball, conjugacy_key, gen, parse_word
 
 
 @dataclass(frozen=True)
@@ -281,48 +282,74 @@ def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResu
     ball = amalgam_conjugator_ball(G, bounds)
     ball.sort(key=lambda x: (x.length, x.serialize()))
     conj_cache = [g.conj(h) for h in ball]
-    by_len: dict = {}
-    for idx, h in enumerate(ball):
-        by_len.setdefault(h.length, []).append(idx)
-    lengths = sorted(by_len)
+    lens = [h.length for h in ball]
+    top = lens[-1]
     nodes = 0
 
-    def extend(slots: int, total: int, partial, tail: list):
-        nonlocal nodes
-        if slots == 0:
-            if total == 0 and partial.is_identity:
-                return list(tail)
-            return None
-        for ln in lengths:
-            rest = total - ln
-            if rest < 0 or rest > (slots - 1) * lengths[-1]:
-                continue
-            for idx in by_len[ln]:
-                nodes += 1
-                if nodes > bounds.node_cap:
-                    raise _Capped()
-                res = extend(slots - 1, rest, partial * conj_cache[idx],
-                             tail + [idx])
-                if res is not None:
-                    return res
-        return None
+    def candidates(slots, left):
+        # the conjugators, in ball order, that leave a length the other
+        # slots can still fill
+        return range(bisect_left(lens, left - (slots - 1) * top),
+                     bisect_right(lens, left))
 
-    try:
-        for n in range(1, bounds.max_n + 1):
-            for total in range(0, lengths[-1] * n + 1):
-                res = extend(n, total, G.identity(), [])
-                if res is not None:
-                    cert = GtCertificate(g, [ball[i] for i in res])
-                    if not verify_gt_certificate(G, cert):
-                        raise InternalInvariantError("found certificate fails verification")
-                    return SearchResult(cert, False, nodes)
-    except _Capped:
-        return SearchResult(None, True, nodes)
+    for n in range(1, bounds.max_n + 1):
+        for total in range(0, top * n + 1):
+            # depth-first over conjugator tuples of n slots whose lengths sum
+            # to total; an entry is (slots left, length left, product so far,
+            # its conjugator indices, the next slot's candidates, the next of
+            # them to try), and the last slot's candidates run in one loop
+            stack = [(n, total, G.identity(), (), candidates(n, total), 0)]
+            while stack:
+                slots, left, partial, tail, cands, pos = stack.pop()
+                if slots == 1:
+                    for idx in cands:
+                        nodes += 1
+                        if nodes > bounds.node_cap:
+                            return SearchResult(None, True, nodes)
+                        if (partial * conj_cache[idx]).is_identity:
+                            cert = GtCertificate(g, [ball[i] for i in tail + (idx,)])
+                            if not verify_gt_certificate(G, cert):
+                                raise InternalInvariantError(
+                                    "found certificate fails verification")
+                            return SearchResult(cert, False, nodes)
+                elif pos < len(cands):
+                    stack.append((slots, left, partial, tail, cands, pos + 1))
+                    nodes += 1
+                    if nodes > bounds.node_cap:
+                        return SearchResult(None, True, nodes)
+                    idx = cands[pos]
+                    rest = left - lens[idx]
+                    stack.append((slots - 1, rest, partial * conj_cache[idx],
+                                  tail + (idx,), candidates(slots - 1, rest), 0))
     return SearchResult(None, False, nodes)
 
 
-class _Capped(Exception):
-    pass
+def _first_product(start, n_units: int, step, accept, depth: int, budget: int):
+    """Depth-first search over unit index sequences i_1 ... i_m, m <= depth.
+
+    The products x_m = step(x_{m-1}, i_m), from x_0 = start, are tried in
+    lexicographic order of their index sequences, one node each, and the
+    first with accept(x_m, m) ends the search.  Returns (its index tuple,
+    x_m, nodes used), or (None, None, nodes used) when none is accepted; a
+    search stopped by the budget has used budget + 1 nodes.
+    """
+    stack = [(start, (), 0)]  # (product, its indices, next unit to try)
+    nodes = 0
+    while stack:
+        x, path, i = stack.pop()
+        if i == n_units:
+            continue
+        stack.append((x, path, i + 1))
+        nodes += 1
+        if nodes > budget:
+            break
+        y = step(x, i)
+        p = path + (i,)
+        if accept(y, len(p)):
+            return p, y, nodes
+        if len(p) < depth:
+            stack.append((y, p, 0))
+    return None, None, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -487,29 +514,19 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
         "h_candidates": len(hball),
     })
     nodes = 0
-
-    def rec(g: Word, partial: Word, k: int, tail: list) -> bool:
-        nonlocal nodes
-        if k >= bounds.max_n:
-            return False
-        for h in hball:
-            nodes += 1
-            if nodes > bounds.node_cap:
-                report.capped = True
-                return True
-            cur = partial * g * h
-            if cur.is_identity:
-                report.violations.append(Violation("rtf-violation", {
-                    "g": str(g), "h": [str(x) for x in tail + [h]],
-                }))
-                return True
-            if rec(g, cur, k + 1, tail + [h]):
-                return True
-        return False
-
     for g in gball:
         report.trials += 1
-        if rec(g, Word(), 0, []):
+        path, _, used = _first_product(
+            Word(), len(hball), lambda x, i: x * g * hball[i],
+            lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes)
+        nodes += used
+        if path is not None:
+            report.violations.append(Violation("rtf-violation", {
+                "g": str(g), "h": [str(hball[i]) for i in path],
+            }))
+            break
+        if nodes > bounds.node_cap:
+            report.capped = True
             break
     report.params["nodes"] = nodes
     return report
@@ -542,31 +559,18 @@ def check_multimalnormal(alphabet: Sequence[Generator],
         "c_candidates": len(cball),
         "a_candidates": len(aball),
     })
-    nodes = 0
-
-    def rec(partial: Word, n: int, tail: list) -> bool:
-        nonlocal nodes
-        if n >= bounds.max_n:
-            return False
-        for c in cball:
-            for a in aball:
-                nodes += 1
-                if nodes > bounds.node_cap:
-                    report.capped = True
-                    return True
-                cur = partial * c.conj(a)
-                if aut.contains(cur):
-                    report.violations.append(Violation("multimalnormal-violation", {
-                        "terms": [str(t) for t in tail + [(c, a)]],
-                        "product": str(cur),
-                    }))
-                    return True
-                if rec(cur, n + 1, tail + [(c, a)]):
-                    return True
-        return False
-
+    na = len(aball)
     report.trials = 1
-    rec(Word(), 0, [])
+    path, product, nodes = _first_product(
+        Word(), len(cball) * na, lambda x, i: x * cball[i // na].conj(aball[i % na]),
+        lambda x, _m: aut.contains(x), bounds.max_n, bounds.node_cap)
+    if path is not None:
+        report.violations.append(Violation("multimalnormal-violation", {
+            "terms": [str((cball[i // na], aball[i % na])) for i in path],
+            "product": str(product),
+        }))
+    elif nodes > bounds.node_cap:
+        report.capped = True
     report.params["nodes"] = nodes
     return report
 
@@ -575,34 +579,111 @@ def check_nss_intersection(alphabet: Sequence[Generator],
                            subgroup_gens: Sequence[Word],
                            alpha: Word,
                            bounds: SearchBounds) -> SuiteReport:
-    """Ball corroboration of NSS_A({alpha}) cap C = NSS_C({alpha}).
+    """Check NSS_A({alpha}) cap C inside NSS_C({alpha}) on a bounded ball.
 
-    Every element of the ambient NSS ball landing in C must reappear in the
-    C-internal NSS ball computed at twice the radius and max_n.  Misses are
-    reported as inconclusive (radius effects), never as violations.
+    The ambient side is the bounded NSS ball of alpha in the free group A.
+    Each member w of it that lies in C is decided over C's free basis (the
+    subgroup generators must be one), where alpha and w read as words A
+    and W.  A product of k conjugates of A maps to k ab(A) in C's
+    abelianization, which fixes the level k:
+    - exact refutation by abelianization: if ab(W) is no positive multiple
+      k ab(A) (when ab(A) = 0: if ab(W) != 0), w lies outside
+      NSS_C({alpha}) and is reported as a violation.  If ab(A) != 0, k is
+      forced; if ab(A) = 0, k runs over 1..2 max_n;
+    - exact level 1: W is a conjugate of A in C iff their cyclic
+      reductions are rotations of each other; when k = 1 is forced and
+      they are not, w is a violation;
+    - bounded levels 2 <= k <= 2 max_n: W is at level k if W (A^c)^-1 is
+      at level k - 1 for some c among the products of at most 2 radius
+      basis letters; each such test is one node under node_cap.  A member
+      that no bounded level explains (a forced k > 2 max_n included) is
+      inconclusive, and the report is capped if the node cap stopped it.
     """
     aut = SubgroupAutomaton(subgroup_gens)
+    if aut.rank != len(aut.generators):
+        raise PreconditionError(
+            f"the {len(aut.generators)} subgroup generators must be a free basis "
+            f"of C, which has rank {aut.rank}")
     if not aut.contains(alpha) or alpha.is_identity:
         raise PreconditionError("alpha must be a nontrivial element of C")
-    ambient, capped1 = nss_ball_free(alphabet, [alpha], bounds)
+    ambient, capped = nss_ball_free(alphabet, [alpha], bounds)
     members = sorted((w for w in ambient if aut.contains(w)),
                      key=lambda w: w.sort_key())
-    big = SearchBounds(
-        radius=bounds.radius * 2,
-        max_n=bounds.max_n * 2,
-        max_elt_letters=bounds.max_elt_letters,
-        node_cap=bounds.node_cap,
-        seed=bounds.seed,
-    )
-    conj_in_c = subgroup_product_ball(subgroup_gens, big.radius)
-    inner, capped2 = nss_ball_free(alphabet, [alpha], big, conjugators=conj_in_c)
-    report = SuiteReport("nss-intersection", len(members),
-                         capped=capped1 or capped2, seed=bounds.seed,
+    report = SuiteReport("nss-intersection", len(members), capped=capped,
+                         seed=bounds.seed,
                          params={"bounds": bounds.to_json(), "alpha": str(alpha)})
+    levels = _NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
+                        2 * bounds.max_n, bounds.node_cap)
     for w in members:
-        if w not in inner:
+        verdict = levels.decide(aut.express(w))
+        if verdict is False:
+            report.violations.append(
+                Violation("nss-intersection-violation", {"member": str(w)}))
+        elif verdict is None:
             report.inconclusive += 1
+    report.capped = report.capped or levels.nodes > bounds.node_cap
+    report.params["nodes"] = levels.nodes
     return report
+
+
+class _NssLevels:
+    """Membership in NSS_C({A}) for a word A over C's basis g[1]..g[rank],
+    level by level as check_nss_intersection describes.  All level searches
+    share one node cap; the conjugator ball of ``radius`` basis letters and
+    the (A^c)^-1 are built when a search first needs them."""
+
+    def __init__(self, A: Word, rank: int, radius: int, max_level: int,
+                 node_cap: int):
+        self.letters = [_witness_gen(i) for i in range(rank)]
+        self.ab_a = [A.exponent_sum(g) for g in self.letters]
+        self.pivot = next((i for i, x in enumerate(self.ab_a) if x), None)
+        self.key = conjugacy_key(A)
+        self.a_inv = A.inverse()
+        self.radius = radius
+        self.max_level = max_level
+        self.node_cap = node_cap
+        self.nodes = 0
+        self.conjugators = None
+        self.inv_conj = []
+
+    def decide(self, W: Word) -> Optional[bool]:
+        """True if W is found in NSS_C({A}), False if it provably lies
+        outside, None if neither is settled within the bounds."""
+        ab_w = [W.exponent_sum(g) for g in self.letters]
+        if self.pivot is None:
+            if any(ab_w):
+                return False
+            if conjugacy_key(W) == self.key:
+                return True
+            ks = range(2, self.max_level + 1)
+        else:
+            k, r = divmod(ab_w[self.pivot], self.ab_a[self.pivot])
+            if k < 1 or r or ab_w != [k * x for x in self.ab_a]:
+                return False
+            if k == 1:
+                return conjugacy_key(W) == self.key
+            ks = [k] if k <= self.max_level else []
+        for k in ks:
+            if self.nodes > self.node_cap:
+                break
+            if self.conjugators is None:
+                self.conjugators = subgroup_product_ball(
+                    [Word([(g, 1)]) for g in self.letters], self.radius)
+            # W is at level k if some W (A^c_k)^-1 ... (A^c_2)^-1 is a conjugate of A
+            path, _, used = _first_product(
+                W, len(self.conjugators), self._unconjugate,
+                lambda y, m: m == k - 1 and conjugacy_key(y) == self.key,
+                k - 1, self.node_cap - self.nodes)
+            self.nodes += used
+            if path is not None:
+                return True
+        return None
+
+    def _unconjugate(self, x: Word, i: int) -> Word:
+        """x (A^c)^-1 for the i-th conjugator c."""
+        if i == len(self.inv_conj):
+            self.inv_conj.append(self.a_inv.conj(self.conjugators[i]))
+        return x * self.inv_conj[i]
 
 
 @dataclass

@@ -254,6 +254,30 @@ def cancellation_syllables(g: Word, h: Word) -> int:
     return k
 
 
+def conjugacy_key(w: Word) -> tuple:
+    """A syllable tuple equal for two words iff they are conjugate.
+
+    w is cyclically reduced (end syllables that cancel are stripped, and a
+    last syllable on the first one's generator is merged into it), and the
+    key is the least rotation of what remains.  Cyclically reduced words
+    are conjugate iff they are cyclic permutations of each other
+    (Lyndon-Schupp, *Combinatorial Group Theory*, ch. I.1), so this decides
+    conjugacy in a free group exactly.
+    """
+    s = w.syls
+    i, j = 0, len(s) - 1
+    while i < j and s[i][0] == s[j][0] and s[i][1] + s[j][1] == 0:
+        i += 1
+        j -= 1
+    core = list(s[i:j + 1])
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        g, e = core.pop()
+        core[0] = (g, core[0][1] + e)
+    if len(core) < 2:
+        return tuple(core)
+    return min(tuple(core[k:] + core[:k]) for k in range(len(core)))
+
+
 def _product_ball(units: Sequence[Word], radius: int,
                   include_identity: bool = True) -> list:
     """Distinct products of at most ``radius`` units, breadth-first.

@@ -155,12 +155,11 @@ def test_ac09_bounded_search_corroborations():
         assert rep.violations == []
         rep = gt.check_multimalnormal(ab, csub.gens, [csub.gens[0]], bounds)
         assert rep.violations == []
-        # one-relator edge subgroup: ambient NSS balls meet C inside the
-        # C-internal NSS ball (misses would be inconclusive, not violations)
+        # one-relator edge subgroup: every member of the ambient NSS balls
+        # that lies in C is decided to lie in NSS_C({alpha}), uncapped
         gens = cs.onerelator_c_generators()
         rng = random.Random(9)
         small = gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2)
-        inner_conj = gt.subgroup_product_ball(gens, 4)
         checked = 0
         inconclusive = 0
         for _ in range(20):
@@ -171,6 +170,7 @@ def test_ac09_bounded_search_corroborations():
                 alpha = gens[0]
             rep = gt.check_nss_intersection(ab, gens, alpha, small)
             assert rep.violations == []
+            assert rep.inconclusive == 0 and not rep.capped
             inconclusive += rep.inconclusive
             checked += 1
         assert checked == 20

@@ -161,6 +161,28 @@ def test_search_multimal(tmp_path):
     assert code == 1
 
 
+def test_search_nss_intersection_readme_example(tmp_path, capsys):
+    # the README's example, verbatim: the one-relator edge subgroup C of
+    # F(a, b) and alpha its product of generators
+    group = write(tmp_path, "onerel_c.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a", "b^-2 a b a^-1 b a"],
+    })
+    assert main(["search", "nss-intersection", "--group", group,
+                 "--elem", "a b^-2 a b a^-1 b a"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["trials"] > 0 and rep["ok"]
+    assert (rep["violations"], rep["inconclusive"], rep["capped"]) == ([], 0, False)
+
+
+def test_search_nss_intersection_non_basis_subgroup_exit_2(tmp_path, capsys):
+    group = write(tmp_path, "c.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a", "a^2"],
+    })
+    assert main(["search", "nss-intersection", "--group", group, "--elem", "a"]) == 2
+    err = capsys.readouterr().err
+    assert "free basis" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("what, data", [
     ("gt", None),
     ("nss-intersection", {"kind": "free", "alphabet": ["a", "b"], "subgroup": ["a"]}),

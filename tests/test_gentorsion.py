@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -14,6 +15,7 @@ from gtkit.amalgam import (
 )
 from gtkit.cli import main
 from gtkit.errors import PreconditionError
+from gtkit.stallings import SubgroupAutomaton
 from gtkit.suites import SUITES, run_suite
 from gtkit.tamed import TamedSampler
 from gtkit.word import Word, gen, parse_word as W
@@ -319,6 +321,103 @@ def test_check_nss_intersection_onerelator():
         gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2))
     assert rep.ok
     assert rep.inconclusive == 0
+    assert not rep.capped
+
+
+def _inner_ball_oracle(gens, alpha, bounds):
+    """The C-internal NSS ball check_nss_intersection once compared against:
+    doubled radius and max_n, conjugators the products of subgroup generators."""
+    big = gt.SearchBounds(radius=2 * bounds.radius, max_n=2 * bounds.max_n,
+                          node_cap=bounds.node_cap)
+    return gt.nss_ball_free(AB, [alpha], big,
+                            conjugators=gt.subgroup_product_ball(gens, big.radius))
+
+
+_ONEREL = cs.onerelator_c_generators()
+
+
+@pytest.mark.parametrize("bounds", [dict(radius=1, max_n=2), dict(radius=2, max_n=1)])
+@pytest.mark.parametrize("gens, alpha", [
+    ([W("a^2"), W("b a b^-1")], W("a^2")),
+    (_ONEREL, W("a")),
+    (_ONEREL, _ONEREL[0] * _ONEREL[1]),
+    ([W("a"), W("b^2")], W("a b^2 a^-1 b^-2")),  # ab(alpha) = 0: every level is tried
+    ([W("a b"), W("b a")], W("a b")),
+])
+def test_nss_decisions_cover_the_inner_ball_oracle(gens, alpha, bounds):
+    bounds = gt.SearchBounds(max_elt_letters=2, **bounds)
+    aut = SubgroupAutomaton(gens)
+    ambient, capped = gt.nss_ball_free(AB, [alpha], bounds)
+    inner, inner_capped = _inner_ball_oracle(gens, alpha, bounds)
+    assert not capped and not inner_capped
+    levels = gt._NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
+                           2 * bounds.max_n, bounds.node_cap)
+    found = [w for w in ambient if w in inner]
+    assert found
+    for w in found:
+        assert levels.decide(aut.express(w)) is True, str(w)
+    rep = gt.check_nss_intersection(AB, gens, alpha, bounds)
+    assert rep.trials == sum(aut.contains(w) for w in ambient)
+    assert not rep.capped
+    for v in rep.violations:
+        assert W(v.data["member"]) not in inner
+
+
+def test_nss_violations_are_exact_non_members():
+    # over the basis (a, b a b^-1), alpha = a reads (1, 0); b a b^-1 is a
+    # conjugate of a in A but reads (0, 1), and a b a b^-1 reads (1, 1):
+    # neither is a positive multiple, so both lie outside NSS_C({a})
+    levels = gt._NssLevels(W("g[1]"), 2, 2, 2, 10)
+    assert levels.decide(W("g[2]")) is False
+    assert levels.decide(W("g[1] g[2]")) is False
+    assert levels.decide(W("g[2] g[1] g[2]^-1")) is True  # level 1, exact
+    # (1, 0) forces level 1, and g[1]^2 g[2] g[1]^-1 g[2]^-1 is cyclically
+    # reduced but no rotation of g[1]
+    assert levels.decide(W("g[1]^2 g[2] g[1]^-1 g[2]^-1")) is False
+    assert levels.decide(W("g[1] g[2] g[1] g[2]^-1")) is True  # level 2
+    assert levels.nodes == 1
+    # a forced level beyond the bound is inconclusive, not refuted
+    assert levels.decide(W("g[1]^5")) is None
+
+
+def test_nss_level_search_respects_the_node_cap():
+    # ab(alpha) = 0, so every level is tried; alpha^-1 lies in none (a free
+    # group has no generalized torsion), and the search stops at the cap
+    levels = gt._NssLevels(W("g[1] g[2] g[1]^-1 g[2]^-1"), 2, 2, 4, 30)
+    assert levels.decide(W("g[2] g[1] g[2]^-1 g[1]^-1")) is None
+    assert levels.nodes == 31
+    # once the cap is spent, only level 1 is still decided
+    assert levels.decide(W("g[1]^2 g[2] g[1]^-2 g[2]^-1")) is None
+    assert levels.decide(W("g[2]^-1 g[1] g[2] g[1]^-1")) is True
+    assert levels.nodes == 31
+
+
+def test_check_nss_intersection_requires_a_free_basis():
+    with pytest.raises(PreconditionError, match="free basis"):
+        gt.check_nss_intersection(AB, [W("a"), W("a^2")], W("a"), gt.SearchBounds())
+    with pytest.raises(PreconditionError, match="free basis"):
+        gt.check_nss_intersection(AB, [W("a b"), W("a b")], W("a b"), gt.SearchBounds())
+
+
+def test_checks_leave_no_reference_cycles():
+    # a check's automaton and balls are freed when it returns, not at the
+    # next full collection
+    bounds = gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2, node_cap=2000)
+    C = [W("a^2"), W("b a b^-1")]
+    G = gt.bs_amalgam(2)
+    gc.collect()
+    gc.disable()
+    try:
+        gt.check_multimalnormal(AB, C, [W("a^2")], bounds)
+        assert gc.collect() == 0
+        gt.check_rtf(AB, C, bounds)
+        assert gc.collect() == 0
+        gt.check_nss_intersection(AB, _ONEREL, W("a"), bounds)
+        assert gc.collect() == 0
+        gt.search_gt(G, G.parse_element("[A: a][B: b][A: a^-1][B: b^-1]"), bounds)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +589,12 @@ def test_pinned_check_reports():
     C = [W("a^2"), W("b a b^-1")]
     rep = gt.check_nss_intersection(AB, C, W("a^2"),
                                     gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2))
-    assert _digest(rep.to_json()) == "f330b4047a84b187"
+    # b a^2 b^-1 = (b a b^-1)^2 reads (0, 2) over C's basis, no positive
+    # multiple of a^2's (1, 0), so every member with it is a non-member
+    assert (rep.trials, rep.inconclusive, rep.capped) == (6, 0, False)
+    assert [v.data["member"] for v in rep.violations] == [
+        "b a^2 b^-1", "a^2 b a^2 b^-1", "b a^2 b^-1 a^2", "b a^4 b^-1"]
+    assert _digest(rep.to_json()) == "d32cd4a8624ef185"
     rep = gt.check_rtf(AB, [W("a^2 b^2"), W("a b a^-1 b^-1")],
                        gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2,
                                        node_cap=20_000))

@@ -291,36 +291,52 @@ def test_express_rejects_missing_label_and_non_base_endpoint():
 # ---------------------------------------------------------------------------
 
 def _reference_fold(gens):
-    """Textbook Stallings fold with dicts and no tags: {state: {label: state}}.
+    """Textbook Stallings fold with a union-find and no tags: {state: {label: state}}.
 
-    Glue one petal per generator at state 0, then merge the two targets of
-    any pair of equally labelled edges leaving one state (the smaller id
-    survives, so the base stays 0) until the graph is deterministic.
+    Glue one petal per generator at state 0.  Each state class keeps one
+    target per label; an edge that meets an occupied slot queues a merge of
+    the two targets.  A merge joins two classes (the smaller id survives, so
+    the base stays 0) and moves the dying class's slots to the survivor,
+    queueing a merge wherever both hold a label.
     """
-    edges = set()  # (u, g, v): u --g--> v, read backwards as g^-1
-    fresh = 1
+    parent = [0]
+    out = [{}]  # out[root]: {label: some state of the target class}
+    merges = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def put(x, lab, t):
+        slot = out[x].setdefault(lab, t)
+        if slot != t:
+            merges.append((slot, t))
+
     for w in gens:
         letters = list(w.letters())
         cur = 0
         for pos, (g, s) in enumerate(letters):
-            nxt = 0 if pos == len(letters) - 1 else fresh
-            fresh += nxt != 0
-            edges.add((cur, g, nxt) if s > 0 else (nxt, g, cur))
+            nxt = 0 if pos == len(letters) - 1 else len(parent)
+            if nxt:
+                parent.append(nxt)
+                out.append({})
+            put(cur, (g, s), nxt)
+            put(nxt, (g, -s), cur)
             cur = nxt
-    while True:
-        out, merge = {}, None
-        for u, g, v in edges:
-            for key, t in (((u, (g, 1)), v), ((v, (g, -1)), u)):
-                if out.setdefault(key, t) != t:
-                    merge = sorted((out[key], t))
-        if merge is None:
-            break
-        keep, gone = merge
-        edges = {tuple(keep if x == gone else x for x in e) for e in edges}
-    graph = {0: {}}
-    for (u, lab), t in out.items():
-        graph.setdefault(u, {})[lab] = t
-    return graph
+    # every state is still its own class; fold
+    while merges:
+        x, y = map(find, merges.pop())
+        if x == y:
+            continue
+        keep, gone = min(x, y), max(x, y)
+        parent[gone] = keep
+        for lab, t in out[gone].items():
+            put(keep, lab, t)
+        out[gone] = None
+    return {x: {lab: find(t) for lab, t in out[x].items()}
+            for x in range(len(parent)) if parent[x] == x}
 
 
 def _reference_canonical_form(graph):
@@ -462,7 +478,7 @@ _chain_word = st.lists(_long_syllable, min_size=1, max_size=3).map(
                 max_size=2),
        st.booleans(),
        st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1, -1])), max_size=4))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_chain_heavy_folds_match_reference_fold(u, xs, v, deps, bare, picks):
     # u x_i v share a long prefix and suffix, so later petals fold along
     # earlier chains and their end cascades run back into them; dependent

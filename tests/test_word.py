@@ -12,6 +12,7 @@ from gtkit.word import (
     Syllable,
     cancellation_syllables,
     commutator,
+    conjugacy_key,
     gen,
     parse_word as W,
     smith_invariants,
@@ -71,6 +72,47 @@ def test_reduce_involution(pairs):
 @settings(max_examples=200, deadline=None)
 def test_product_associates_with_reduction(p1, p2):
     assert Word(list(p1) + list(p2)) == Word(p1) * Word(p2)
+
+
+def _conjugate_by_rotations(u, v):
+    """Brute force: strip inverse end letters, then try every rotation."""
+    def core(w):
+        ls = list(w.letters())
+        while len(ls) > 1 and ls[0] == (ls[-1][0], -ls[-1][1]):
+            ls = ls[1:-1]
+        return ls
+    cu, cv = core(u), core(v)
+    return len(cu) == len(cv) and any(cu[i:] + cu[:i] == cv
+                                      for i in range(max(1, len(cu))))
+
+
+@given(letters, letters, letters, st.integers(0, 2))
+@settings(max_examples=500, deadline=None)
+def test_conjugacy_key_matches_rotations(p, q, c, mode):
+    u = Word(p)
+    if mode == 0:
+        v = Word(q)
+    elif mode == 1:
+        v = u.conj(Word(c))  # u^c, always conjugate
+    else:
+        ls = list(u.letters())  # a letter rotation of u, always conjugate
+        k = len(c) % max(1, len(ls))
+        v = Word(ls[k:] + ls[:k])
+    assert (conjugacy_key(u) == conjugacy_key(v)) == _conjugate_by_rotations(u, v)
+    if mode:
+        assert conjugacy_key(u) == conjugacy_key(v)
+
+
+@pytest.mark.parametrize("u, v, conjugate", [
+    ("a^2 b a^-1", "a b", True),
+    ("a b a^-1", "b", True),
+    ("a b^2 a^-1 b^-2", "b^-2 a b^2 a^-1", True),
+    ("a b", "b^-1 a^-1", False),
+    ("a^2 b", "a b^2", False),
+    ("1", "a b a^-1 b^-1 b a b^-1 a^-1", True),
+])
+def test_conjugacy_key_examples(u, v, conjugate):
+    assert (conjugacy_key(W(u)) == conjugacy_key(W(v))) == conjugate
 
 
 # ---------------------------------------------------------------------------
