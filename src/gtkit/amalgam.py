@@ -372,7 +372,10 @@ class AmalgamElement:
 
     @property
     def index_vector(self) -> tuple:
-        return tuple(i for i, _ in self.comps)
+        # from a list, not a generator: tuple(generator) allocates a spare
+        # tuple and shrinks it, and the shrunk tuples pile up in CPython's
+        # per-size tuple free lists
+        return tuple([i for i, _ in self.comps])
 
     @property
     def lei(self) -> Optional[int]:

@@ -111,7 +111,7 @@ def _bounds(args) -> SearchBounds:
     return SearchBounds(
         radius=args.radius,
         max_n=max_n,
-        max_elt_letters=args.elt_letters,
+        max_elt_letters=2 if args.elt_letters is None else args.elt_letters,
         node_cap=args.node_cap,
         seed=args.seed,
     )
@@ -150,6 +150,8 @@ def _elem(args) -> str:
 
 
 def cmd_search(args) -> int:
+    if args.what == "nss-intersection" and args.elt_letters is not None:
+        raise GtkitError("search nss-intersection does not read --elt-letters")
     group = GroupFile(_load_json(args.group))
     bounds = _bounds(args)
     if args.what == "gt":
@@ -280,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--radius", type=int, default=2)
     ps.add_argument("--max-n", dest="max_n", type=int)
     ps.add_argument("--max-k", dest="max_k", type=int)
-    ps.add_argument("--elt-letters", dest="elt_letters", type=int, default=2)
+    ps.add_argument("--elt-letters", dest="elt_letters", type=int,
+                    help="factor-element letter bound (gt, rtf, multimal; default 2)")
     ps.add_argument("--node-cap", dest="node_cap", type=int, default=10 ** 6)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out")

@@ -269,6 +269,19 @@ class SearchResult:
         return self.certificate is not None
 
 
+def _cancel_key(x: AmalgamElement):
+    """An invariant of the element x: its factor sequence, or at length 0
+    its head.  By the normal form theorem every reduced form of x has the
+    same factor sequence, and edge words are reduced words over a free
+    alphabet, so the key does not depend on where the head was placed."""
+    return x.index_vector if x.comps else x.head
+
+
+def _inverse_key(x: AmalgamElement):
+    """_cancel_key of x's inverse, read off x without inverting it."""
+    return x.index_vector[::-1] if x.comps else x.head.inverse()
+
+
 def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResult:
     """Breadth-first search for a product of conjugates of g equal to 1.
 
@@ -276,12 +289,21 @@ def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResu
     lexicographic), so the first certificate found is canonical.  A
     none-found outcome with capped=False exhausts the stated bounds; it is
     not a proof of generalized-torsion-freeness.
+
+    The last slot is a bucket lookup: partial * g^h is 1 only when g^h is
+    partial's inverse, so only the conjugates whose _cancel_key is
+    partial's _inverse_key are multiplied out, in ball order.  ``nodes``
+    still counts every candidate of that slot up to the hit (or all of
+    them), exactly as trying each one in turn would, and so does the cap.
     """
     if g.is_identity:
         raise PreconditionError("the base element must be nontrivial")
     ball = amalgam_conjugator_ball(G, bounds)
     ball.sort(key=lambda x: (x.length, x.serialize()))
     conj_cache = [g.conj(h) for h in ball]
+    buckets = {}  # _cancel_key -> indices of the conjugates with it, ascending
+    for idx, c in enumerate(conj_cache):
+        buckets.setdefault(_cancel_key(c), []).append(idx)
     lens = [h.length for h in ball]
     top = lens[-1]
     nodes = 0
@@ -302,16 +324,23 @@ def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResu
             while stack:
                 slots, left, partial, tail, cands, pos = stack.pop()
                 if slots == 1:
-                    for idx in cands:
-                        nodes += 1
-                        if nodes > bounds.node_cap:
-                            return SearchResult(None, True, nodes)
+                    # a hit at idx costs idx - lo + 1 nodes; one the cap
+                    # would stop first is not taken
+                    lo, hi = cands.start, cands.stop
+                    stop = min(hi, lo + bounds.node_cap - nodes)
+                    bucket = buckets.get(_inverse_key(partial), ())
+                    for j in range(bisect_left(bucket, lo), bisect_left(bucket, stop)):
+                        idx = bucket[j]
                         if (partial * conj_cache[idx]).is_identity:
+                            nodes += idx - lo + 1
                             cert = GtCertificate(g, [ball[i] for i in tail + (idx,)])
                             if not verify_gt_certificate(G, cert):
                                 raise InternalInvariantError(
                                     "found certificate fails verification")
                             return SearchResult(cert, False, nodes)
+                    if stop < hi:
+                        return SearchResult(None, True, bounds.node_cap + 1)
+                    nodes += len(cands)
                 elif pos < len(cands):
                     stack.append((slots, left, partial, tail, cands, pos + 1))
                     nodes += 1

@@ -154,17 +154,14 @@ class SubgroupAutomaton:
                     continue
                 if cur == eid:
                     continue
-                # fold: one edge survives, the other dies; effective tags
-                # are read from the shared source side
+                # fold: one edge survives, the other dies
                 keep, gone = cur, eid
-                kt, ktag = _directed(keep, lab)
-                dt, dtag = _directed(gone, lab)
+                kt, dt = _target(keep, lab), _target(gone, lab)
                 if kt != dt and find(0) == dt:
                     # the base class must survive so that its realization
                     # stays trivial; swap the roles
                     keep, gone = gone, keep
                     kt, dt = dt, kt
-                    ktag, dtag = dtag, ktag
                     adj[state][lab] = keep
                 dead[gone] = 1
                 for y in edges[gone][:2]:
@@ -174,7 +171,7 @@ class SubgroupAutomaton:
                     for y in (kt, dt):
                         if fresh[y]:
                             touch(y)
-                    delta = ktag.inverse() * dtag
+                    delta = _discrepancy(keep, gone, lab)
                     parent[dt] = kt
                     offset[dt] = delta
                     moved, adj[dt] = adj[dt], {}
@@ -186,11 +183,26 @@ class SubgroupAutomaton:
                 queue.append(keep)
                 return
 
-        def _directed(eid, lab):
-            ra, rb, tag = effective(eid)
+        def _target(eid, lab):
+            a, b, _k, _tag = edges[eid]
+            return find(b if lab & 1 else a)
+
+        def _discrepancy(keep, gone, lab):
+            """D(keep)^-1 D(gone), where D(e) = phi(src) s phi(dst)^-1 is
+            edge e's effective tag read along lab (s its tag, inverted when
+            lab runs against the edge), multiplied out from these parts so
+            that no offset is inverted twice."""
+            ka, kb, _k, ktag = edges[keep]
+            da, db, _k, dtag = edges[gone]
             if lab & 1:
-                return rb, tag
-            return ra, tag.inverse()
+                ktag = ktag.inverse()
+            else:
+                ka, kb, da, db = kb, ka, db, da
+                dtag = dtag.inverse()
+            out = find_phi(kb)[1] * ktag
+            if ka != da:
+                out = out * find_phi(ka)[1].inverse() * find_phi(da)[1]
+            return out * dtag * find_phi(db)[1].inverse()
 
         def link(a, b, lab, tag):
             """Add a --lab--> b with tag (given from a) and fold."""

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +175,71 @@ def test_search_nss_intersection_readme_example(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["trials"] > 0 and rep["ok"]
     assert (rep["violations"], rep["inconclusive"], rep["capped"]) == ([], 0, False)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def run_readme_cli(tmp_path, monkeypatch, prefix):
+    """Run the first line of README's CLI block that starts with prefix,
+    in tmp_path, after writing the files that the block's echo lines write."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        m = re.fullmatch(r"echo '(.*)' > (\S+)", line)
+        if m:
+            (tmp_path / m.group(2)).write_text(m.group(1) + "\n")
+    line = next(line for line in lines if line.startswith(prefix))
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "gtkit"
+    return main(argv[1:])
+
+
+def test_readme_search_gt_example_runs_as_written(tmp_path, monkeypatch):
+    assert run_readme_cli(tmp_path, monkeypatch, "gtkit search gt") == 1
+    data = json.loads((tmp_path / "cert.json").read_text())
+    assert data["found"] and not data["capped"]
+    assert data["nodes"] == 8431
+    assert data["certificate"]["conjugators"] == ["1", "[A: a]", "[A: a^-1]"]
+    assert (tmp_path / "bs3.json").read_text() == \
+        json.dumps(gt.bs_amalgam(3).to_json()) + "\n"
+
+
+def test_readme_verify_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    assert run_readme_cli(tmp_path, monkeypatch, "gtkit verify --group") == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    G, cert = gt.bs_commutator_witness(2)
+    assert json.loads((tmp_path / "bs2.json").read_text()) == G.to_json()
+    assert json.loads((tmp_path / "bs2_cert.json").read_text()) == cert.to_json()
+
+
+def test_search_nss_intersection_rejects_elt_letters(tmp_path, capsys):
+    # the search reads no letter bound, so an explicit flag is an input error
+    group = write(tmp_path, "onerel_c.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a", "b^-2 a b a^-1 b a"],
+    })
+    args = ["search", "nss-intersection", "--group", group,
+            "--elem", "a b^-2 a b a^-1 b a"]
+    for value in ("0", "2", "7"):
+        assert main(args + ["--elt-letters", value]) == 2
+        captured = capsys.readouterr()
+        assert "--elt-letters" in captured.err and captured.out == ""
+    # without the flag the report echoes the default bound of 2
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["bounds"]["max_elt_letters"] == 2
+
+
+def test_search_gt_report_without_elt_letters_is_the_default_2(tmp_path, capsys):
+    group = write(tmp_path, "bs2.json", gt.bs_amalgam(2).to_json())
+    args = ["search", "gt", "--group", group, "--elem", "[A: a][B: b][A: a^-1][B: b^-1]",
+            "--max-n", "2", "--radius", "1"]
+    assert main(args) == 1
+    default = capsys.readouterr().out
+    assert main(args + ["--elt-letters", "2"]) == 1
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["bounds"]["max_elt_letters"] == 2
 
 
 def test_search_nss_intersection_non_basis_subgroup_exit_2(tmp_path, capsys):

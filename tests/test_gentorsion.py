@@ -2,19 +2,25 @@ import gc
 import hashlib
 import json
 import random
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gtkit import casestudy as cs
 from gtkit import gentorsion as gt
 from gtkit.amalgam import (
+    Amalgam,
+    AmalgamElement,
+    EdgeIdentification,
     FreeFactor,
     element_from_free_word,
     free_as_free_product,
     normalize,
 )
 from gtkit.cli import main
-from gtkit.errors import PreconditionError
+from gtkit.errors import InternalInvariantError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton
 from gtkit.suites import SUITES, run_suite
 from gtkit.tamed import TamedSampler
@@ -261,6 +267,156 @@ def test_search_gt_cap_flagging(fp2):
                        gt.SearchBounds(radius=2, max_n=3, max_elt_letters=2,
                                        node_cap=50))
     assert not res.found and res.capped
+
+
+def _search_gt_reference(G, g, bounds):
+    """search_gt with the plain last-slot loop: the last slot multiplies
+    the partial product by every candidate in its range."""
+    if g.is_identity:
+        raise PreconditionError("the base element must be nontrivial")
+    ball = gt.amalgam_conjugator_ball(G, bounds)
+    ball.sort(key=lambda x: (x.length, x.serialize()))
+    conj_cache = [g.conj(h) for h in ball]
+    lens = [h.length for h in ball]
+    top = lens[-1]
+    nodes = 0
+
+    def candidates(slots, left):
+        return range(bisect_left(lens, left - (slots - 1) * top),
+                     bisect_right(lens, left))
+
+    for n in range(1, bounds.max_n + 1):
+        for total in range(0, top * n + 1):
+            stack = [(n, total, G.identity(), (), candidates(n, total), 0)]
+            while stack:
+                slots, left, partial, tail, cands, pos = stack.pop()
+                if slots == 1:
+                    for idx in cands:
+                        nodes += 1
+                        if nodes > bounds.node_cap:
+                            return gt.SearchResult(None, True, nodes)
+                        if (partial * conj_cache[idx]).is_identity:
+                            cert = gt.GtCertificate(g, [ball[i] for i in tail + (idx,)])
+                            if not gt.verify_gt_certificate(G, cert):
+                                raise InternalInvariantError(
+                                    "found certificate fails verification")
+                            return gt.SearchResult(cert, False, nodes)
+                elif pos < len(cands):
+                    stack.append((slots, left, partial, tail, cands, pos + 1))
+                    nodes += 1
+                    if nodes > bounds.node_cap:
+                        return gt.SearchResult(None, True, nodes)
+                    idx = cands[pos]
+                    rest = left - lens[idx]
+                    stack.append((slots - 1, rest, partial * conj_cache[idx],
+                                  tail + (idx,), candidates(slots - 1, rest), 0))
+    return gt.SearchResult(None, False, nodes)
+
+
+def _outcome(res):
+    cert = res.certificate
+    return (res.found, res.capped, res.nodes,
+            json.dumps(cert.to_json()) if cert is not None else None)
+
+
+# Groups for the search oracle and the key tests: the abelian BS(m)
+# amalgams, a free product, a free amalgam over a cyclic edge and a doubled
+# free group.
+SEARCH_GROUPS = {
+    "BS2": gt.bs_amalgam(2),
+    "BS3": gt.bs_amalgam(3),
+    "BS4": gt.bs_amalgam(4),
+    "F2": free_as_free_product(["a", "b"]),
+    "Z2Z": Amalgam(
+        [FreeFactor("A", [gen("a")]), FreeFactor("B", [gen("b")])],
+        EdgeIdentification((gen("e"),), ((W("a^2"),), (W("b^2"),))),
+    ),
+    "doubled": gt.doubled_amalgam(["a"], [W("a^2")]),
+}
+SEARCH_BALLS = {name: [f.ball(2) for f in G.factors] for name, G in SEARCH_GROUPS.items()}
+
+# raw (factor, ball index) entries; factors may repeat and entries cancel
+_raw_entries = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10 ** 4)),
+                        min_size=1, max_size=4)
+
+
+def _element(name, entries):
+    G, balls = SEARCH_GROUPS[name], SEARCH_BALLS[name]
+    return normalize(G, [(fi, balls[fi][i % len(balls[fi])]) for fi, i in entries])
+
+
+@given(st.sampled_from(sorted(SEARCH_GROUPS)),
+       st.sampled_from(["random", "commutator", "quotient"]), _raw_entries,
+       st.integers(1, 2), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 3000), st.integers(1, 50))
+@settings(max_examples=300, deadline=None)
+def test_search_gt_matches_the_full_last_slot_reference(name, base, entries, radius,
+                                                        max_n, letters, cap, short):
+    G = SEARCH_GROUPS[name]
+    # with x, y the factors' first generators, [x, y] is generalized torsion
+    # in the BS groups and x y^-1 in Z *_{2Z} Z; random bases mostly exhaust
+    # or cap
+    x, y = (Word([(f.alphabet[0], 1)]) for f in G.factors)
+    if base == "commutator":
+        g = normalize(G, [(0, x), (1, y), (0, x.inverse()), (1, y.inverse())])
+    elif base == "quotient":
+        g = normalize(G, [(0, x), (1, y.inverse())])
+    else:
+        g = _element(name, entries)
+    assume(not g.is_identity)
+    bounds = gt.SearchBounds(radius=radius, max_n=max_n, max_elt_letters=letters,
+                             node_cap=cap)
+    want = _search_gt_reference(G, g, bounds)
+    assert _outcome(gt.search_gt(G, g, bounds)) == _outcome(want)
+    if want.found:
+        # a cap a few nodes short of the hit lands in its last-slot range
+        bounds = replace(bounds, node_cap=max(1, want.nodes - short))
+        assert _outcome(gt.search_gt(G, g, bounds)) == \
+            _outcome(_search_gt_reference(G, g, bounds))
+
+
+@pytest.mark.parametrize("m, cap", [(2, 77), (2, 78), (2, 79), (2, 80),
+                                    (3, 8430), (3, 8431)])
+def test_search_gt_cap_at_the_hit_matches_the_reference(m, cap):
+    # caps around the pinned node counts: one node short of the hit, the
+    # search is capped, not found
+    G = gt.bs_amalgam(m)
+    bounds = gt.SearchBounds(radius=2, max_n=m, max_elt_letters=2, node_cap=cap)
+    g = G.parse_element(BS_COMMUTATOR)
+    got = gt.search_gt(G, g, bounds)
+    assert _outcome(got) == _outcome(_search_gt_reference(G, g, bounds))
+    assert got.found == (cap >= BS_SEARCH_PINS[m][0])
+
+
+def _move_edge(x, pos, ew):
+    """Another normal form of x: the edge word ew moved across the boundary
+    before component pos (0 is the boundary between head and components)."""
+    G = x.amalgam
+    comps = list(x.comps)
+    head = x.head
+    fi, w = comps[pos]
+    f = G.factors[fi]
+    comps[pos] = (fi, f.mul(f.from_edge(ew.inverse()), w))
+    if pos == 0:
+        head = head * ew
+    else:
+        fj, v = comps[pos - 1]
+        comps[pos - 1] = (fj, G.factors[fj].mul(v, G.factors[fj].from_edge(ew)))
+    return AmalgamElement(G, head, tuple(comps))
+
+
+@given(st.sampled_from(["BS2", "BS3", "BS4", "Z2Z", "doubled"]), _raw_entries,
+       st.integers(0, 10 ** 4), st.sampled_from([1, -1, 2, -3]))
+@settings(max_examples=200, deadline=None)
+def test_cancel_key_is_an_invariant_of_the_element(name, entries, pos, e):
+    G = SEARCH_GROUPS[name]
+    x = _element(name, entries)
+    if x.comps:
+        y = _move_edge(x, pos % len(x.comps), Word([(G.edge.alphabet[0], e)]))
+        assert x.equals(y)
+        assert gt._cancel_key(y) == gt._cancel_key(x)
+        assert gt._cancel_key(x.inverse()) == gt._cancel_key(x)[::-1]
+    assert gt._inverse_key(x) == gt._cancel_key(x.inverse())
 
 
 # ---------------------------------------------------------------------------
