@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
@@ -100,38 +101,51 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def _syllable_series(i: int, k: int, cap: int) -> TruncatedSeries:
-    """(1 + X_i)^k truncated, valid for negative k via the binomial series."""
-    coeffs = {(): 1}
-    for j in range(1, cap + 1):
-        if k > 0 and j > k:
-            break
-        if k > 0:
-            c = math.comb(k, j)
-        else:
-            c = (-1) ** j * math.comb(-k + j - 1, j)
-        coeffs[(i,) * j] = c
-    return TruncatedSeries(cap, coeffs)
-
-
 def _variable_index(g: Generator) -> int:
     if g.index is None:
         raise PreconditionError(f"generator {g} carries no index for the embedding")
     return g.index
 
 
+@lru_cache(maxsize=1024)
+def _binomials(k: int, d: int) -> tuple:
+    """The coefficients of X^1..X^d in (1 + X)^k, the binomial series for
+    negative k; for positive k they stop at X^k."""
+    if k > 0:
+        return tuple(math.comb(k, j) for j in range(1, min(k, d) + 1))
+    return tuple((-1) ** j * math.comb(j - k - 1, j) for j in range(1, d + 1))
+
+
 def mu(w: Word, d: int) -> TruncatedSeries:
     """Magnus image of w truncated at degree d: multiplicative on products.
 
     Words must be spelled over a single indexed generator family; the
-    generator index is the variable index.
+    generator index is the variable index.  The image is kept as one dict
+    per degree and multiplied in place by each syllable's (1 + X_i)^k, the
+    binomial series for negative k: degree d first, so that the lower
+    degrees it reads are still those of the product so far.
     """
     if len({g.name for g, _ in w.syls}) > 1:
         raise PreconditionError("the embedding needs one indexed family; "
                                 "relabel mixed alphabets first")
-    out = TruncatedSeries.one(d)
-    for g, e in w.syls:
-        out = out * _syllable_series(_variable_index(g), e, d)
+    if d < 1:
+        raise PreconditionError("cap must be >= 1")
+    levels = [{(): 1}] + [{} for _ in range(d)]
+    for g, k in w.syls:
+        i = _variable_index(g)
+        terms = [(c, (i,) * j) for j, c in enumerate(_binomials(k, d), start=1)]
+        for deg in range(d, 0, -1):
+            level = levels[deg]
+            for j, (c, run) in enumerate(terms[:deg], start=1):
+                for m, a in levels[deg - j].items():
+                    m += run
+                    v = level.get(m, 0) + a * c
+                    if v:
+                        level[m] = v
+                    else:
+                        del level[m]
+    out = TruncatedSeries(d)
+    out.coeffs = {m: c for level in levels for m, c in level.items()}
     return out
 
 

@@ -12,13 +12,17 @@ in the sets L_i(C) and R_i(C).
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import IDENTITY, Generator, Word, gen
+from .word import IDENTITY, Generator, Word, gen, product
 
 WITNESS_NAME = "g"
+# A jump along a segment costs about as much as stepping this many edges
+# one at a time; shorter runs are not kept as segments.
+_MIN_SEGMENT = 8
 
 
 def _witness_gen(i: int) -> Generator:
@@ -68,7 +72,11 @@ class SubgroupAutomaton:
         The folded automaton keeps one list per label, the successor of
         every state (-1 where missing), and per label a dict of the states
         whose outgoing edge carries a nontrivial tag; delta and _tags are
-        per-state views computed from them.
+        per-state views computed from them.  Per label it also keeps the
+        segments: runs of at least _MIN_SEGMENT fresh chain states p whose
+        successor is p + 1 (or each p - 1), recorded as their rows are
+        written.  Most of a folded C is such chains, and a read jumps along
+        a segment in one step.
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
@@ -257,18 +265,21 @@ class SubgroupAutomaton:
 
         # Number the classes depth-first from the base, taking each state's
         # live edges in label-code order, and fill the per-label successor
-        # rows (-1 where missing) and tag marks (nontrivial tags only)
-        # straight from the fold's adjacency.  Tags are re-read through the
-        # union-find only for edges with a merged endpoint.
+        # rows (-1 where missing), tag marks (nontrivial tags only) and
+        # segments straight from the fold's adjacency.  Tags are re-read
+        # through the union-find only for edges with a merged endpoint.
         size = len(parent)
         rows = [[-1] * size for _ in labels]
         marks = [{} for _ in labels]
+        segs = [[] for _ in labels]  # (first, end, step): row[p] == p + step
         order = [-1] * size
 
         def fill(x0, x1):
             """Rows of fresh states x0..x1-1 whose fresh neighbours are
             numbered and whose own numbers run consecutively (up or down in
-            x): one slice per syllable and direction, copied from order."""
+            x): one slice per syllable and direction, copied from order.
+            Each slice is also recorded as a segment of its label, less an
+            end entry that leads to a neighbour numbered out of sequence."""
             if x0 >= x1:
                 return
             bounds, labs = runs[bisect_right(run_starts, x0) - 1][2:]
@@ -283,7 +294,15 @@ class SubgroupAutomaton:
                         if down:
                             vals.reverse()
                             a = b - 1
-                        rows[at][order[a]:order[a] + len(vals)] = vals
+                            d = -d
+                        p, q = order[a], order[a] + len(vals)
+                        rows[at][p:q] = vals
+                        if vals[0] != p + d:
+                            p += 1
+                        if vals[-1] != q - 1 + d:
+                            q -= 1
+                        if p < q:
+                            segs[at].append((p, q, d))
 
         base = find(0)
         order[base] = 0
@@ -349,6 +368,8 @@ class SubgroupAutomaton:
         self.num_states = n
         self._rows = dict(zip(labels, rows))
         self._marks = dict(zip(labels, marks))
+        segs = [_segment_lists(seg) for seg in segs]
+        self._segs = {lab: seg for lab, seg in zip(labels, segs) if seg}
 
     # -- basic queries -------------------------------------------------------
 
@@ -384,6 +405,10 @@ class SubgroupAutomaton:
 
     def trace(self, w: Word) -> Optional[int]:
         """Read w from the base; None if some transition is missing."""
+        if self._segs:
+            cur = self._walk(w)
+            return None if cur < 0 else cur
+        # no chain was long enough to keep a segment: step every letter
         cur = self.base
         rows = self._rows
         for g, e in w.syls:
@@ -395,6 +420,70 @@ class SubgroupAutomaton:
                 if cur < 0:
                     return None
         return cur
+
+    def _walk(self, w: Word, tags: Optional[list] = None) -> int:
+        """The state w leads to from the base, or -1 where an edge is
+        missing; tags, when given, collects the nontrivial tags of the
+        edges taken, in order."""
+        cur = self.base
+        rows = self._rows
+        for g, e in w.syls:
+            lab = (g, 1) if e > 0 else (g, -1)
+            row = rows.get(lab)
+            if row is None:
+                return -1
+            if e > 3 or e < -3:
+                cur = self._read(cur, lab, abs(e), tags)
+            else:
+                # a few letters cost less stepped than looked up in segments
+                marks = self._marks[lab]
+                for _ in range(abs(e)):
+                    if tags is not None and cur in marks:
+                        tags.append(marks[cur])
+                    cur = row[cur]
+                    if cur < 0:
+                        return -1
+            if cur < 0:
+                return -1
+        return cur
+
+    def _read(self, cur: int, lab: tuple, k: int, tags: Optional[list] = None) -> int:
+        """The state k >= 1 lab-edges after cur, or -1 where an edge is missing.
+
+        Inside one of the label's segments the j edges that stay in it are
+        one jump cur +- j.  Between two segments the edges are taken one
+        at a time, with no segment lookup until the read leaves that gap.
+        tags, when given, collects the nontrivial tags of the edges taken,
+        in order; segments hold untagged edges only.
+        """
+        row = self._rows[lab]
+        starts, ends, steps = self._segs.get(lab, _NO_SEGMENTS)
+        marks = self._marks[lab]
+        while True:
+            i = bisect_right(starts, cur) - 1
+            if cur < ends[i]:
+                if steps[i] > 0:
+                    j = ends[i] - cur
+                    if j >= k:
+                        return cur + k
+                    cur += j
+                else:
+                    j = cur - starts[i] + 1
+                    if j >= k:
+                        return cur - k
+                    cur -= j
+                k -= j
+                continue
+            lo, hi = ends[i], starts[i + 1]
+            while lo <= cur < hi:
+                if tags is not None and cur in marks:
+                    tags.append(marks[cur])
+                cur = row[cur]
+                if cur < 0:
+                    return -1
+                k -= 1
+                if not k:
+                    return cur
 
     def contains(self, w: Word) -> bool:
         return self.trace(w) == self.base
@@ -439,37 +528,24 @@ class SubgroupAutomaton:
         before being returned, so an internal bookkeeping error can only
         surface loudly, never as a wrong answer.
         """
-        cur = self.base
-        out = IDENTITY
-        for g, e in w.syls:
-            lab = (g, 1) if e > 0 else (g, -1)
-            row = self._rows.get(lab)
-            if row is None:
-                raise NotMemberError(f"not a member: {w}")
-            marks = self._marks[lab]
-            for _ in range(abs(e)):
-                nxt = row[cur]
-                if nxt < 0:
-                    raise NotMemberError(f"not a member: {w}")
-                if cur in marks:
-                    out = out * marks[cur]
-                cur = nxt
-        if cur != self.base:
+        tags = []
+        if self._walk(w, tags) != self.base:
             raise NotMemberError(f"not a member: {w}")
+        out = product(tags)
         if self.evaluate(out) != w:
             raise InternalInvariantError("expression failed evaluation check")
         return out
 
     def evaluate(self, expr: Word) -> Word:
         """Evaluate a witness-alphabet word through the generator images."""
-        out = IDENTITY
+        parts = []
         for g, e in expr.syls:
             if g.name != WITNESS_NAME or g.index is None or not (
                 1 <= g.index <= len(self.generators)
             ):
                 raise NotMemberError(f"not a witness symbol: {g}")
-            out = out * (self.generators[g.index - 1] ** e)
-        return out
+            parts.append(self.generators[g.index - 1] ** e)
+        return product(parts)
 
     # -- syllable-exact prefix acceptance ------------------------------------
 
@@ -502,17 +578,33 @@ class SubgroupAutomaton:
         rows = self._rows
         cur = self.base
         for i, (g, e) in enumerate(w.syls):
-            row = rows.get((g, 1) if e > 0 else (g, -1))
-            if row is None:
+            lab = (g, 1) if e > 0 else (g, -1)
+            if lab not in rows:
                 return i
-            for _ in range(abs(e)):
-                cur = row[cur]
-                if cur < 0:
-                    return i
+            cur = self._read(cur, lab, abs(e))
+            if cur < 0:
+                return i
             if cur != self.base and not any(
                     r[cur] >= 0 for (h, _s), r in rows.items() if h != g):
                 return i
         return len(w.syls)
+
+
+def _segment_lists(segs: list) -> Optional[tuple]:
+    """A label's segments of at least _MIN_SEGMENT states as sorted starts,
+    ends and steps lists, or None if it has none.  An empty segment (-1, 0)
+    comes first and a start sys.maxsize last, so that every state lies in
+    a segment or between two."""
+    segs = sorted(s for s in segs if s[1] - s[0] >= _MIN_SEGMENT)
+    if not segs:
+        return None
+    return ([-1] + [p for p, _q, _d in segs] + [sys.maxsize],
+            [0] + [q for _p, q, _d in segs],
+            [0] + [d for _p, _q, d in segs])
+
+
+# the lists of a label with no segments: every state lies between two
+_NO_SEGMENTS = ([-1, sys.maxsize], [0], [0])
 
 
 class _StateView:

@@ -215,6 +215,16 @@ def test_readme_verify_example_runs_as_written(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "bs2_cert.json").read_text()) == cert.to_json()
 
 
+def test_readme_verify_ncl_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    from gtkit import casestudy as cs
+
+    assert run_readme_cli(tmp_path, monkeypatch, "gtkit verify --ncl") == 0
+    assert json.loads(capsys.readouterr().out) == {"verified": True, "type": "ncl"}
+    data = json.loads((tmp_path / "gamma_alpha.json").read_text())
+    assert gt.NclWitness.from_json(data).target == cs.gamma_alpha()
+    assert data["relators"] == [str(cs.gamma_relator())]
+
+
 def test_search_nss_intersection_rejects_elt_letters(tmp_path, capsys):
     # the search reads no letter bound, so an explicit flag is an input error
     group = write(tmp_path, "onerel_c.json", {

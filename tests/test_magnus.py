@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtkit.errors import PreconditionError
 from gtkit.magnus import (
@@ -12,9 +15,68 @@ from gtkit.magnus import (
     leading_term,
     magnus_positive,
     mu,
+    relabel_for_embedding,
 )
 from gtkit.suites import run_suite
-from gtkit.word import commutator, parse_word as W
+from gtkit.word import Word, commutator, gen, parse_word as W
+
+
+def _syllable_series(i, k, cap):
+    """(1 + X_i)^k truncated, valid for negative k via the binomial series."""
+    coeffs = {(): 1}
+    for j in range(1, cap + 1):
+        if k > 0 and j > k:
+            break
+        if k > 0:
+            c = math.comb(k, j)
+        else:
+            c = (-1) ** j * math.comb(-k + j - 1, j)
+        coeffs[(i,) * j] = c
+    return TruncatedSeries(cap, coeffs)
+
+
+def _mu_by_series_products(w, d):
+    """mu as the product of its syllables' series, one TruncatedSeries
+    product per syllable."""
+    out = TruncatedSeries.one(d)
+    for g, e in w.syls:
+        out = out * _syllable_series(g.index, e, d)
+    return out
+
+
+_indexed_word = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 5]),
+              st.integers(1, 7).flatmap(lambda k: st.sampled_from([k, -k]))),
+    max_size=8).map(lambda syls: Word((gen("a", i), e) for i, e in syls))
+
+
+def _leading_term_by_series_products(w):
+    """leading_term over _mu_by_series_products, with the same caps 1, 2,
+    4, ... up to the letter length."""
+    d = 1
+    while True:
+        s = _mu_by_series_products(w, d)
+        s.coeffs.pop(())
+        degree = s.min_positive_degree()
+        if degree is not None:
+            return LeadingTerm(degree, s.homogeneous_part(degree))
+        d = min(2 * d, w.letter_len)
+
+
+@given(_indexed_word, st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_mu_matches_the_product_of_syllable_series(w, cap):
+    assert mu(w, cap).coeffs == _mu_by_series_products(w, cap).coeffs
+    if not w.is_identity:
+        lt = _leading_term_by_series_products(w)
+        assert leading_term(w) == lt
+        lt = _leading_term_by_series_products(relabel_for_embedding(w))
+        assert magnus_positive(w) == (lt.coeffs[min(lt.coeffs)] > 0)
+
+
+def test_mu_rejects_a_cap_below_1():
+    with pytest.raises(PreconditionError):
+        mu(W("a[0]"), 0)
 
 
 def test_mu_generator():

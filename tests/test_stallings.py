@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -518,3 +519,202 @@ def test_pinned_rows_and_marks_of_large_c_folds(shape, states, digest):
     aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape, 0)))
     assert aut.num_states == states
     assert _rows_and_marks_digest(aut) == digest
+
+
+# ---------------------------------------------------------------------------
+# Segment reads against letter-at-a-time reads
+# ---------------------------------------------------------------------------
+
+def _letterwise_trace(aut, w):
+    """trace, one row step per letter."""
+    cur = aut.base
+    for g, e in w.syls:
+        row = aut._rows.get((g, 1) if e > 0 else (g, -1))
+        if row is None:
+            return None
+        for _ in range(abs(e)):
+            cur = row[cur]
+            if cur < 0:
+                return None
+    return cur
+
+
+def _letterwise_express(aut, w):
+    """express, one row step per letter, multiplying the tags out as it goes."""
+    cur = aut.base
+    out = Word()
+    for g, e in w.syls:
+        lab = (g, 1) if e > 0 else (g, -1)
+        row = aut._rows.get(lab)
+        if row is None:
+            raise NotMemberError(f"not a member: {w}")
+        marks = aut._marks[lab]
+        for _ in range(abs(e)):
+            nxt = row[cur]
+            if nxt < 0:
+                raise NotMemberError(f"not a member: {w}")
+            if cur in marks:
+                out = out * marks[cur]
+            cur = nxt
+    if cur != aut.base:
+        raise NotMemberError(f"not a member: {w}")
+    return out
+
+
+def _letterwise_acceptable_run(aut, w):
+    """_acceptable_run, one row step per letter."""
+    rows = aut._rows
+    cur = aut.base
+    for i, (g, e) in enumerate(w.syls):
+        row = rows.get((g, 1) if e > 0 else (g, -1))
+        if row is None:
+            return i
+        for _ in range(abs(e)):
+            cur = row[cur]
+            if cur < 0:
+                return i
+        if cur != aut.base and not any(
+                r[cur] >= 0 for (h, _s), r in rows.items() if h != g):
+            return i
+    return len(w.syls)
+
+
+def _first_letters(w, n):
+    """The first n letters of w, which may end inside a syllable."""
+    syls = []
+    for g, e in w.syls:
+        if n <= 0:
+            break
+        k = min(abs(e), n)
+        syls.append((g, k if e > 0 else -k))
+        n -= k
+    return Word(syls)
+
+
+def _check_reads(aut, w, every=1):
+    """trace, contains, express and the prefix runs of w and w^-1 agree with
+    the letter-at-a-time reads, and so do those of the prefixes of w that
+    stop one letter into, or one letter short of the end of, every
+    every-th syllable."""
+    probes = [w]
+    n = 0
+    for i, (_g, e) in enumerate(w.syls):
+        if i % every == 0:
+            probes += [_first_letters(w, n + 1), _first_letters(w, n + abs(e) - 1)]
+        n += abs(e)
+    for p in probes:
+        q = _letterwise_trace(aut, p)
+        assert aut.trace(p) == q
+        assert aut.contains(p) == (q == aut.base)
+        if q == aut.base:
+            assert aut.express(p) == _letterwise_express(aut, p)
+        else:
+            with pytest.raises(NotMemberError):
+                aut.express(p)
+        for v in (p, p.inverse()):
+            assert aut._acceptable_run(v) == _letterwise_acceptable_run(aut, v)
+
+
+def _segment_states(aut):
+    """Every (label, state) inside a segment, after checking that the rows
+    agree with its step there."""
+    inside = set()
+    for lab, (starts, ends, steps) in aut._segs.items():
+        row = aut._rows[lab]
+        assert (starts[0], ends[0], starts[-1]) == (-1, 0, sys.maxsize)
+        assert all(q <= p for q, p in zip(ends, starts[1:]))
+        for p, q, d in zip(starts[1:], ends[1:], steps[1:]):
+            assert 0 <= p < q <= aut.num_states
+            assert [row[x] for x in range(p, q)] == [x + d for x in range(p, q)]
+            assert not any(x in aut._marks[lab] for x in range(p, q))
+            inside.update((lab, x) for x in range(p, q))
+    return inside
+
+
+@given(st.lists(_chain_word, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 2])), max_size=4),
+       st.integers(0, 200), st.sampled_from([-3, -1, 1, 3]), _chain_word)
+@settings(max_examples=150, deadline=None)
+def test_segment_reads_match_letterwise_reads(gens, picks, pos, delta, tail):
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    _segment_states(aut)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    syls = list(member.syls or gens[0].syls)
+    g, e = syls[pos % len(syls)]
+    syls[pos % len(syls)] = (g, e + delta)
+    # members, a member with one exponent off (it leaves a chain
+    # mid-syllable or overshoots one), and a member with a random tail
+    for w in gens + [member, Word(syls), member * tail]:
+        _check_reads(aut, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _c_fold(s, m, seed):
+    return SubgroupAutomaton(cs.generator_words(cs.sample_exponents(s, m, seed)))
+
+
+@given(st.sampled_from([(10, 8, 0), (10, 8, 5), (11, 8, 1), (10, 9, 2)]),
+       st.lists(st.tuples(st.integers(0, 8), st.sampled_from([1, -1])),
+                min_size=1, max_size=3),
+       st.integers(0, 10 ** 4), st.integers(-40, 40), _chain_word)
+@settings(max_examples=100, deadline=None)
+def test_segment_reads_match_letterwise_reads_on_c(shape, picks, cut, delta, tail):
+    aut = _c_fold(*shape)
+    gens = aut.generators
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    assume(not member.is_identity)
+    syls = list(member.syls)
+    g, e = syls[cut % len(syls)]
+    syls[cut % len(syls)] = (g, e + delta)
+    for w in (member, Word(syls), _first_letters(member, cut) * tail):
+        _check_reads(aut, w, every=7)
+
+
+def test_segments_cover_the_chains_of_c_10_8():
+    # a few hundred segments hold all but 253 of the 43,306 directed edges
+    aut = _c_fold(10, 8, 0)
+    inside = _segment_states(aut)
+    edges = sum(aut.num_states - row.count(-1) for row in aut._rows.values())
+    assert (edges, len(inside)) == (43306, 43053)
+    assert sum(len(starts) - 2 for starts, _e, _s in aut._segs.values()) == 292
+
+
+def test_read_down_a_chain_stops_at_the_base_without_an_edge():
+    # -1 marks a missing edge and equals q - 1 at q = 0: a long a^-1 run
+    # that reaches the base must stop there, since the base has no a^-1 edge
+    aut = SubgroupAutomaton([W("a^40 b")])
+    assert aut.step(aut.base, A, -1) is None
+    assert (A, -1) in aut._segs
+    for w, q in ((W("b^-1 a^-40"), aut.base), (W("b^-1 a^-41"), None),
+                 (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 1)):
+        assert aut.trace(w) == _letterwise_trace(aut, w) == q
+        _check_reads(aut, w)
+    with pytest.raises(NotMemberError):
+        aut.express(W("b^-1 a^-41"))
+    assert lambda_value(aut, W("b^-1 a^-41 b")) == 1
+
+
+@pytest.mark.parametrize("gens, probes", [
+    # the petal's first and last letters fold together, and its chain's
+    # slices end next to a state numbered before them
+    (["a^-10 b^4 a"], ["a^-10 b^4 a", "a^-10 b^4 a^-9 b^4", "a b^-4 a^10"]),
+    (["a^-20 b^9 a"], ["a^-20 b^9 a", "a b^-9 a^20", "a^-10"]),
+    # the second petal folds along the first and leaves it mid-chain
+    (["a^10 b^10 c^10", "a^10 b^5 c"],
+     ["a^10 b^10 c^10", "a^10 b^10 c^10 a^10 b^5 c", "c^-10 b^-4", "c^-10 b^-5 c"]),
+    (["a^20 b^20", "a^20 c^20"], ["a^20 c^20 b^-20", "c^-20 a^-20", "a^20 c^7"]),
+])
+def test_segment_ends_stop_where_a_chain_meets_a_state_numbered_apart(gens, probes):
+    # a chain's slices end next to states numbered apart from them: a
+    # segment must stop short of such an end entry, and a read must step,
+    # not jump, across it
+    aut = SubgroupAutomaton([W(g) for g in gens])
+    _segment_states(aut)
+    for p in probes:
+        _check_reads(aut, W(p))
