@@ -75,9 +75,9 @@ class FreeFactor:
         """Expression of x over the edge alphabet, or None when x is outside."""
         if x.is_identity:
             return Word()
-        if self._aut is None or not self._aut.contains(x):
+        expr = None if self._aut is None else self._aut.try_express(x)
+        if expr is None:
             return None
-        expr = self._aut.express(x)
         return Word([(self._edge_gen(g.index - 1), e) for g, e in expr.syls])
 
     def from_edge(self, ew: Word) -> Word:

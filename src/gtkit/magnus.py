@@ -128,8 +128,7 @@ def mu(w: Word, d: int) -> TruncatedSeries:
     if len({g.name for g, _ in w.syls}) > 1:
         raise PreconditionError("the embedding needs one indexed family; "
                                 "relabel mixed alphabets first")
-    if d < 1:
-        raise PreconditionError("cap must be >= 1")
+    out = TruncatedSeries(d)
     levels = [{(): 1}] + [{} for _ in range(d)]
     for g, k in w.syls:
         i = _variable_index(g)
@@ -144,7 +143,6 @@ def mu(w: Word, d: int) -> TruncatedSeries:
                         level[m] = v
                     else:
                         del level[m]
-    out = TruncatedSeries(d)
     out.coeffs = {m: c for level in levels for m, c in level.items()}
     return out
 

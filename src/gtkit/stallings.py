@@ -17,11 +17,12 @@ from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import IDENTITY, Generator, Word, gen, product
+from .word import IDENTITY, Generator, Word, gen
 
 WITNESS_NAME = "g"
-# A jump along a segment costs about as much as stepping this many edges
-# one at a time; shorter runs are not kept as segments.
+# A segment lookup and jump cost about as much as stepping this many edges
+# one at a time: shorter runs are not kept as segments, and a read with
+# fewer edges left steps without a lookup.
 _MIN_SEGMENT = 8
 
 
@@ -368,8 +369,9 @@ class SubgroupAutomaton:
         self.num_states = n
         self._rows = dict(zip(labels, rows))
         self._marks = dict(zip(labels, marks))
-        segs = [_segment_lists(seg) for seg in segs]
-        self._segs = {lab: seg for lab, seg in zip(labels, segs) if seg}
+        # per label, what a read takes: (row, marks, starts, ends, steps)
+        self._reads = {lab: (row, mark) + _segment_lists(seg)
+                       for lab, row, mark, seg in zip(labels, rows, marks, segs)}
 
     # -- basic queries -------------------------------------------------------
 
@@ -405,85 +407,23 @@ class SubgroupAutomaton:
 
     def trace(self, w: Word) -> Optional[int]:
         """Read w from the base; None if some transition is missing."""
-        if self._segs:
-            cur = self._walk(w)
-            return None if cur < 0 else cur
-        # no chain was long enough to keep a segment: step every letter
-        cur = self.base
-        rows = self._rows
-        for g, e in w.syls:
-            row = rows.get((g, 1) if e > 0 else (g, -1))
-            if row is None:
-                return None
-            for _ in range(abs(e)):
-                cur = row[cur]
-                if cur < 0:
-                    return None
-        return cur
+        cur = self._walk(w)
+        return None if cur < 0 else cur
 
     def _walk(self, w: Word, tags: Optional[list] = None) -> int:
         """The state w leads to from the base, or -1 where an edge is
         missing; tags, when given, collects the nontrivial tags of the
         edges taken, in order."""
         cur = self.base
-        rows = self._rows
+        reads = self._reads
         for g, e in w.syls:
-            lab = (g, 1) if e > 0 else (g, -1)
-            row = rows.get(lab)
-            if row is None:
+            read = reads.get((g, 1) if e > 0 else (g, -1))
+            if read is None:
                 return -1
-            if e > 3 or e < -3:
-                cur = self._read(cur, lab, abs(e), tags)
-            else:
-                # a few letters cost less stepped than looked up in segments
-                marks = self._marks[lab]
-                for _ in range(abs(e)):
-                    if tags is not None and cur in marks:
-                        tags.append(marks[cur])
-                    cur = row[cur]
-                    if cur < 0:
-                        return -1
+            cur = _read(read, cur, abs(e), tags)
             if cur < 0:
                 return -1
         return cur
-
-    def _read(self, cur: int, lab: tuple, k: int, tags: Optional[list] = None) -> int:
-        """The state k >= 1 lab-edges after cur, or -1 where an edge is missing.
-
-        Inside one of the label's segments the j edges that stay in it are
-        one jump cur +- j.  Between two segments the edges are taken one
-        at a time, with no segment lookup until the read leaves that gap.
-        tags, when given, collects the nontrivial tags of the edges taken,
-        in order; segments hold untagged edges only.
-        """
-        row = self._rows[lab]
-        starts, ends, steps = self._segs.get(lab, _NO_SEGMENTS)
-        marks = self._marks[lab]
-        while True:
-            i = bisect_right(starts, cur) - 1
-            if cur < ends[i]:
-                if steps[i] > 0:
-                    j = ends[i] - cur
-                    if j >= k:
-                        return cur + k
-                    cur += j
-                else:
-                    j = cur - starts[i] + 1
-                    if j >= k:
-                        return cur - k
-                    cur -= j
-                k -= j
-                continue
-            lo, hi = ends[i], starts[i + 1]
-            while lo <= cur < hi:
-                if tags is not None and cur in marks:
-                    tags.append(marks[cur])
-                cur = row[cur]
-                if cur < 0:
-                    return -1
-                k -= 1
-                if not k:
-                    return cur
 
     def contains(self, w: Word) -> bool:
         return self.trace(w) == self.base
@@ -528,10 +468,18 @@ class SubgroupAutomaton:
         before being returned, so an internal bookkeeping error can only
         surface loudly, never as a wrong answer.
         """
+        out = self.try_express(w)
+        if out is None:
+            raise NotMemberError(f"not a member: {w}")
+        return out
+
+    def try_express(self, w: Word) -> Optional[Word]:
+        """express(w), or None when w is not in the subgroup: one read
+        decides membership and collects the tags."""
         tags = []
         if self._walk(w, tags) != self.base:
-            raise NotMemberError(f"not a member: {w}")
-        out = product(tags)
+            return None
+        out = Word([s for tag in tags for s in tag.syls])
         if self.evaluate(out) != w:
             raise InternalInvariantError("expression failed evaluation check")
         return out
@@ -545,7 +493,7 @@ class SubgroupAutomaton:
             ):
                 raise NotMemberError(f"not a witness symbol: {g}")
             parts.append(self.generators[g.index - 1] ** e)
-        return product(parts)
+        return Word([s for part in parts for s in part.syls])
 
     # -- syllable-exact prefix acceptance ------------------------------------
 
@@ -576,12 +524,13 @@ class SubgroupAutomaton:
         every prefix of w.
         """
         rows = self._rows
+        reads = self._reads
         cur = self.base
         for i, (g, e) in enumerate(w.syls):
-            lab = (g, 1) if e > 0 else (g, -1)
-            if lab not in rows:
+            read = reads.get((g, 1) if e > 0 else (g, -1))
+            if read is None:
                 return i
-            cur = self._read(cur, lab, abs(e))
+            cur = _read(read, cur, abs(e))
             if cur < 0:
                 return i
             if cur != self.base and not any(
@@ -590,21 +539,53 @@ class SubgroupAutomaton:
         return len(w.syls)
 
 
-def _segment_lists(segs: list) -> Optional[tuple]:
+def _read(read: tuple, cur: int, k: int, tags: Optional[list] = None) -> int:
+    """The state k >= 1 edges after cur along a label's read record
+    (row, marks, starts, ends, steps), or -1 where an edge is missing.
+
+    Edges are taken one at a time, except that with at least _MIN_SEGMENT
+    of them left a state inside one of the label's segments jumps to
+    cur +- j for the j edges that stay in it.  After a lookup that lands
+    between two segments there is no other lookup until the read leaves
+    that gap.  tags, when given, collects the nontrivial tags of the edges
+    taken, in order; segments hold untagged edges only.
+    """
+    row, marks, starts, ends, steps = read
+    lo = hi = 0
+    while k:
+        if k >= _MIN_SEGMENT and not lo <= cur < hi:
+            i = bisect_right(starts, cur) - 1
+            if cur < ends[i]:
+                if steps[i] > 0:
+                    j = ends[i] - cur
+                    if j >= k:
+                        return cur + k
+                    cur += j
+                else:
+                    j = cur - starts[i] + 1
+                    if j >= k:
+                        return cur - k
+                    cur -= j
+                k -= j
+                continue
+            lo, hi = ends[i], starts[i + 1]
+        if tags is not None and cur in marks:
+            tags.append(marks[cur])
+        cur = row[cur]
+        if cur < 0:
+            return -1
+        k -= 1
+    return cur
+
+
+def _segment_lists(segs: list) -> tuple:
     """A label's segments of at least _MIN_SEGMENT states as sorted starts,
-    ends and steps lists, or None if it has none.  An empty segment (-1, 0)
-    comes first and a start sys.maxsize last, so that every state lies in
-    a segment or between two."""
+    ends and steps lists.  An empty segment (-1, 0) comes first and a start
+    sys.maxsize last, so that every state lies in a segment or between two."""
     segs = sorted(s for s in segs if s[1] - s[0] >= _MIN_SEGMENT)
-    if not segs:
-        return None
     return ([-1] + [p for p, _q, _d in segs] + [sys.maxsize],
             [0] + [q for _p, q, _d in segs],
             [0] + [d for _p, _q, d in segs])
-
-
-# the lists of a label with no segments: every state lies between two
-_NO_SEGMENTS = ([-1, sys.maxsize], [0], [0])
 
 
 class _StateView:

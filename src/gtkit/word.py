@@ -230,34 +230,6 @@ class Word:
 IDENTITY = Word()
 
 
-def product(words: Sequence[Word]) -> Word:
-    """The reduced product of words in one pass.
-
-    Each factor cancels against the end of the product so far, as in
-    Word.__mul__, but that product is one list that is never copied, so
-    the cost is linear in the factors' total syllable count where repeated
-    ``*`` copies the accumulated word for every factor.
-    """
-    if len(words) < 2:
-        return words[0] if words else IDENTITY
-    out = []
-    for w in words:
-        b = w.syls
-        j, nb = 0, len(b)
-        while out and j < nb:
-            g, e = out[-1]
-            if g != b[j][0]:
-                break
-            s = e + b[j][1]
-            out.pop()
-            j += 1
-            if s:
-                out.append((g, s))
-                break
-        out.extend(b[j:] if j else b)
-    return Word(out, _normalized=True)
-
-
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
     return x * y * x.inverse() * y.inverse()

@@ -376,6 +376,9 @@ def test_abelian_factor_edge_arithmetic():
     b = G.factors[1]
     assert b.to_edge(W("c^3")) == W("e^3")
     assert b.to_edge(W("b c")) is None
+    a = G.factors[0]
+    assert a.to_edge(W("a^-4")) == W("e^-2")
+    assert a.to_edge(W("a^3")) is None and not a.in_edge(W("a^3"))
     assert b.mul(W("c b"), W("b^-1 c")) == W("c^2")
 
 

@@ -55,6 +55,7 @@ def test_express_rejects_nonmembers():
     aut = SubgroupAutomaton(c6_generators())
     with pytest.raises(NotMemberError):
         aut.express(W("b"))
+    assert aut.try_express(W("b")) is None
 
 
 def test_express_handles_dependent_generators():
@@ -607,10 +608,11 @@ def _check_reads(aut, w, every=1):
         assert aut.trace(p) == q
         assert aut.contains(p) == (q == aut.base)
         if q == aut.base:
-            assert aut.express(p) == _letterwise_express(aut, p)
+            assert aut.express(p) == aut.try_express(p) == _letterwise_express(aut, p)
         else:
             with pytest.raises(NotMemberError):
                 aut.express(p)
+            assert aut.try_express(p) is None
         for v in (p, p.inverse()):
             assert aut._acceptable_run(v) == _letterwise_acceptable_run(aut, v)
 
@@ -619,14 +621,14 @@ def _segment_states(aut):
     """Every (label, state) inside a segment, after checking that the rows
     agree with its step there."""
     inside = set()
-    for lab, (starts, ends, steps) in aut._segs.items():
-        row = aut._rows[lab]
+    for lab, (row, marks, starts, ends, steps) in aut._reads.items():
+        assert row is aut._rows[lab] and marks is aut._marks[lab]
         assert (starts[0], ends[0], starts[-1]) == (-1, 0, sys.maxsize)
         assert all(q <= p for q, p in zip(ends, starts[1:]))
         for p, q, d in zip(starts[1:], ends[1:], steps[1:]):
             assert 0 <= p < q <= aut.num_states
             assert [row[x] for x in range(p, q)] == [x + d for x in range(p, q)]
-            assert not any(x in aut._marks[lab] for x in range(p, q))
+            assert not any(x in marks for x in range(p, q))
             inside.update((lab, x) for x in range(p, q))
     return inside
 
@@ -682,7 +684,7 @@ def test_segments_cover_the_chains_of_c_10_8():
     inside = _segment_states(aut)
     edges = sum(aut.num_states - row.count(-1) for row in aut._rows.values())
     assert (edges, len(inside)) == (43306, 43053)
-    assert sum(len(starts) - 2 for starts, _e, _s in aut._segs.values()) == 292
+    assert sum(len(read[2]) - 2 for read in aut._reads.values()) == 292
 
 
 def test_read_down_a_chain_stops_at_the_base_without_an_edge():
@@ -690,7 +692,7 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
     # that reaches the base must stop there, since the base has no a^-1 edge
     aut = SubgroupAutomaton([W("a^40 b")])
     assert aut.step(aut.base, A, -1) is None
-    assert (A, -1) in aut._segs
+    assert len(aut._reads[(A, -1)][2]) > 2  # a^-1 has a segment
     for w, q in ((W("b^-1 a^-40"), aut.base), (W("b^-1 a^-41"), None),
                  (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 1)):
         assert aut.trace(w) == _letterwise_trace(aut, w) == q

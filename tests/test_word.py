@@ -15,7 +15,6 @@ from gtkit.word import (
     conjugacy_key,
     gen,
     parse_word as W,
-    product,
     smith_invariants,
     weight,
 )
@@ -73,18 +72,6 @@ def test_reduce_involution(pairs):
 @settings(max_examples=200, deadline=None)
 def test_product_associates_with_reduction(p1, p2):
     assert Word(list(p1) + list(p2)) == Word(p1) * Word(p2)
-
-
-@given(st.lists(letters, max_size=6), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_product_of_many_words_is_their_reduced_concatenation(parts, mirrored):
-    words = [Word(p) for p in parts]
-    if mirrored:
-        # a product that cancels back to the identity one factor at a time
-        words += [w.inverse() for w in reversed(words)]
-    got = product(words)
-    assert got == Word([pair for w in words for pair in w.syls])
-    assert got.is_identity or not mirrored
 
 
 def _conjugate_by_rotations(u, v):
