@@ -8,6 +8,7 @@ Submodules:
   gentorsion certificate search/verification, bounded NSS machinery
   magnus     truncated noncommutative power series and leading terms
   casestudy  the glued-manifold, one-relator and non-left-orderable builders
+  suites     registered randomized property suites for the paper's lemmas
   cli        command-line front end
 """
 

@@ -5,8 +5,9 @@ Exit codes follow one contract everywhere: 0 = verified / none-found,
 error, missing key, wrong shape), unknown target, or a capped search that
 found nothing (inconclusive), 3 = internal error (a failed invariant or an
 unexpected exception; the traceback goes to stderr).
-All randomness flows from --seed; reports embed the seed and bounds, and
-identical invocations produce byte-identical reports.
+All randomness flows from the suite and build --seed: suite reports embed
+the seed, search reports embed their bounds, and identical invocations
+produce byte-identical reports.  Flags are never read from abbreviations.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def _bounds(args) -> SearchBounds:
         max_n=max_n,
         max_elt_letters=2 if args.elt_letters is None else args.elt_letters,
         node_cap=args.node_cap,
-        seed=args.seed,
     )
 
 
@@ -263,10 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gtkit",
         description="Amalgam combinatorics: certificates, bounded searches, "
                     "builders and property suites.",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="verify a certificate or witness file")
+    def command(name, **kw):
+        return sub.add_parser(name, allow_abbrev=False, **kw)
+
+    pv = command("verify", help="verify a certificate or witness file")
     pv.add_argument("--group", help="amalgam group JSON")
     pv.add_argument("--cert", help="gt certificate JSON")
     pv.add_argument("--free", help="free-group presentation JSON (for --ncl)")
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
 
-    ps = sub.add_parser("search", help="bounded searches and freeness checks")
+    ps = command("search", help="bounded searches and freeness checks")
     ps.add_argument("what", choices=["gt", "rtf", "multimal", "nss-intersection"])
     ps.add_argument("--group", required=True)
     ps.add_argument("--elem", help="element text (gt, nss-intersection)")
@@ -285,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--elt-letters", dest="elt_letters", type=int,
                     help="factor-element letter bound (gt, rtf, multimal; default 2)")
     ps.add_argument("--node-cap", dest="node_cap", type=int, default=10 ** 6)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_search)
 
-    pb = sub.add_parser("build", help="construct the example groups")
+    pb = command("build", help="construct the example groups")
     pb.add_argument("target", choices=["w", "onerelator", "nonlo"])
     pb.add_argument("--s", type=int, default=10)
     pb.add_argument("--m", type=int, default=8)
@@ -297,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out")
     pb.set_defaults(func=cmd_build)
 
-    pa = sub.add_parser("abelianize", help="Smith-normal-form abelianization")
+    pa = command("abelianize", help="Smith-normal-form abelianization")
     pa.add_argument("--pres", required=True, help="presentation JSON")
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_abelianize)
 
-    pt = sub.add_parser("suite", help="run registered property suites")
+    pt = command("suite", help="run registered property suites")
     pt.add_argument("name", help="suite name or 'all'")
     pt.add_argument("--trials", type=int, default=200)
     pt.add_argument("--seed", type=int, default=7)

@@ -47,7 +47,6 @@ class SearchBounds:
     max_n: int = 3
     max_elt_letters: int = 2
     node_cap: int = 10 ** 6
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.radius, self.max_elt_letters) < 0:
@@ -61,7 +60,6 @@ class SearchBounds:
             "max_n": self.max_n,
             "max_elt_letters": self.max_elt_letters,
             "node_cap": self.node_cap,
-            "seed": self.seed,
         }
 
 
@@ -537,7 +535,7 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     if not gball:
         raise PreconditionError("subgroup contains the whole ball; not proper here")
     hball = subgroup_product_ball(subgroup_gens, bounds.radius)
-    report = SuiteReport("rtf", 0, seed=bounds.seed, params={
+    report = SuiteReport("rtf", 0, params={
         "bounds": bounds.to_json(),
         "g_candidates": len(gball),
         "h_candidates": len(hball),
@@ -583,7 +581,7 @@ def check_multimalnormal(alphabet: Sequence[Generator],
     cball = sorted(cball, key=lambda w: w.sort_key())
     aball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
              if not aut.contains(w)]
-    report = SuiteReport("multimalnormal", 0, capped=capped, seed=bounds.seed, params={
+    report = SuiteReport("multimalnormal", 0, capped=capped, params={
         "bounds": bounds.to_json(),
         "c_candidates": len(cball),
         "a_candidates": len(aball),
@@ -639,7 +637,6 @@ def check_nss_intersection(alphabet: Sequence[Generator],
     members = sorted((w for w in ambient if aut.contains(w)),
                      key=lambda w: w.sort_key())
     report = SuiteReport("nss-intersection", len(members), capped=capped,
-                         seed=bounds.seed,
                          params={"bounds": bounds.to_json(), "alpha": str(alpha)})
     levels = _NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
                         2 * bounds.max_n, bounds.node_cap)
@@ -747,8 +744,7 @@ def check_family(G: Amalgam, fam: FamilySpec, bounds: SearchBounds) -> SuiteRepo
     """
     if len(fam.seeds) != len(G.factors):
         raise PreconditionError("one seed family per factor required")
-    report = SuiteReport("family", 0, seed=bounds.seed,
-                         params={"bounds": bounds.to_json()})
+    report = SuiteReport("family", 0, params={"bounds": bounds.to_json()})
     balls = []
     capped = False
     for f, per_factor in zip(G.factors, fam.seeds):

@@ -17,7 +17,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
-from .word import Generator, Word
+from .stallings import SubgroupAutomaton, _witness_gen
+from .word import Generator, Word, gen
 
 Monomial = tuple  # tuple of variable indices, possibly empty
 
@@ -149,11 +150,9 @@ def mu(w: Word, d: int) -> TruncatedSeries:
 
 def relabel_for_embedding(w: Word) -> Word:
     """Map an arbitrary finite alphabet onto one indexed family, canonically."""
-    from .word import gen as _gen
-
     order = {g: i for i, g in
              enumerate(sorted({g for g, _ in w.syls}, key=lambda g: g.sort_key()))}
-    return Word((_gen("x", order[g]), e) for g, e in w.syls)
+    return Word((gen("x", order[g]), e) for g, e in w.syls)
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,7 @@ class LeadingTerm:
     degree: int
     coeffs: dict
 
-    def variables(self) -> set:
-        out = set()
-        for m in self.coeffs:
-            out.update(m)
-        return out
+    variables = TruncatedSeries.variables
 
     def __hash__(self):
         return hash((self.degree, frozenset(self.coeffs.items())))
@@ -206,24 +201,18 @@ def leading_term(w: Word) -> Optional[LeadingTerm]:
 def apply_sigma(s, sigma) -> "TruncatedSeries | LeadingTerm":
     """Monomial substitution X_{i_1}..X_{i_k} -> X_{s(i_1)}..X_{s(i_k)}."""
     f = sigma if callable(sigma) else (lambda i: sigma.get(i, i))
-    if isinstance(s, LeadingTerm):
-        out: dict = {}
-        for m, c in s.coeffs.items():
-            key = tuple(f(i) for i in m)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return LeadingTerm(s.degree, out)
-    res = TruncatedSeries(s.cap)
+    out: dict = {}
     for m, c in s.coeffs.items():
         key = tuple(f(i) for i in m)
-        v = res.coeffs.get(key, 0) + c
+        v = out.get(key, 0) + c
         if v:
-            res.coeffs[key] = v
+            out[key] = v
         else:
-            res.coeffs.pop(key, None)
+            out.pop(key, None)
+    if isinstance(s, LeadingTerm):
+        return LeadingTerm(s.degree, out)
+    res = TruncatedSeries(s.cap)
+    res.coeffs = out
     return res
 
 
@@ -302,9 +291,7 @@ def _quotient_word(w: Word, rel: RelationSpec) -> Word:
         return Word((g, e) for g, e in w.syls if g.index not in rel.indices)
     if isinstance(rel, Identify):
         reps = _identify_classes(rel, (g.index for g, _ in w.syls))
-        from .word import gen as _gen
-
-        return Word((_gen(g.name, reps.get(g.index, g.index)), e)
+        return Word((gen(g.name, reps.get(g.index, g.index)), e)
                     for g, e in w.syls)
     raise PreconditionError(f"unsupported relation family: {rel!r}")
 
@@ -362,21 +349,13 @@ def check_c_leading_vars(alpha: Word, v0: Word, v1: Word) -> bool:
     value contradicts the quotient-transfer argument and is reported by the
     property suites as a violation.
     """
-    from .stallings import SubgroupAutomaton
-
     aut = SubgroupAutomaton([v0, v1])
     if alpha.is_identity or not aut.contains(alpha):
         raise PreconditionError("alpha must be a nontrivial member of <v0, v1>")
     expr = aut.express(alpha)
-    w0 = expr.exponent_sum(expr_gen(1))
-    w1 = expr.exponent_sum(expr_gen(2))
+    w0 = expr.exponent_sum(_witness_gen(0))
+    w1 = expr.exponent_sum(_witness_gen(1))
     if (w0, w1) != (0, 0):
         raise PreconditionError(f"basis weights must vanish, got ({w0}, {w1})")
     lt = leading_term(alpha)
     return {0, 1, 2} <= lt.variables()
-
-
-def expr_gen(i: int) -> Generator:
-    from .stallings import _witness_gen
-
-    return _witness_gen(i - 1)

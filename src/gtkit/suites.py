@@ -1,9 +1,11 @@
 """Registered randomized and exhaustive property suites.
 
 Each suite samples hypothesis instances for one structural fact and checks
-the conclusion exactly, reporting violations with reproducer data.  All
-randomness flows from the suite seed; instances whose hypotheses cannot be
-established are skipped and counted.
+the conclusion exactly, reporting violations with reproducer data.
+`run_suite` builds each suite's report (named by its registry key, with the
+trials, seed and params) and its `random.Random(seed)`, so all randomness
+flows from the suite seed; a suite appends violations to the report and
+counts the instances whose hypotheses cannot be established as skips.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from . import casestudy
 from .amalgam import (
     Amalgam,
     AmalgamElement,
+    EdgeIdentification,
+    FreeFactor,
     SandwichDecomposition,
     _outside_edge_balls,
     cancellation_number,
@@ -23,6 +27,7 @@ from .amalgam import (
     end_preserving,
     factors as amalgam_factors,
     free_as_free_product,
+    free_product_of_free,
     is_reduced,
     normalize,
 )
@@ -64,20 +69,14 @@ from .word import (
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _fp2() -> Amalgam:
-    return free_as_free_product(["a", "b"])
-
-
-@functools.lru_cache(maxsize=None)
-def _z2z() -> Amalgam:
-    from .amalgam import EdgeIdentification, FreeFactor
-
-    fa = FreeFactor("A", [gen("a")])
-    fb = FreeFactor("B", [gen("b")])
-    return Amalgam(
-        [fa, fb],
+def _groups() -> tuple:
+    """F2 and Z *_{2Z} Z, each paired with its outside-edge balls of 3 letters."""
+    z2z = Amalgam(
+        [FreeFactor("A", [gen("a")]), FreeFactor("B", [gen("b")])],
         EdgeIdentification((gen("e"),), ((parse_word("a^2"),), (parse_word("b^2"),))),
     )
+    return tuple((G, _outside_edge_balls(G, 3))
+                 for G in (free_as_free_product(["a", "b"]), z2z))
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,6 +98,20 @@ def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
 _AB = (gen("a"), gen("b"))
 
 
+def _rand_gens(rng, max_count: int, max_letters: int) -> list:
+    """randint(1, max_count) nonempty random words over a, b."""
+    return [_rand_word(rng, _AB, max_letters, nonempty=True)
+            for _ in range(rng.randint(1, max_count))]
+
+
+def _member(rng, gens: Sequence[Word], lo: int, hi: int) -> Word:
+    """A product of randint(lo, hi) random generators, each to the power +-1."""
+    w = Word()
+    for _ in range(rng.randint(lo, hi)):
+        w = w * (gens[rng.randrange(len(gens))] ** rng.choice((1, -1)))
+    return w
+
+
 _INDEXED = tuple(casestudy.a_i(i) for i in range(-2, 3))
 
 
@@ -106,31 +119,22 @@ def _indexed_word(rng, max_letters: int, nonempty: bool = False) -> Word:
     return _rand_word(rng, _INDEXED, max_letters, nonempty)
 
 
-def _report(name, trials, seed, **params) -> SuiteReport:
-    return SuiteReport(name, trials, seed=seed, params=params)
-
-
 # ---------------------------------------------------------------------------
 # Oracle-equivalence suites
 # ---------------------------------------------------------------------------
 
-def suite_oracle_cancellation_number(trials: int, seed: int) -> SuiteReport:
+def suite_oracle_cancellation_number(rep: SuiteReport, rng: random.Random) -> None:
     """cancellation_number against the brute-force prefix oracle."""
-    rng = random.Random(seed)
-    rep = _report("oracle_cancellation_number", trials, seed)
-    groups = [_fp2(), _z2z()]
-    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
-    for t in range(trials):
-        G = groups[t % 2]
-        g = _rand_alternating(G, rng, balls[id(G)], 4)
-        h = _rand_alternating(G, rng, balls[id(G)], 4)
+    for t in range(rep.trials):
+        G, balls = _groups()[t % 2]
+        g = _rand_alternating(G, rng, balls, 4)
+        h = _rand_alternating(G, rng, balls, 4)
         got = cancellation_number(g, h)
         want = _brute_cancellation(G, g, h)
         if got != want:
             rep.violations.append(Violation("k-mismatch", {
                 "g": str(g), "h": str(h), "got": got, "want": want,
             }))
-    return rep
 
 
 def _brute_cancellation(G: Amalgam, g: AmalgamElement, h: AmalgamElement) -> int:
@@ -143,18 +147,14 @@ def _brute_cancellation(G: Amalgam, g: AmalgamElement, h: AmalgamElement) -> int
     return best
 
 
-def suite_oracle_normalize_shuffle(trials: int, seed: int) -> SuiteReport:
+def suite_oracle_normalize_shuffle(rep: SuiteReport, rng: random.Random) -> None:
     """Normal-form soundness and index-vector invariance under shuffles."""
-    rng = random.Random(seed)
-    rep = _report("oracle_normalize_shuffle", trials, seed)
-    groups = [_fp2(), _z2z()]
-    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
-    for t in range(trials):
-        G = groups[t % 2]
+    for t in range(rep.trials):
+        G, balls = _groups()[t % 2]
         raw = []
         for _ in range(rng.randint(0, 5)):
             fi = rng.randrange(len(G.factors))
-            ball = balls[id(G)][fi]
+            ball = balls[fi]
             raw.append((fi, ball[rng.randrange(len(ball))]))
         x = normalize(G, raw)
         rev = []
@@ -177,26 +177,17 @@ def suite_oracle_normalize_shuffle(trials: int, seed: int) -> SuiteReport:
             if y.index_vector != x.index_vector or not x.equals(y):
                 rep.violations.append(Violation("shuffle-changed-element", {
                     "raw": [(fi, str(w)) for fi, w in raw]}))
-    return rep
 
 
-def suite_oracle_prefix_acceptable(trials: int, seed: int) -> SuiteReport:
+def suite_oracle_prefix_acceptable(rep: SuiteReport, rng: random.Random) -> None:
     """prefix_acceptable against constructive and enumerative brute force."""
-    rng = random.Random(seed)
-    rep = _report("oracle_prefix_acceptable", trials, seed)
-    for _ in range(trials):
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            w = _rand_word(rng, _AB, 4, nonempty=True)
-            gens.append(w)
+    for _ in range(rep.trials):
+        gens = _rand_gens(rng, 3, 4)
         aut = SubgroupAutomaton(gens)
         i = rng.randint(1, 3)
         # candidate prefix: either from a member, or random
         if rng.random() < 0.5:
-            c = Word()
-            for _ in range(rng.randint(1, 3)):
-                u = gens[rng.randrange(len(gens))]
-                c = c * (u ** rng.choice((1, -1)))
+            c = _member(rng, gens, 1, 3)
             if c.syllable_len < i:
                 rep.skips += 1
                 continue
@@ -229,7 +220,6 @@ def suite_oracle_prefix_acceptable(trials: int, seed: int) -> SuiteReport:
                         "member": str(c),
                     }))
                     break
-    return rep
 
 
 def _prefix_witness(aut: SubgroupAutomaton, p: Word, i: int) -> Optional[Word]:
@@ -269,75 +259,49 @@ def _immersed_path_to_base(aut, state, first_lab) -> Optional[Word]:
     return None
 
 
-def suite_express_soundness(trials: int, seed: int) -> SuiteReport:
+def suite_express_soundness(rep: SuiteReport, rng: random.Random) -> None:
     """Every returned witness evaluates back to the queried word."""
-    rng = random.Random(seed)
-    rep = _report("express_soundness", trials, seed)
-    for _ in range(trials):
-        gens = [
-            _rand_word(rng, _AB, 4, nonempty=True)
-            for _ in range(rng.randint(1, 3))
-        ]
+    for _ in range(rep.trials):
+        gens = _rand_gens(rng, 3, 4)
         aut = SubgroupAutomaton(gens)
-        w = Word()
-        for _ in range(rng.randint(0, 4)):
-            w = w * (gens[rng.randrange(len(gens))] ** rng.choice((1, -1)))
+        w = _member(rng, gens, 0, 4)
         expr = aut.express(w)
         if aut.evaluate(expr) != w:
             rep.violations.append(Violation("bad-expression", {
                 "gens": [str(g) for g in gens], "w": str(w), "expr": str(expr),
             }))
-    return rep
 
 
-def suite_fold_confluence(trials: int, seed: int) -> SuiteReport:
+def suite_fold_confluence(rep: SuiteReport, rng: random.Random) -> None:
     """Shuffling the generator tuple yields an isomorphic automaton."""
-    rng = random.Random(seed)
-    rep = _report("fold_confluence", trials, seed)
-    for _ in range(trials):
-        gens = [
-            _rand_word(rng, _AB, 5, nonempty=True)
-            for _ in range(rng.randint(1, 4))
-        ]
+    for _ in range(rep.trials):
+        gens = _rand_gens(rng, 4, 5)
         base = SubgroupAutomaton(gens).canonical_form()
         shuffled = list(gens)
         rng.shuffle(shuffled)
         if SubgroupAutomaton(shuffled).canonical_form() != base:
             rep.violations.append(Violation("fold-order-dependent", {
                 "gens": [str(g) for g in gens]}))
-    return rep
 
 
-def suite_subgroup_closure(trials: int, seed: int) -> SuiteReport:
+def suite_subgroup_closure(rep: SuiteReport, rng: random.Random) -> None:
     """Membership is closed under products (many products per automaton)."""
-    rng = random.Random(seed)
-    rep = _report("subgroup_closure", trials, seed)
     per_automaton = 50
-    for _ in range(max(1, trials // per_automaton)):
-        gens = [
-            _rand_word(rng, _AB, 4, nonempty=True)
-            for _ in range(rng.randint(1, 3))
-        ]
+    for _ in range(max(1, rep.trials // per_automaton)):
+        gens = _rand_gens(rng, 3, 4)
         aut = SubgroupAutomaton(gens)
         for _ in range(per_automaton):
-            u = Word()
-            v = Word()
-            for _ in range(rng.randint(0, 3)):
-                u = u * (gens[rng.randrange(len(gens))] ** rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 3)):
-                v = v * (gens[rng.randrange(len(gens))] ** rng.choice((1, -1)))
+            u = _member(rng, gens, 0, 3)
+            v = _member(rng, gens, 0, 3)
             if not (aut.contains(u) and aut.contains(v) and aut.contains(u * v)):
                 rep.violations.append(Violation("closure", {
                     "gens": [str(g) for g in gens], "u": str(u), "v": str(v)}))
-    return rep
 
 
-def suite_snf_row_invariance(trials: int, seed: int) -> SuiteReport:
+def suite_snf_row_invariance(rep: SuiteReport, rng: random.Random) -> None:
     """Abelianization invariants are stable under relator Tietze moves."""
-    rng = random.Random(seed)
-    rep = _report("snf_row_invariance", trials, seed)
     gens = [gen("x"), gen("y"), gen("z")]
-    for _ in range(trials):
+    for _ in range(rep.trials):
         relators = [
             _rand_word(rng, gens, 6, nonempty=True)
             for _ in range(rng.randint(1, 3))
@@ -362,23 +326,18 @@ def suite_snf_row_invariance(trials: int, seed: int) -> SuiteReport:
                 "moved": [str(r) for r in moved],
                 "base": str(base), "got": str(got),
             }))
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Amalgam cancellation lemma suites
 # ---------------------------------------------------------------------------
 
-def suite_lemma_end_preserving(trials: int, seed: int) -> SuiteReport:
+def suite_lemma_end_preserving(rep: SuiteReport, rng: random.Random) -> None:
     """End-preservation iff k < l(alpha), and inheritance by left factors."""
-    rng = random.Random(seed)
-    rep = _report("lemma_end_preserving", trials, seed)
-    groups = [_fp2(), _z2z()]
-    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
-    for t in range(trials):
-        G = groups[t % 2]
-        alpha = _rand_alternating(G, rng, balls[id(G)], 4)
-        beta = _rand_alternating(G, rng, balls[id(G)], 4)
+    for t in range(rep.trials):
+        G, balls = _groups()[t % 2]
+        alpha = _rand_alternating(G, rng, balls, 4)
+        beta = _rand_alternating(G, rng, balls, 4)
         if alpha.length == 0:
             rep.skips += 1
             continue
@@ -395,34 +354,25 @@ def suite_lemma_end_preserving(trials: int, seed: int) -> SuiteReport:
                         rep.violations.append(Violation("left-factor-failed", {
                             "alpha": str(alpha), "beta": str(beta), "b1": str(b1)}))
                         break
-    return rep
 
 
-def suite_length_subadditivity(trials: int, seed: int) -> SuiteReport:
+def suite_length_subadditivity(rep: SuiteReport, rng: random.Random) -> None:
     """l(gh) <= l(g) + l(h) and l(gh) >= l(g) + l(h) - 2K(g,h) - 1."""
-    rng = random.Random(seed)
-    rep = _report("length_subadditivity", trials, seed)
-    groups = [_fp2(), _z2z()]
-    balls = {id(G): _outside_edge_balls(G, 3) for G in groups}
-    for t in range(trials):
-        G = groups[t % 2]
-        g = _rand_alternating(G, rng, balls[id(G)], 4)
-        h = _rand_alternating(G, rng, balls[id(G)], 4)
+    for t in range(rep.trials):
+        G, balls = _groups()[t % 2]
+        g = _rand_alternating(G, rng, balls, 4)
+        h = _rand_alternating(G, rng, balls, 4)
         k = cancellation_number(g, h)
         n = (g * h).length
         if not (n <= g.length + h.length and n >= g.length + h.length - 2 * k - 1):
             rep.violations.append(Violation("length-bound", {
                 "g": str(g), "h": str(h), "k": k, "l": n}))
-    return rep
 
 
-def suite_sandwich_nontrivial(trials: int, seed: int) -> SuiteReport:
+def suite_sandwich_nontrivial(rep: SuiteReport, rng: random.Random) -> None:
     """When the two-sided condition holds the sandwich product is nontrivial."""
-    rng = random.Random(seed)
-    rep = _report("sandwich_nontrivial", trials, seed)
-    G = _fp2()
-    balls = _outside_edge_balls(G, 3)
-    for _ in range(trials):
+    G, balls = _groups()[0]
+    for _ in range(rep.trials):
         n = rng.randint(1, 3)
         gs = [_rand_alternating(G, rng, balls, 3) for _ in range(n + 1)]
         alphas = [_rand_alternating(G, rng, balls, 2) for _ in range(n)]
@@ -433,20 +383,17 @@ def suite_sandwich_nontrivial(trials: int, seed: int) -> SuiteReport:
                 "g": [str(x) for x in gs], "alphas": [str(x) for x in alphas]}))
         if not res.verified:
             rep.skips += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Tamedness suites
 # ---------------------------------------------------------------------------
 
-def suite_lemma_cancellable_one_side(trials: int, seed: int) -> SuiteReport:
+def suite_lemma_cancellable_one_side(rep: SuiteReport, rng: random.Random) -> None:
     """One-sided cancellability shortens the adjacent conjugated g."""
-    rng = random.Random(seed)
-    rep = _report("lemma_cancellable_one_side", trials, seed)
-    for G in (_fp2(), _z2z()):
+    for G, _ in _groups():
         sampler = TamedSampler(G, rng, reject=False)
-        for _ in range(trials // 2):
+        for _ in range(rep.trials // 2):
             v = sampler.raw_tuple(rng.randint(1, 3))
             for i in range(1, v.n + 1):
                 if v.t(i).length == 0:
@@ -463,17 +410,12 @@ def suite_lemma_cancellable_one_side(trials: int, seed: int) -> SuiteReport:
                             "tuple": v.to_json(), "i": i}))
                 else:
                     rep.skips += 1
-    rep.trials = trials
-    return rep
 
 
-def suite_prop_two_sided(trials: int, seed: int) -> SuiteReport:
+def suite_prop_two_sided(rep: SuiteReport, rng: random.Random) -> None:
     """Two-sided cancellability with non-shortening forces exact equalities."""
-    rng = random.Random(seed)
-    rep = _report("prop_two_sided", trials, seed)
-    G = _fp2()
-    balls = _outside_edge_balls(G, 3)
-    for _ in range(trials):
+    G, balls = _groups()[0]
+    for _ in range(rep.trials):
         # reverse construction: pick c in C (trivial here: c = 1), L, t, g
         t_pick = _rand_alternating(G, rng, balls, 1)
         while t_pick.length != 1:
@@ -512,29 +454,24 @@ def suite_prop_two_sided(trials: int, seed: int) -> SuiteReport:
         if not ok:
             rep.violations.append(Violation("two-sided-equalities", {
                 "tuple": v.to_json()}))
-    return rep
 
 
-def suite_prop_length_bound(trials: int, seed: int) -> SuiteReport:
+def suite_prop_length_bound(rep: SuiteReport, rng: random.Random) -> None:
     """Tamed products in F2 and Z *_2Z Z satisfy l(T) >= l(g_1) + n + l(g_n)."""
-    rng = random.Random(seed)
-    rep = _report("prop_length_bound", trials, seed, group="both")
-    samplers = [TamedSampler(_fp2(), rng), TamedSampler(_z2z(), rng)]
-    for t in range(trials):
+    rep.params["group"] = "both"
+    samplers = [TamedSampler(G, rng) for G, _ in _groups()]
+    for t in range(rep.trials):
         v = samplers[t % 2].sample()
         lhs, rhs, holds = tamed_length_bound(v)
         if not holds:
             rep.violations.append(Violation("length-bound", {
                 "tuple": v.to_json(), "lhs": lhs, "rhs": rhs}))
-    return rep
 
 
-def suite_delta_factorization(trials: int, seed: int) -> SuiteReport:
+def suite_delta_factorization(rep: SuiteReport, rng: random.Random) -> None:
     """Delta triples are reduced and telescope to the conjugate product."""
-    rng = random.Random(seed)
-    rep = _report("delta_factorization", trials, seed)
-    samplers = [TamedSampler(_fp2(), rng), TamedSampler(_z2z(), rng)]
-    for t in range(trials):
+    samplers = [TamedSampler(G, rng) for G, _ in _groups()]
+    for t in range(rep.trials):
         v = samplers[t % 2].sample()
         try:
             fact = delta_factorize(v)
@@ -545,41 +482,32 @@ def suite_delta_factorization(trials: int, seed: int) -> SuiteReport:
         if not fact.partials[-1].equals(v.product()):
             rep.violations.append(Violation("delta-product-mismatch", {
                 "tuple": v.to_json()}))
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Magnus suites
 # ---------------------------------------------------------------------------
 
-def suite_magnus_homomorphism(trials: int, seed: int) -> SuiteReport:
-    rng = random.Random(seed)
-    cap = 4
-    rep = _report("magnus_homomorphism", trials, seed, cap=cap)
-    for _ in range(trials):
+def suite_magnus_homomorphism(rep: SuiteReport, rng: random.Random) -> None:
+    cap = rep.params["cap"] = 4
+    for _ in range(rep.trials):
         u = _indexed_word(rng, 5)
         v = _indexed_word(rng, 5)
         if mu(u, cap) * mu(v, cap) != mu(u * v, cap):
             rep.violations.append(Violation("hom", {"u": str(u), "v": str(v)}))
-    return rep
 
 
-def suite_magnus_inverse(trials: int, seed: int) -> SuiteReport:
-    rng = random.Random(seed)
-    cap = 4
-    rep = _report("magnus_inverse", trials, seed, cap=cap)
+def suite_magnus_inverse(rep: SuiteReport, rng: random.Random) -> None:
+    cap = rep.params["cap"] = 4
     one = TruncatedSeries.one(cap)
-    for _ in range(trials):
+    for _ in range(rep.trials):
         w = _indexed_word(rng, 6)
         if mu(w, cap) * mu(w.inverse(), cap) != one:
             rep.violations.append(Violation("inverse", {"w": str(w)}))
-    return rep
 
 
-def suite_magnus_leading_conjugation(trials: int, seed: int) -> SuiteReport:
-    rng = random.Random(seed)
-    rep = _report("magnus_leading_conjugation", trials, seed)
-    for _ in range(trials):
+def suite_magnus_leading_conjugation(rep: SuiteReport, rng: random.Random) -> None:
+    for _ in range(rep.trials):
         alpha = _indexed_word(rng, 5, nonempty=True)
         if alpha.is_identity:
             rep.skips += 1
@@ -588,14 +516,11 @@ def suite_magnus_leading_conjugation(trials: int, seed: int) -> SuiteReport:
         if leading_term(alpha.conj(g)) != leading_term(alpha):
             rep.violations.append(Violation("conjugation", {
                 "alpha": str(alpha), "g": str(g)}))
-    return rep
 
 
-def suite_magnus_degree1(trials: int, seed: int) -> SuiteReport:
+def suite_magnus_degree1(rep: SuiteReport, rng: random.Random) -> None:
     """Degree-1 part of mu equals the weight functional."""
-    rng = random.Random(seed)
-    rep = _report("magnus_degree1", trials, seed)
-    for _ in range(trials):
+    for _ in range(rep.trials):
         w = _indexed_word(rng, 6)
         got = mu(w, 2).homogeneous_part(1)
         want = {}
@@ -605,14 +530,11 @@ def suite_magnus_degree1(trials: int, seed: int) -> SuiteReport:
                 want[(g.index,)] = c
         if got != want:
             rep.violations.append(Violation("degree1", {"w": str(w)}))
-    return rep
 
 
-def suite_magnus_ideal_transfer(trials: int, seed: int) -> SuiteReport:
+def suite_magnus_ideal_transfer(rep: SuiteReport, rng: random.Random) -> None:
     """Relations annihilating a word annihilate its leading term."""
-    rng = random.Random(seed)
-    rep = _report("magnus_ideal_transfer", trials, seed)
-    for t in range(trials):
+    for t in range(rep.trials):
         if t % 2 == 0:
             rel = ZeroVars({0})
             seed_word = Word([(casestudy.a_i(0), rng.choice((1, -1)))])
@@ -634,19 +556,16 @@ def suite_magnus_ideal_transfer(trials: int, seed: int) -> SuiteReport:
         if not annihilates(rel, leading_term(alpha)):
             rep.violations.append(Violation("leading-term-not-annihilated", {
                 "alpha": str(alpha)}))
-    return rep
 
 
-def suite_magnus_c_degree1(trials: int, seed: int) -> SuiteReport:
+def suite_magnus_c_degree1(rep: SuiteReport, rng: random.Random) -> None:
     """Weights against the basis v_0 = a_0, v_1 = a_2 a_1^-1 shape L(alpha)."""
-    rng = random.Random(seed)
-    rep = _report("magnus_c_degree1", trials, seed)
     v_alphabet = [casestudy.v_i(0), casestudy.v_i(1)]
     expand = HomSpec({
         casestudy.v_i(0): Word([(casestudy.a_i(0), 1)]),
         casestudy.v_i(1): Word([(casestudy.a_i(2), 1), (casestudy.a_i(1), -1)]),
     })
-    for _ in range(trials):
+    for _ in range(rep.trials):
         vw = _rand_word(rng, v_alphabet, 6, nonempty=True)
         alpha = expand.apply(vw)
         if alpha.is_identity:
@@ -668,16 +587,13 @@ def suite_magnus_c_degree1(trials: int, seed: int) -> SuiteReport:
         elif lt.degree < 2:
             rep.violations.append(Violation("unexpected-degree1", {
                 "vw": str(vw)}))
-    return rep
 
 
-def suite_magnus_c_leading_vars(trials: int, seed: int) -> SuiteReport:
+def suite_magnus_c_leading_vars(rep: SuiteReport, rng: random.Random) -> None:
     """Weight-zero members of <v0, v1> show X_0, X_1, X_2 in the leading term."""
-    rng = random.Random(seed)
-    rep = _report("magnus_c_leading_vars", trials, seed)
     v0 = Word([(casestudy.a_i(0), 1)])
     v1 = Word([(casestudy.a_i(2), 1), (casestudy.a_i(1), -1)])
-    for _ in range(trials):
+    for _ in range(rep.trials):
         # zero-weight words: products of commutators of random v-words
         alpha = Word()
         for _ in range(rng.randint(1, 2)):
@@ -689,23 +605,21 @@ def suite_magnus_c_leading_vars(trials: int, seed: int) -> SuiteReport:
             continue
         if not check_c_leading_vars(alpha, v0, v1):
             rep.violations.append(Violation("vars-missing", {"alpha": str(alpha)}))
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Small-cancellation and K-calculus suites (on the non-LO subgroup C)
 # ---------------------------------------------------------------------------
 
-def suite_lemma_small_cancellation(trials: int, seed: int, s: int = 10,
-                                   m: int = 8) -> SuiteReport:
+def suite_lemma_small_cancellation(rep: SuiteReport, _rng: random.Random,
+                                   s: int = 10, m: int = 8) -> None:
     csub = _csystem(s, m, 0)
-    data = casestudy.small_cancellation_report(csub, trials=max(trials, 50),
-                                               seed=seed)
-    rep = _report("lemma_small_cancellation", data["trials"], seed, s=s, m=m,
-                  pairs_checked=data["pairs_checked"])
+    data = casestudy.small_cancellation_report(csub, trials=max(rep.trials, 50),
+                                               seed=rep.seed)
+    rep.trials = data["trials"]
+    rep.params = {"s": s, "m": m, "pairs_checked": data["pairs_checked"]}
     for v in data["violations"]:
         rep.violations.append(Violation("small-cancellation", {"case": v}))
-    return rep
 
 
 def _random_c_element(rng, csub, max_factors: int = 3) -> Word:
@@ -723,12 +637,10 @@ def _random_left_factor_of_c(rng, csub) -> Word:
     return c.left(rng.randint(0, c.syllable_len))
 
 
-def suite_lemma_k_beta_h(trials: int, seed: int) -> SuiteReport:
+def suite_lemma_k_beta_h(rep: SuiteReport, rng: random.Random) -> None:
     """K(g, beta h) <= K(g, beta) + 1 for beta outside C, h a member prefix."""
-    rng = random.Random(seed)
-    rep = _report("lemma_k_beta_h", trials, seed)
     csub = _csystem()
-    for _ in range(trials):
+    for _ in range(rep.trials):
         g = _random_c_element(rng, csub)
         beta = _rand_word(rng, _AB, 12, nonempty=True)
         if csub.contains(beta):
@@ -738,15 +650,12 @@ def suite_lemma_k_beta_h(trials: int, seed: int) -> SuiteReport:
         if cancellation_syllables(g, beta * h) > cancellation_syllables(g, beta) + 1:
             rep.violations.append(Violation("k-beta-h", {
                 "g": str(g), "beta": str(beta), "h": str(h)}))
-    return rep
 
 
-def suite_lemma_k_alpha_n(trials: int, seed: int) -> SuiteReport:
+def suite_lemma_k_alpha_n(rep: SuiteReport, rng: random.Random) -> None:
     """alpha^n stays outside C and K(g, alpha^n) <= K(g, alpha) + 1."""
-    rng = random.Random(seed)
-    rep = _report("lemma_k_alpha_n", trials, seed)
     csub = _csystem()
-    for _ in range(trials):
+    for _ in range(rep.trials):
         g = _random_c_element(rng, csub)
         alpha = _rand_word(rng, _AB, 10, nonempty=True)
         if csub.contains(alpha):
@@ -760,15 +669,12 @@ def suite_lemma_k_alpha_n(trials: int, seed: int) -> SuiteReport:
         if cancellation_syllables(g, power) > cancellation_syllables(g, alpha) + 1:
             rep.violations.append(Violation("k-alpha-n", {
                 "g": str(g), "alpha": str(alpha), "n": n}))
-    return rep
 
 
-def suite_cor_k_alpha_n_h(trials: int, seed: int) -> SuiteReport:
+def suite_cor_k_alpha_n_h(rep: SuiteReport, rng: random.Random) -> None:
     """K(g, alpha^n h) <= K(g, alpha) + 2."""
-    rng = random.Random(seed)
-    rep = _report("cor_k_alpha_n_h", trials, seed)
     csub = _csystem()
-    for _ in range(trials):
+    for _ in range(rep.trials):
         g = _random_c_element(rng, csub)
         alpha = _rand_word(rng, _AB, 10, nonempty=True)
         if csub.contains(alpha):
@@ -780,21 +686,18 @@ def suite_cor_k_alpha_n_h(trials: int, seed: int) -> SuiteReport:
                 cancellation_syllables(g, alpha) + 2:
             rep.violations.append(Violation("cor-k", {
                 "g": str(g), "alpha": str(alpha), "n": n, "h": str(h)}))
-    return rep
 
 
-def suite_prop_two_sided_bound(trials: int, seed: int) -> SuiteReport:
+def suite_prop_two_sided_bound(rep: SuiteReport, rng: random.Random) -> None:
     """Oversized two-sided cancellation forces g into S and pins the middle.
 
     Constructed instances realize the extreme cancellation pattern; random
     instances almost always fail the hypothesis and are skipped.
     """
-    rng = random.Random(seed)
-    rep = _report("prop_two_sided_bound", trials, seed)
     csub = _csystem()
     s = csub.s
     units = csub.gen_set()
-    for t in range(trials):
+    for t in range(rep.trials):
         if t % 2 == 0:
             g = units[rng.randrange(len(units))]
             i, j = (s - 1, s - 2) if rng.random() < 0.5 else (s - 2, s - 1)
@@ -830,7 +733,6 @@ def suite_prop_two_sided_bound(trials: int, seed: int) -> SuiteReport:
         if not (in_s and middle in (b_s, b_s1)):
             rep.violations.append(Violation("two-sided-bound", {
                 "g": str(g), "alpha": str(alpha), "lhs": lhs}))
-    return rep
 
 
 def _two_sided_alpha(g: Word, i: int, j: int) -> Word:
@@ -858,11 +760,9 @@ def _random_word_tuple(rng, count, max_letters=8):
     return [_rand_word(rng, _AB, max_letters) for _ in range(count)]
 
 
-def suite_lfp_multiplicativity(trials: int, seed: int) -> SuiteReport:
+def suite_lfp_multiplicativity(rep: SuiteReport, rng: random.Random) -> None:
     """Unaltered in the full product iff unaltered in both half products."""
-    rng = random.Random(seed)
-    rep = _report("lfp_multiplicativity", trials, seed)
-    for _ in range(trials):
+    for _ in range(rep.trials):
         n = rng.randint(3, 5)
         words = _random_word_tuple(rng, n)
         k = rng.randint(2, n - 1)
@@ -878,14 +778,11 @@ def suite_lfp_multiplicativity(trials: int, seed: int) -> SuiteReport:
         if got != want:
             rep.violations.append(Violation("multiplicativity", {
                 "words": [str(w) for w in words], "k": k, "pos": pos}))
-    return rep
 
 
-def suite_lfp_restriction(trials: int, seed: int) -> SuiteReport:
+def suite_lfp_restriction(rep: SuiteReport, rng: random.Random) -> None:
     """Cancellation in the full product restricts to the inner product."""
-    rng = random.Random(seed)
-    rep = _report("lfp_restriction", trials, seed)
-    for _ in range(trials):
+    for _ in range(rep.trials):
         n = rng.randint(3, 5)
         words = _random_word_tuple(rng, n)
         full = casestudy.lfp_trace(words)
@@ -901,14 +798,11 @@ def suite_lfp_restriction(trials: int, seed: int) -> SuiteReport:
                     "words": [str(w) for w in words],
                     "pair": [[i, p], [j, q]]}))
                 break
-    return rep
 
 
-def suite_lfp_pair_cancellation(trials: int, seed: int) -> SuiteReport:
+def suite_lfp_pair_cancellation(rep: SuiteReport, rng: random.Random) -> None:
     """A reported cancellation annihilates the entire enclosed product."""
-    rng = random.Random(seed)
-    rep = _report("lfp_pair_cancellation", trials, seed)
-    for _ in range(trials):
+    for _ in range(rep.trials):
         n = rng.randint(2, 5)
         words = _random_word_tuple(rng, n)
         full = casestudy.lfp_trace(words)
@@ -926,7 +820,6 @@ def suite_lfp_pair_cancellation(trials: int, seed: int) -> SuiteReport:
                     "words": [str(w) for w in words],
                     "pair": [[i, p], [j, q]]}))
                 break
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -943,12 +836,10 @@ def _random_simplified_g(rng, csub) -> Word:
             return g
 
 
-def suite_conjugate_local_property(trials: int, seed: int) -> SuiteReport:
+def suite_conjugate_local_property(rep: SuiteReport, rng: random.Random) -> None:
     """Every component of mu links back into C through its prefix."""
-    rng = random.Random(seed)
-    rep = _report("conjugate_local_property", trials, seed)
     csub = _csystem()
-    for _ in range(trials):
+    for _ in range(rep.trials):
         c = _random_c_element(rng, csub)
         g = _random_simplified_g(rng, csub)
         d = casestudy.standard_form(csub, c, g)
@@ -969,10 +860,9 @@ def suite_conjugate_local_property(trials: int, seed: int) -> SuiteReport:
                 rep.violations.append(Violation("local-property", {
                     "c": str(c), "g": str(g), "t": t}))
                 break
-    return rep
 
 
-def suite_block_cancellation(trials: int, seed: int) -> SuiteReport:
+def suite_block_cancellation(rep: SuiteReport, rng: random.Random) -> None:
     """Standard forms and the product tracer on conjugates that cancel mu into mu.
 
     Fixtures c1 = u1 u2 and c2 = u2^-1 u3 share the unit u2, so the mu parts
@@ -981,11 +871,9 @@ def suite_block_cancellation(trials: int, seed: int) -> SuiteReport:
     of the product, and counts a skip when the tracer reports no mu-mu
     cancellation pair.  Bridges between distinct conjugators are not built.
     """
-    rng = random.Random(seed)
-    rep = _report("block_cancellation", trials, seed)
     csub = _csystem()
     units = csub.gens
-    for _ in range(trials):
+    for _ in range(rep.trials):
         u1 = units[rng.randrange(len(units))]
         u2 = units[rng.randrange(len(units))]
         u3 = units[rng.randrange(len(units))]
@@ -1007,10 +895,9 @@ def suite_block_cancellation(trials: int, seed: int) -> SuiteReport:
         if not any(a[0] == 1 and b[0] == 2 and a[1] in mu1_range and b[1] in mu2_range
                    for a, b in trace.cancel_pairs):
             rep.skips += 1
-    return rep
 
 
-def suite_claim_a_shortening(trials: int, seed: int) -> SuiteReport:
+def suite_claim_a_shortening(rep: SuiteReport, rng: random.Random) -> None:
     """Oversized gamma cancellation admits the conjugate-shortening rewrite.
 
     For products of conjugates of C-elements, whenever the tail gamma_r of
@@ -1018,10 +905,8 @@ def suite_claim_a_shortening(trials: int, seed: int) -> SuiteReport:
     conjugate C_r rewritten through that partial product gets strictly
     shorter, which is the rewriting that a minimal counterexample forbids.
     """
-    rng = random.Random(seed)
-    rep = _report("claim_a_shortening", trials, seed)
     csub = _csystem()
-    for _ in range(trials):
+    for _ in range(rep.trials):
         n = rng.randint(2, 3)
         cs = [_random_c_element(rng, csub) for _ in range(n)]
         gs = [_random_simplified_g(rng, csub) for _ in range(n)]
@@ -1042,28 +927,26 @@ def suite_claim_a_shortening(trials: int, seed: int) -> SuiteReport:
                         "r": r + 1}))
         if not tested:
             rep.skips += 1
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Case-study wrappers
 # ---------------------------------------------------------------------------
 
-def suite_nonlo_witnesses(trials: int, seed: int, s: int = 10, m: int = 8) -> SuiteReport:
-    rep = _report("nonlo_witnesses", 8, seed, s=s, m=m)
-    g = casestudy.build_nonlo(casestudy.sample_exponents(s, m, seed))
+def suite_nonlo_witnesses(rep: SuiteReport, _rng: random.Random,
+                          s: int = 10, m: int = 8) -> None:
+    rep.trials = 8
+    rep.params = {"s": s, "m": m}
+    g = casestudy.build_nonlo(casestudy.sample_exponents(s, m, rep.seed))
     for row in casestudy.verify_nonlo_witnesses(g):
         if not (row["identity"] and row["signs_ok"]):
             rep.violations.append(Violation("witness", row))
-    return rep
 
 
-def suite_exponent_condition_a(trials: int, seed: int) -> SuiteReport:
+def suite_exponent_condition_a(rep: SuiteReport, _rng: random.Random) -> None:
     """Sampled matrices validate; tampered ones are rejected."""
-    rng = random.Random(seed)
-    rep = _report("exponent_condition_a", trials, seed)
-    for t in range(max(1, trials // 10)):
-        e = casestudy.sample_exponents(10, 8, seed + t)
+    for t in range(max(1, rep.trials // 10)):
+        e = casestudy.sample_exponents(10, 8, rep.seed + t)
         # tamper: duplicate one absolute value
         bad = casestudy.ExponentMatrix(
             e.s, e.m,
@@ -1073,22 +956,17 @@ def suite_exponent_condition_a(trials: int, seed: int) -> SuiteReport:
         bad.a_exp[0][1] = -bad.a_exp[2][3]
         try:
             casestudy.validate_exponent_matrix(bad)
-            rep.violations.append(Violation("tamper-accepted", {"seed": seed + t}))
+            rep.violations.append(Violation("tamper-accepted", {"seed": rep.seed + t}))
         except PreconditionError:
             pass
-    return rep
 
 
-def suite_factor_multimalnormal(trials: int, seed: int) -> SuiteReport:
+def suite_factor_multimalnormal(rep: SuiteReport, rng: random.Random) -> None:
     """In a free product, P-conjugate products with outside conjugators leave A."""
-    rng = random.Random(seed)
-    rep = _report("factor_multimalnormal", trials, seed)
-    from .amalgam import free_product_of_free
-
     G = free_product_of_free([["a"], ["x"]])
     balls = _outside_edge_balls(G, 2)
     a_seed = normalize(G, [(0, parse_word("a"))])
-    for _ in range(trials):
+    for _ in range(rep.trials):
         n = rng.randint(1, 3)
         prod = G.identity()
         for _ in range(n):
@@ -1101,7 +979,6 @@ def suite_factor_multimalnormal(trials: int, seed: int) -> SuiteReport:
         if in_a:
             rep.violations.append(Violation("landed-in-factor", {
                 "product": str(prod)}))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1114,10 +991,16 @@ SUITES: dict = {name.removeprefix("suite_"): fn
 
 
 def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteReport:
-    """Run a registered property suite; deterministic given the seed."""
+    """Run a registered property suite; deterministic given the seed.
+
+    The report is named by the registry key and carries the trials, seed and
+    params; the suite gets it with one random.Random(seed) and the params,
+    and fills it in.
+    """
     if name not in SUITES:
         raise PreconditionError(f"unknown suite: {name!r}")
-    if trials <= 0:
-        return SuiteReport(name, 0, seed=seed, params=params)
-    return SUITES[name](trials, seed, **params)
+    rep = SuiteReport(name, max(trials, 0), seed=seed, params=params)
+    if trials > 0:
+        SUITES[name](rep, random.Random(seed), **params)
+    return rep
 

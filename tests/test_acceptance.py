@@ -123,9 +123,9 @@ def test_ac06_nonlo_witness_checks():
 def test_ac07_tamed_length_bound_battery():
     with Budget("7 tamed length bound, 10^4 samples", 60.0):
         rng = random.Random(5)
-        from gtkit.suites import _fp2, _z2z
+        from gtkit.suites import _groups
 
-        samplers = [TamedSampler(_fp2(), rng), TamedSampler(_z2z(), rng)]
+        samplers = [TamedSampler(G, rng) for G, _ in _groups()]
         for t in range(10 ** 4):
             v = samplers[t % 2].sample()
             fact = delta_factorize(v)  # verifies reduced triples + telescoping

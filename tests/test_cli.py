@@ -137,6 +137,16 @@ def test_jobs_flag_removed(capsys):
     assert exc.value.code == 2
 
 
+def test_search_seed_flag_removed(tmp_path):
+    # no search reads a seed; the flag is gone, and is not read as --seeds
+    group = write(tmp_path, "f.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a"],
+    })
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "rtf", "--group", group, "--seed", "3"])
+    assert exc.value.code == 2
+
+
 def test_search_rtf_violation(tmp_path, capsys):
     group = write(tmp_path, "z.json", {
         "kind": "free", "alphabet": ["a"], "subgroup": ["a^2"],
@@ -223,6 +233,20 @@ def test_readme_verify_ncl_example_runs_as_written(tmp_path, monkeypatch, capsys
     data = json.loads((tmp_path / "gamma_alpha.json").read_text())
     assert gt.NclWitness.from_json(data).target == cs.gamma_alpha()
     assert data["relators"] == [str(cs.gamma_relator())]
+
+
+def test_readme_suite_small_cancellation_example_runs_as_written(
+        tmp_path, monkeypatch, capsys):
+    assert run_readme_cli(tmp_path, monkeypatch, "gtkit suite lemma_small") == 0
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert rep["params"] == {"s": 10, "m": 8, "pairs_checked": 240}
+
+
+def test_suite_forwards_s_and_m(capsys):
+    assert main(["suite", "lemma_small_cancellation", "--s", "11", "--m", "8",
+                 "--trials", "20"]) == 0
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert (rep["params"]["s"], rep["params"]["m"]) == (11, 8)
 
 
 def test_search_nss_intersection_rejects_elt_letters(tmp_path, capsys):

@@ -203,8 +203,7 @@ BS3_REPORT = """\
     "max_elt_letters": 2,
     "max_n": 3,
     "node_cap": 1000000,
-    "radius": 2,
-    "seed": 0
+    "radius": 2
   },
   "capped": false,
   "certificate": {
@@ -237,7 +236,9 @@ def test_search_gt_bs3_report_is_pinned(tmp_path, capsys):
     group.write_text(json.dumps(gt.bs_amalgam(3).to_json()))
     assert main(["search", "gt", "--group", str(group), "--elem", BS_COMMUTATOR,
                  "--max-n", "3"]) == 1
-    assert capsys.readouterr().out == BS3_REPORT
+    out = capsys.readouterr().out
+    assert out == BS3_REPORT
+    assert "seed" not in json.loads(out)["bounds"]
 
 
 def test_search_gt_free_group_exhausts(fp2):
@@ -741,6 +742,12 @@ def test_pinned_nss_ball_free(seeds, bounds, max_elements, size, capped, digest)
     assert _digest(sorted(str(w) for w in ball)) == digest
 
 
+def _assert_no_bounds_seed(rep):
+    # no search reads a seed, so the bounds carry none
+    assert set(rep.to_json()["params"]["bounds"]) == {
+        "radius", "max_n", "max_elt_letters", "node_cap"}
+
+
 def test_pinned_check_reports():
     C = [W("a^2"), W("b a b^-1")]
     rep = gt.check_nss_intersection(AB, C, W("a^2"),
@@ -750,25 +757,30 @@ def test_pinned_check_reports():
     assert (rep.trials, rep.inconclusive, rep.capped) == (6, 0, False)
     assert [v.data["member"] for v in rep.violations] == [
         "b a^2 b^-1", "a^2 b a^2 b^-1", "b a^2 b^-1 a^2", "b a^4 b^-1"]
-    assert _digest(rep.to_json()) == "d32cd4a8624ef185"
+    assert _digest(rep.to_json()) == "12fc7b1101bb11a0"
+    _assert_no_bounds_seed(rep)
     rep = gt.check_rtf(AB, [W("a^2 b^2"), W("a b a^-1 b^-1")],
                        gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2,
                                        node_cap=20_000))
-    assert _digest(rep.to_json()) == "277bd256f3202164"
+    assert _digest(rep.to_json()) == "b9a6e4248a89bc62"
+    _assert_no_bounds_seed(rep)
     rep = gt.check_multimalnormal(AB, C, [W("a^2")],
                                   gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2,
                                                   node_cap=20_000))
-    assert _digest(rep.to_json()) == "c0d34cfb7c2bd772"
+    assert _digest(rep.to_json()) == "ae692dd27b57a024"
+    _assert_no_bounds_seed(rep)
 
 
 def test_pinned_family_reports():
     G, fam, _ = _positive_cone_family()
     rep = gt.check_family(G, fam, gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2,
                                                   node_cap=50))
-    assert _digest(rep.to_json()) == "fbd0872ccaa49015"
+    assert _digest(rep.to_json()) == "208d8396d5ac6e21"
+    _assert_no_bounds_seed(rep)
     rep = gt.check_family(gt.bs_amalgam(2), gt.FamilySpec(_BS_FAMILY),
                           gt.SearchBounds(radius=1, max_n=3, max_elt_letters=2))
-    assert _digest(rep.to_json()) == "39a3378ed5d49362"
+    assert _digest(rep.to_json()) == "a72985137005dd90"
+    _assert_no_bounds_seed(rep)
 
 
 def test_pinned_tamed_sampler():
