@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
 from .stallings import SubgroupAutomaton
-from .word import Generator, Word, _product_ball, gen, parse_word
+from .word import Generator, Word, _product_ball, gen, parse_generator, parse_word
 
 EDGE_TAG = "C"
 
@@ -30,7 +30,10 @@ _ELEMENT_RE = re.compile(rf"\s*(?:{_BLOCK}\s*)*")
 
 
 class FreeFactor:
-    """A free factor group together with its edge-subgroup data."""
+    """A free factor group together with its edge-subgroup data.
+
+    `automaton` is the folded edge subgroup, or None while there is no edge.
+    """
 
     kind = "free"
 
@@ -38,16 +41,16 @@ class FreeFactor:
         self.name = name
         self.alphabet = tuple(alphabet)
         self.edge_images: tuple = ()
-        self._aut: Optional[SubgroupAutomaton] = None
+        self.automaton: Optional[SubgroupAutomaton] = None
 
     def _attach_edge(self, images: Sequence[Word], edge_rank: int):
         self.edge_images = tuple(images)
         if edge_rank:
-            self._aut = SubgroupAutomaton(self.edge_images)
-            if self._aut.rank != edge_rank:
+            self.automaton = SubgroupAutomaton(self.edge_images)
+            if self.automaton.rank != edge_rank:
                 raise PreconditionError(
                     f"edge images in factor {self.name} do not freely generate: "
-                    f"rank {self._aut.rank} != {edge_rank}"
+                    f"rank {self.automaton.rank} != {edge_rank}"
                 )
 
     # group operations on elements (plain reduced words)
@@ -67,15 +70,15 @@ class FreeFactor:
     def in_edge(self, x: Word) -> bool:
         if x.is_identity:
             return True
-        if self._aut is None:
+        if self.automaton is None:
             return False
-        return self._aut.contains(x)
+        return self.automaton.contains(x)
 
     def to_edge(self, x: Word) -> Optional[Word]:
         """Expression of x over the edge alphabet, or None when x is outside."""
         if x.is_identity:
             return Word()
-        expr = None if self._aut is None else self._aut.try_express(x)
+        expr = None if self.automaton is None else self.automaton.try_express(x)
         if expr is None:
             return None
         return Word([(self._edge_gen(g.index - 1), e) for g, e in expr.syls])
@@ -315,23 +318,16 @@ class Amalgam:
             data = json.loads(data)
         factors = []
         for fd in data["factors"]:
-            alphabet = [_parse_gen(t) for t in fd["alphabet"]]
+            alphabet = [parse_generator(t) for t in fd["alphabet"]]
             klass = FreeFactor if fd["kind"] == "free" else AbelianFactor
             factors.append(klass(fd["name"], alphabet))
-        edge_alpha = tuple(_parse_gen(t) for t in data["edge"]["alphabet"])
+        edge_alpha = tuple(parse_generator(t) for t in data["edge"]["alphabet"])
         images = tuple(
             tuple(parse_word(w, f.alphabet) for w in images)
             for f, images in zip(factors, data["edge"]["images"])
         )
         return cls(factors, EdgeIdentification(edge_alpha, images),
                    name=data.get("name", "G"))
-
-
-def _parse_gen(token: str) -> Generator:
-    w = parse_word(token)
-    if w.syllable_len != 1 or w.syls[0][1] != 1:
-        raise PreconditionError(f"not a generator token: {token!r}")
-    return w.syls[0][0]
 
 
 def _outside_edge_balls(G: Amalgam, max_letters: int) -> list:
@@ -706,8 +702,7 @@ def element_from_free_word(G: Amalgam, w: Word) -> AmalgamElement:
 
 
 def free_word_from_element(g: AmalgamElement) -> Word:
-    out = g.head
-    if not out.is_identity:
+    if not g.head.is_identity:
         raise PreconditionError("nontrivial head has no free-word image")
     out = Word()
     for _, x in g.comps:

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -179,26 +180,21 @@ def generator_words(e: ExponentMatrix) -> list:
 # ===========================================================================
 
 class CSubgroup:
-    """Generating data of C plus the prefix/compatibility machinery."""
+    """C given by its folded automaton, plus the prefix/compatibility machinery.
 
-    def __init__(self, s: int, gens: Sequence[Word]):
+    The generators of C are the automaton's generators.
+    """
+
+    def __init__(self, s: int, automaton: SubgroupAutomaton):
         self.s = s
-        self.m = len(gens)
-        self.gens = list(gens)
-        self._aut: Optional[SubgroupAutomaton] = None
-        self._comp_table = None
-        self._merge_table = None
+        self.automaton = automaton
+        self.gens = list(automaton.generators)
+        self.m = len(self.gens)
 
     @classmethod
     def from_matrix(cls, e: ExponentMatrix) -> "CSubgroup":
         validate_exponent_matrix(e)
-        return cls(e.s, generator_words(e))
-
-    @property
-    def automaton(self) -> SubgroupAutomaton:
-        if self._aut is None:
-            self._aut = SubgroupAutomaton(self.gens)
-        return self._aut
+        return cls(e.s, SubgroupAutomaton(generator_words(e)))
 
     def gen_set(self) -> list:
         """S together with the inverses, generators first."""
@@ -227,36 +223,44 @@ class CSubgroup:
 
     # -- the prefix map on components of C ---------------------------------
 
-    def _tables(self):
-        if self._comp_table is None:
-            comp, merge = {}, {}
-            units = self.gen_set()
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """(comp, merge): comp maps each component of a unit u to (u, k), its
+        position in u; merge maps the merge of v's last and u's first
+        component to (v, u).  Both are checked to be unique."""
+        comp, merge = {}, {}
+        units = self.gen_set()
+        for u in units:
+            for k in range(1, u.syllable_len + 1):
+                g, ex = u.component(k)
+                if (g, ex) in comp:
+                    raise InternalInvariantError(
+                        f"component {g}^{ex} occurs twice across the generators"
+                    )
+                comp[(g, ex)] = (u, k)
+        for v in units:
             for u in units:
-                for k in range(1, u.syllable_len + 1):
-                    g, ex = u.component(k)
-                    if (g, ex) in comp:
-                        raise InternalInvariantError(
-                            f"component {g}^{ex} occurs twice across the generators"
-                        )
-                    comp[(g, ex)] = (u, k)
-            for v in units:
-                for u in units:
-                    if (v * u).is_identity:
-                        continue
-                    gv, ev = v.component(v.syllable_len)
-                    gu, eu = u.component(1)
-                    if gv != gu:
-                        continue
-                    tot = ev + eu
-                    if tot == 0:
-                        raise InternalInvariantError("generator ends annihilate")
-                    if (gv, tot) in comp or (gv, tot) in merge:
-                        raise InternalInvariantError(
-                            f"merge component {gv}^{tot} is not unique"
-                        )
-                    merge[(gv, tot)] = (v, u)
-            self._comp_table, self._merge_table = comp, merge
-        return self._comp_table, self._merge_table
+                if (v * u).is_identity:
+                    continue
+                gv, ev = v.component(v.syllable_len)
+                gu, eu = u.component(1)
+                if gv != gu:
+                    continue
+                tot = ev + eu
+                if tot == 0:
+                    raise InternalInvariantError("generator ends annihilate")
+                if (gv, tot) in comp or (gv, tot) in merge:
+                    raise InternalInvariantError(
+                        f"merge component {gv}^{tot} is not unique"
+                    )
+                merge[(gv, tot)] = (v, u)
+        return comp, merge
+
+    def component_of(self, syl) -> Optional[tuple]:
+        """(u, k) when the syllable is the k-th component of the unit u
+        (a generator or an inverse), else None.  No component occurs in two
+        units (_tables checks it), so at most one unit holds it."""
+        return self._tables[0].get(syl)
 
     def prefix(self, E) -> Word:
         """The prefix p(E) of a component of C.
@@ -270,20 +274,24 @@ class CSubgroup:
         E = self._as_syllable_word(E)
         p = self._prefix_raw(E)
         p_inv = self._prefix_raw(E.inverse())
+        if p is None or p_inv is None:
+            raise PreconditionError(f"{E} is not a component of an element of C")
         if not self.contains(p * E * p_inv.inverse()):
             raise InternalInvariantError("prefix containment failed")
         return p
 
-    def _prefix_raw(self, E: Word) -> Word:
-        g, ex = E.component(1)
-        comp, merge = self._tables()
-        if (g, ex) in comp:
-            u, k = comp[(g, ex)]
+    def _prefix_raw(self, E: Word) -> Optional[Word]:
+        """p(E) unchecked, or None when E is not a component of C."""
+        syl = E.syls[0]
+        hit = self.component_of(syl)
+        if hit is not None:
+            u, k = hit
             return u.left(k - 1)
-        if (g, ex) in merge:
-            v, _u = merge[(g, ex)]
+        merge = self._tables[1]
+        if syl in merge:
+            v, _u = merge[syl]
             return v.left(v.syllable_len - 1)
-        raise PreconditionError(f"{E} is not a component of an element of C")
+        return None
 
     @staticmethod
     def _as_syllable_word(E) -> Word:
@@ -296,54 +304,43 @@ class CSubgroup:
         raise PreconditionError(f"not a component: {E!r}")
 
     def in_sc(self, E) -> bool:
-        try:
-            self._prefix_raw(self._as_syllable_word(E))
-            return True
-        except PreconditionError:
-            return False
+        """Whether the single syllable E is a component of an element of C."""
+        return self._prefix_raw(self._as_syllable_word(E)) is not None
 
 
 def c_simplify(csub: CSubgroup, alpha: Word):
     """Write alpha = c1 alpha' c2 with alpha' C-simplified, greedily.
 
-    Repeatedly strips a generator whose length-s prefix (suffix) matches,
-    shortening alpha each time.  alpha must lie outside C.
+    Strips a unit on the left while alpha is not left C-simplified, then one
+    on the right, and checks the left again; each strip shortens alpha.  The
+    unit stripped shares alpha's first (last) s syllables, so it is the one
+    holding alpha's first (last) syllable as its first (last) component.
+    alpha must lie outside C.
     """
     if csub.contains(alpha):
         raise PreconditionError("alpha lies in C; nothing to simplify")
     c1 = Word()
     c2 = Word()
     cur = alpha
-    units = csub.gen_set()
     s = csub.s
     while True:
-        if not csub.is_left_simplified(cur):
-            target = cur.left(s)
-            for u in units:
-                if u.left(s) == target:
-                    nxt = u.inverse() * cur
-                    if nxt.syllable_len >= cur.syllable_len:
-                        raise InternalInvariantError("stripping did not shorten")
-                    c1 = c1 * u
-                    cur = nxt
-                    break
-            else:
-                raise InternalInvariantError("no generator matches an acceptable prefix")
-            continue
-        if not csub.is_right_simplified(cur):
-            target = cur.right(s)
-            for u in units:
-                if u.right(s) == target:
-                    nxt = cur * u.inverse()
-                    if nxt.syllable_len >= cur.syllable_len:
-                        raise InternalInvariantError("stripping did not shorten")
-                    c2 = u * c2
-                    cur = nxt
-                    break
-            else:
-                raise InternalInvariantError("no generator matches an acceptable suffix")
-            continue
-        break
+        right = csub.is_left_simplified(cur)
+        if right and csub.is_right_simplified(cur):
+            break
+        end = cur.syls[-s:] if right else cur.syls[:s]
+        hit = csub.component_of(end[-1] if right else end[0])
+        if hit is None or (hit[0].syls[-s:] if right else hit[0].syls[:s]) != end:
+            side = "suffix" if right else "prefix"
+            raise InternalInvariantError(f"no generator matches an acceptable {side}")
+        u = hit[0]
+        nxt = cur * u.inverse() if right else u.inverse() * cur
+        if nxt.syllable_len >= cur.syllable_len:
+            raise InternalInvariantError("stripping did not shorten")
+        if right:
+            c2 = u * c2
+        else:
+            c1 = c1 * u
+        cur = nxt
     if not (c1 * cur * c2 == alpha):
         raise InternalInvariantError("c-simplification lost the element")
     return c1, cur, c2
@@ -570,74 +567,6 @@ def rfp_trace(inputs: Sequence[Word]) -> RfpTrace:
 
 
 # ===========================================================================
-# Small-cancellation report
-# ===========================================================================
-
-def small_cancellation_report(csub: CSubgroup, trials: int = 300, seed: int = 0) -> dict:
-    """Exhaustive pairwise checks plus randomized k-fold product checks.
-
-    Pairs: K(u, v) = 0 and l(uv) >= 4s - 1 over S u S^-1 with uv != 1.
-    Random products of k = 2..5 units: almost-reducedness, prefix/suffix
-    stability at 2s - 1, the length lower bound 2ks - (k - 1), and the no-symmetric-components
-    property of prefixes of members.
-    """
-    s = csub.s
-    units = csub.gen_set()
-    violations = []
-    pair_count = 0
-    for u in units:
-        for v in units:
-            if (u * v).is_identity:
-                continue
-            pair_count += 1
-            if cancellation_syllables(u, v) != 0:
-                violations.append(("pair-cancellation", str(u), str(v)))
-            if (u * v).syllable_len < 4 * s - 1:
-                violations.append(("pair-length", str(u), str(v)))
-    rng = random.Random(seed)
-    for _ in range(trials):
-        k = rng.randint(2, 5)
-        tup = _random_reduced_tuple(rng, units, k)
-        prod = tup[0]
-        ok_pairwise = True
-        for idx in range(1, k):
-            if (tup[idx - 1] * tup[idx]).syllable_len < 4 * s - 1:
-                ok_pairwise = False
-            prod = prod * tup[idx]
-        if not ok_pairwise:
-            violations.append(("almost-reduced", [str(u) for u in tup]))
-        if prod.left(2 * s - 1) != tup[0].left(2 * s - 1):
-            violations.append(("prefix-stability", [str(u) for u in tup]))
-        if prod.right(2 * s - 1) != tup[-1].right(2 * s - 1):
-            violations.append(("suffix-stability", [str(u) for u in tup]))
-        if prod.syllable_len < 2 * k * s - (k - 1):
-            violations.append(("length-bound", [str(u) for u in tup]))
-        for i in range(1, prod.syllable_len - 1):
-            a_i = prod.component(i)
-            a_i2 = prod.component(i + 2)
-            if a_i2.generator == a_i.generator and a_i2.exponent == -a_i.exponent:
-                violations.append(("symmetric-components", [str(u) for u in tup], i))
-    return {
-        "s": s,
-        "m": csub.m,
-        "pairs_checked": pair_count,
-        "trials": trials,
-        "seed": seed,
-        "violations": violations,
-    }
-
-
-def _random_reduced_tuple(rng, units, k):
-    out = [units[rng.randrange(len(units))]]
-    while len(out) < k:
-        u = units[rng.randrange(len(units))]
-        if (out[-1] * u).is_identity:
-            continue
-        out.append(u)
-    return out
-
-
-# ===========================================================================
 # The non-left-orderable amalgam
 # ===========================================================================
 
@@ -684,8 +613,7 @@ def nonlo_json(e: ExponentMatrix) -> dict:
 def build_nonlo(e: ExponentMatrix) -> NonLoGroup:
     """Glue two rank-two free groups along C via the sign-mixing pairing."""
     validate_exponent_matrix(e)
-    csub = CSubgroup.from_matrix(e)
-    alphas = csub.gens
+    alphas = generator_words(e)
     to_cd = HomSpec({A_GEN: Word([(C_GEN, 1)]), B_GEN: Word([(D_GEN, 1)])})
     betas = [to_cd.apply(a) for a in alphas]
     phi_images = []
@@ -699,8 +627,8 @@ def build_nonlo(e: ExponentMatrix) -> NonLoGroup:
         [factor_a, factor_b],
         EdgeIdentification(edge_alpha, (tuple(alphas), tuple(phi_images))),
     )
-    # factor A's edge automaton is folded from the same alphas as C's
-    csub._aut = factor_a._aut
+    # factor A's edge automaton is C's: it is folded from the same alphas
+    csub = CSubgroup(e.s, factor_a.automaton)
     return NonLoGroup(e, csub, amal, alphas, betas, phi_images)
 
 

@@ -8,6 +8,11 @@ unexpected exception; the traceback goes to stderr).
 All randomness flows from the suite and build --seed: suite reports embed
 the seed, search reports embed their bounds, and identical invocations
 produce byte-identical reports.  Flags are never read from abbreviations.
+Generator tokens in group and presentation files (alphabets, generator
+lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
+exits 2.  Of the suites, only lemma_small_cancellation and nonlo_witnesses
+read --s and --m; giving either to another single suite exits 2, and
+`suite all` passes them to those two.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import casestudy, gentorsion
 from .amalgam import Amalgam
 from .errors import GtkitError, InternalInvariantError, PreconditionError
 from .gentorsion import GtCertificate, NclWitness, SearchBounds
-from .word import Presentation, abelianize_snf, parse_word
+from .word import Presentation, abelianize_snf, parse_generator, parse_word
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -81,7 +86,7 @@ class GroupFile:
         if self.kind == "amalgam":
             self.amalgam = Amalgam.from_json(data)
         elif self.kind == "free":
-            self.alphabet = [_gen_token(t) for t in data["alphabet"]]
+            self.alphabet = [parse_generator(t) for t in data["alphabet"]]
             self.subgroup = [parse_word(w, self.alphabet)
                              for w in data.get("subgroup", [])]
         elif self.kind == "nonlo":
@@ -98,11 +103,6 @@ class GroupFile:
         if self.amalgam is None:
             raise GtkitError(message)
         return self.amalgam
-
-
-def _gen_token(tok: str):
-    w = parse_word(tok)
-    return w.syls[0][0]
 
 
 def _bounds(args) -> SearchBounds:
@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
         if args.free:
             free_data = _load_json(args.free)
             with _file_shape("presentation"):
-                alphabet = [_gen_token(t) for t in free_data["alphabet"]]
+                alphabet = [parse_generator(t) for t in free_data["alphabet"]]
                 relators = [parse_word(w, alphabet) for w in free_data["relators"]]
         else:
             with _file_shape("witness"):
@@ -233,6 +233,8 @@ def cmd_abelianize(args) -> int:
 def cmd_suite(args) -> int:
     from .suites import SUITES, run_suite
 
+    # the suites that read --s and --m; `all` forwards them to these only
+    shaped = ("lemma_small_cancellation", "nonlo_witnesses")
     params = {}
     if args.s is not None:
         params["s"] = args.s
@@ -243,10 +245,11 @@ def cmd_suite(args) -> int:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return EXIT_ERROR
+    if params and args.name != "all" and args.name not in shaped:
+        raise GtkitError(f"suite {args.name} does not read --s or --m")
     reports = []
     for name in names:
-        kw = dict(params) if name in ("lemma_small_cancellation",
-                                      "nonlo_witnesses") else {}
+        kw = dict(params) if name in shaped else {}
         reports.append(run_suite(name, trials=args.trials, seed=args.seed, **kw))
     payload = {
         "seed": args.seed,

@@ -386,7 +386,6 @@ def _first_product(start, n_units: int, step, accept, depth: int, budget: int):
 def doubled_amalgam(alphabet: Sequence[str], edge_gens: Sequence[Word]) -> Amalgam:
     """A *_C A' : two copies of a free group glued along <edge_gens>."""
     prime = {gen(a): gen(a + "'") for a in alphabet}
-    hom = {g: Word([(gp, 1)]) for g, gp in prime.items()}
     primed = []
     for w in edge_gens:
         primed.append(Word([(prime[g], e) for g, e in w.syls]))

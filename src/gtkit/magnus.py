@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton, _witness_gen
@@ -198,17 +198,25 @@ def leading_term(w: Word) -> Optional[LeadingTerm]:
     )
 
 
-def apply_sigma(s, sigma) -> "TruncatedSeries | LeadingTerm":
-    """Monomial substitution X_{i_1}..X_{i_k} -> X_{s(i_1)}..X_{s(i_k)}."""
-    f = sigma if callable(sigma) else (lambda i: sigma.get(i, i))
+def _project(coeffs: dict, image) -> dict:
+    """Coefficients with each monomial's variables mapped through image;
+    a monomial with a variable sent to None drops, equal images add up."""
     out: dict = {}
-    for m, c in s.coeffs.items():
-        key = tuple(f(i) for i in m)
+    for m, c in coeffs.items():
+        key = tuple(image(i) for i in m)
+        if None in key:
+            continue
         v = out.get(key, 0) + c
         if v:
             out[key] = v
         else:
             out.pop(key, None)
+    return out
+
+
+def apply_sigma(s, sigma) -> "TruncatedSeries | LeadingTerm":
+    """Monomial substitution X_{i_1}..X_{i_k} -> X_{s(i_1)}..X_{s(i_k)}."""
+    out = _project(s.coeffs, sigma if callable(sigma) else (lambda i: sigma.get(i, i)))
     if isinstance(s, LeadingTerm):
         return LeadingTerm(s.degree, out)
     res = TruncatedSeries(s.cap)
@@ -219,6 +227,9 @@ def apply_sigma(s, sigma) -> "TruncatedSeries | LeadingTerm":
 # ---------------------------------------------------------------------------
 # Relation families and annihilation
 # ---------------------------------------------------------------------------
+# Each family is a variable map: image(i) is None for a zeroed variable and
+# otherwise the representative of i's class.  The quotient sends the letter
+# x_i to x_image(i), or deletes it, and X_i to X_image(i), or to 0.
 
 @dataclass(frozen=True)
 class ZeroVars:
@@ -228,6 +239,9 @@ class ZeroVars:
 
     def __init__(self, indices):
         object.__setattr__(self, "indices", frozenset(indices))
+
+    def image(self, i: int) -> Optional[int]:
+        return None if i in self.indices else i
 
 
 @dataclass(frozen=True)
@@ -240,60 +254,18 @@ class Identify:
         if callable(sigma):
             raise PreconditionError("Identify needs an explicit finite index map")
         object.__setattr__(self, "sigma", tuple(sorted(sigma.items())))
+        # the classes of i ~ sigma(i), each named by its least index
+        classes: dict = {}
+        for i, j in self.sigma:
+            merged = classes.get(i, {i}) | classes.get(j, {j})
+            classes.update(dict.fromkeys(merged, merged))
+        object.__setattr__(self, "_reps", {i: min(c) for i, c in classes.items()})
 
-    def as_dict(self) -> dict:
-        return dict(self.sigma)
+    def image(self, i: int) -> int:
+        return self._reps.get(i, i)
 
 
 RelationSpec = Union[ZeroVars, Identify]
-
-
-def _identify_classes(rel: Identify, indices: Iterable[int]) -> dict:
-    """Union-find representative map induced by i ~ sigma(i)."""
-    sigma = rel.as_dict()
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in sigma.items():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return {i: find(i) for i in set(indices) | set(sigma) | set(sigma.values())}
-
-
-def _project_series(s: TruncatedSeries, rel: RelationSpec) -> TruncatedSeries:
-    if isinstance(rel, ZeroVars):
-        res = TruncatedSeries(s.cap)
-        res.coeffs = {
-            m: c for m, c in s.coeffs.items() if not (set(m) & rel.indices)
-        }
-        return res
-    if isinstance(rel, Identify):
-        reps = _identify_classes(rel, s.variables())
-        return apply_sigma(s, lambda i: reps.get(i, i))
-    raise PreconditionError(f"unsupported relation family: {rel!r}")
-
-
-def _quotient_word(w: Word, rel: RelationSpec) -> Word:
-    """Image of w under the group map induced by the relation quotient.
-
-    Zeroing X_i sends x_i to 1 (the letter is deleted); identifying
-    variables relabels letters by class representatives.  The projected
-    Magnus image of w is exactly the Magnus image of this quotient word.
-    """
-    if isinstance(rel, ZeroVars):
-        return Word((g, e) for g, e in w.syls if g.index not in rel.indices)
-    if isinstance(rel, Identify):
-        reps = _identify_classes(rel, (g.index for g, _ in w.syls))
-        return Word((gen(g.name, reps.get(g.index, g.index)), e)
-                    for g, e in w.syls)
-    raise PreconditionError(f"unsupported relation family: {rel!r}")
 
 
 def annihilates(rel: RelationSpec, target) -> bool:
@@ -306,17 +278,15 @@ def annihilates(rel: RelationSpec, target) -> bool:
     (a homogeneous part) the projection is compared with 0 directly.
     """
     if isinstance(target, LeadingTerm):
-        if isinstance(rel, ZeroVars):
-            return all(set(m) & rel.indices for m in target.coeffs)
-        reps = _identify_classes(rel, target.variables())
-        projected = apply_sigma(target, lambda i: reps.get(i, i))
-        return not projected.coeffs
+        return not _project(target.coeffs, rel.image)
     w: Word = target
     if w.is_identity:
         return True
-    result = _quotient_word(w, rel).is_identity
+    quotient = Word((gen(g.name, j), e) for g, e in w.syls
+                    if (j := rel.image(g.index)) is not None)
+    result = quotient.is_identity
     cap = min(3, max(1, w.letter_len))
-    series_view = _project_series(mu(w, cap), rel) == TruncatedSeries.one(cap)
+    series_view = _project(mu(w, cap).coeffs, rel.image) == {(): 1}
     if result and not series_view:
         raise InternalInvariantError("series projection disagrees with quotient word")
     return result

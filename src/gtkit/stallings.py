@@ -72,12 +72,11 @@ class SubgroupAutomaton:
 
         The folded automaton keeps one list per label, the successor of
         every state (-1 where missing), and per label a dict of the states
-        whose outgoing edge carries a nontrivial tag; delta and _tags are
-        per-state views computed from them.  Per label it also keeps the
-        segments: runs of at least _MIN_SEGMENT fresh chain states p whose
-        successor is p + 1 (or each p - 1), recorded as their rows are
-        written.  Most of a folded C is such chains, and a read jumps along
-        a segment in one step.
+        whose outgoing edge carries a nontrivial tag.  Per label it also
+        keeps the segments: runs of at least _MIN_SEGMENT fresh chain
+        states p whose successor is p + 1 (or each p - 1), recorded as
+        their rows are written.  Most of a folded C is such chains, and a
+        read jumps along a segment in one step.
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
@@ -377,13 +376,9 @@ class SubgroupAutomaton:
 
     @property
     def delta(self) -> "_StateView":
-        """Read-only view: delta[q] is a fresh {label: successor} dict."""
-        return _StateView(self, False)
-
-    @property
-    def _tags(self) -> "_StateView":
-        """Read-only view: _tags[q] is a fresh {label: expression tag} dict."""
-        return _StateView(self, True)
+        """Read-only view: delta[q] is dict(successors(q)).  Only perfbench's
+        tracer reads it, for len(aut.delta)."""
+        return _StateView(self)
 
     @property
     def num_edges(self) -> int:
@@ -589,27 +584,18 @@ def _segment_lists(segs: list) -> tuple:
 
 
 class _StateView:
-    """Per-state dicts computed on access from an automaton's successor rows."""
+    """Per-state successor dicts computed on access from an automaton's rows."""
 
-    __slots__ = ("_aut", "_with_tags")
+    __slots__ = ("_aut",)
 
-    def __init__(self, aut: SubgroupAutomaton, with_tags: bool):
+    def __init__(self, aut: SubgroupAutomaton):
         self._aut = aut
-        self._with_tags = with_tags
 
     def __len__(self) -> int:
         return self._aut.num_states
 
     def __getitem__(self, state: int) -> dict:
-        state = range(self._aut.num_states)[state]
-        pairs = self._aut.successors(state)
-        if not self._with_tags:
-            return dict(pairs)
-        marks = self._aut._marks
-        return {lab: marks[lab].get(state, IDENTITY) for lab, _t in pairs}
-
-    def __iter__(self):
-        return (self[q] for q in range(len(self)))
+        return dict(self._aut.successors(range(self._aut.num_states)[state]))
 
 
 # -- syllable-exact prefix values ------------------------------------------

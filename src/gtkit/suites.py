@@ -392,7 +392,7 @@ def suite_sandwich_nontrivial(rep: SuiteReport, rng: random.Random) -> None:
 def suite_lemma_cancellable_one_side(rep: SuiteReport, rng: random.Random) -> None:
     """One-sided cancellability shortens the adjacent conjugated g."""
     for G, _ in _groups():
-        sampler = TamedSampler(G, rng, reject=False)
+        sampler = TamedSampler(G, rng)
         for _ in range(rep.trials // 2):
             v = sampler.raw_tuple(rng.randint(1, 3))
             for i in range(1, v.n + 1):
@@ -611,15 +611,49 @@ def suite_magnus_c_leading_vars(rep: SuiteReport, rng: random.Random) -> None:
 # Small-cancellation and K-calculus suites (on the non-LO subgroup C)
 # ---------------------------------------------------------------------------
 
-def suite_lemma_small_cancellation(rep: SuiteReport, _rng: random.Random,
+def suite_lemma_small_cancellation(rep: SuiteReport, rng: random.Random,
                                    s: int = 10, m: int = 8) -> None:
-    csub = _csystem(s, m, 0)
-    data = casestudy.small_cancellation_report(csub, trials=max(rep.trials, 50),
-                                               seed=rep.seed)
-    rep.trials = data["trials"]
-    rep.params = {"s": s, "m": m, "pairs_checked": data["pairs_checked"]}
-    for v in data["violations"]:
-        rep.violations.append(Violation("small-cancellation", {"case": v}))
+    """Exhaustive pairwise checks plus randomized k-fold product checks on C.
+
+    Pairs: K(u, v) = 0 and l(uv) >= 4s - 1 over S u S^-1 with uv != 1.
+    Random products of k = 2..5 units (at least 50 trials): almost-reducedness,
+    prefix/suffix stability at 2s - 1, the length lower bound 2ks - (k - 1),
+    and the no-symmetric-components property of prefixes of members.
+    """
+    units = _csystem(s, m, 0).gen_set()
+
+    def violation(*case):
+        rep.violations.append(Violation("small-cancellation", {"case": case}))
+
+    pairs = [(u, v) for u in units for v in units if not (u * v).is_identity]
+    for u, v in pairs:
+        if cancellation_syllables(u, v) != 0:
+            violation("pair-cancellation", str(u), str(v))
+        if (u * v).syllable_len < 4 * s - 1:
+            violation("pair-length", str(u), str(v))
+    rep.trials = max(rep.trials, 50)
+    rep.params = {"s": s, "m": m, "pairs_checked": len(pairs)}
+    for _ in range(rep.trials):
+        k = rng.randint(2, 5)
+        tup = [units[rng.randrange(len(units))]]
+        while len(tup) < k:
+            u = units[rng.randrange(len(units))]
+            if not (tup[-1] * u).is_identity:
+                tup.append(u)
+        names = [str(u) for u in tup]
+        if any((x * y).syllable_len < 4 * s - 1 for x, y in zip(tup, tup[1:])):
+            violation("almost-reduced", names)
+        prod = functools.reduce(Word.__mul__, tup)
+        if prod.left(2 * s - 1) != tup[0].left(2 * s - 1):
+            violation("prefix-stability", names)
+        if prod.right(2 * s - 1) != tup[-1].right(2 * s - 1):
+            violation("suffix-stability", names)
+        if prod.syllable_len < 2 * k * s - (k - 1):
+            violation("length-bound", names)
+        for i in range(1, prod.syllable_len - 1):
+            a_i, a_i2 = prod.component(i), prod.component(i + 2)
+            if a_i2.generator == a_i.generator and a_i2.exponent == -a_i.exponent:
+                violation("symmetric-components", names, i)
 
 
 def _random_c_element(rng, csub, max_factors: int = 3) -> Word:

@@ -228,7 +228,7 @@ def _rand_alternating(G: Amalgam, rng, balls: list, max_len: int) -> AmalgamElem
 
 
 class TamedSampler:
-    """Rejection sampler for conjugate tuples, tamed ones by default.
+    """Rejection sampler for tamed conjugate tuples.
 
     Draws random g_i from alternating components, then t_i as a length-one
     component chosen so that t_i^{g_i} is reduced, and rejects until the
@@ -239,10 +239,9 @@ class TamedSampler:
     ELT_LETTERS = 3
     MAX_TRIES = 500
 
-    def __init__(self, G: Amalgam, rng, reject: bool = True):
+    def __init__(self, G: Amalgam, rng):
         self.G = G
         self.rng = rng
-        self.reject = reject
         self.balls = _outside_edge_balls(G, self.ELT_LETTERS)
 
     def _rand_t(self, g: AmalgamElement) -> AmalgamElement:
@@ -256,6 +255,7 @@ class TamedSampler:
         )
 
     def raw_tuple(self, n: int) -> ConjTuple:
+        """One n-tuple drawn as above, tamed or not."""
         entries = []
         for _ in range(n):
             g = _rand_alternating(self.G, self.rng, self.balls, self.MAX_G_LEN)
@@ -266,7 +266,7 @@ class TamedSampler:
         target = n or self.rng.randint(1, 3)
         for _ in range(self.MAX_TRIES):
             v = self.raw_tuple(target)
-            if not self.reject or is_tamed(v):
+            if is_tamed(v):
                 return v
         raise PreconditionError("tamed sampler exhausted its retry budget")
 

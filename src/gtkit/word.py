@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import NotMemberError, UnknownGeneratorError
+from .errors import NotMemberError, PreconditionError, UnknownGeneratorError
 
 
 class Generator(str):
@@ -330,6 +330,14 @@ def parse_word(text: str, alphabet: Optional[Iterable[Generator]] = None) -> Wor
     return Word(pairs)
 
 
+def parse_generator(token: str) -> Generator:
+    """Parse one generator token, ``g`` or ``g[i]``; anything else is rejected."""
+    w = parse_word(token)
+    if w.syllable_len != 1 or w.syls[0][1] != 1:
+        raise PreconditionError(f"not a generator token: {token!r}")
+    return w.syls[0][0]
+
+
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -418,7 +426,7 @@ class Presentation:
     def from_json(cls, data) -> "Presentation":
         if isinstance(data, str):
             data = json.loads(data)
-        gens = [parse_word(g).syls[0][0] for g in data["generators"]]
+        gens = [parse_generator(g) for g in data["generators"]]
         rels = [parse_word(r, gens) for r in data["relators"]]
         return cls(gens, rels)
 

@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gtkit import casestudy as cs
 from gtkit.amalgam import normalize
@@ -101,7 +103,7 @@ def test_c_membership_products(csub):
 def test_base_out_labels(csub):
     # generators start with a^+; inverses start with b^{-} (rows 1..4) or
     # b^{+} (rows 5..8), so exactly three directed labels leave the base
-    labels = {(g.name, s) for (g, s) in csub.automaton.delta[0]}
+    labels = {(g.name, s) for (g, s), _ in csub.automaton.successors(0)}
     assert labels == {("a", 1), ("b", 1), ("b", -1)}
 
 
@@ -181,6 +183,47 @@ def test_c_simplify_output_is_simplified(csub):
 def test_c_simplify_rejects_members(csub):
     with pytest.raises(PreconditionError):
         cs.c_simplify(csub, csub.gens[0])
+
+
+def _c_simplify_by_unit_scan(csub, alpha):
+    """Oracle: each strip compares L_s (R_s) of alpha with that of every unit."""
+    c1, c2, cur, s = Word(), Word(), alpha, csub.s
+    units = csub.gen_set()
+    while True:
+        if not csub.is_left_simplified(cur):
+            u = next(u for u in units if u.left(s) == cur.left(s))
+            c1, cur = c1 * u, u.inverse() * cur
+        elif not csub.is_right_simplified(cur):
+            u = next(u for u in units if u.right(s) == cur.right(s))
+            c2, cur = u * c2, cur * u.inverse()
+        else:
+            return c1, cur, c2
+
+
+@functools.lru_cache(maxsize=None)
+def _c_of_shape(s, m):
+    return cs.CSubgroup.from_matrix(cs.sample_exponents(s, m, 0))
+
+
+_unit_picks = st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=2)
+
+
+@given(st.sampled_from([(10, 8), (12, 8)]), _unit_picks, _unit_picks,
+       st.lists(st.tuples(st.sampled_from([cs.A_GEN, cs.B_GEN]),
+                          st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])),
+                min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_c_simplify_matches_the_unit_scan(shape, left, right, x):
+    # alpha = u... x u'... with units on both sides; x may merge into them
+    csub = _c_of_shape(*shape)
+    units = csub.gen_set()
+    alpha = Word(x)
+    for k in left:
+        alpha = units[k % len(units)] * alpha
+    for k in right:
+        alpha = alpha * units[k % len(units)]
+    assume(not csub.contains(alpha))
+    assert cs.c_simplify(csub, alpha) == _c_simplify_by_unit_scan(csub, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +341,9 @@ def test_suite_lfp_pair_cancellation():
 # ---------------------------------------------------------------------------
 
 def test_small_cancellation_exhaustive_pairs(csub):
-    data = cs.small_cancellation_report(csub, trials=60, seed=9)
-    assert data["violations"] == []
-    assert data["pairs_checked"] == (2 * csub.m) ** 2 - 2 * csub.m
+    rep = run_suite("lemma_small_cancellation", trials=60, seed=9)
+    assert rep.violations == []
+    assert rep.params["pairs_checked"] == (2 * csub.m) ** 2 - 2 * csub.m
 
 
 def test_pairwise_k_zero_and_length(csub):

@@ -436,3 +436,40 @@ def test_undecodable_group_file_exits_2(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe\x00")
     assert main(["search", "rtf", "--group", str(bad)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["a^2", "x y", "a^-1"])
+def test_free_group_file_rejects_a_generator_token_that_is_not_one_generator(
+        tmp_path, token):
+    group = write(tmp_path, "free.json", {
+        "kind": "free", "alphabet": [token, "b"], "subgroup": ["b"]})
+    assert main(["search", "rtf", "--group", group, "--radius", "1",
+                 "--max-n", "2"]) == 2
+
+
+def test_free_presentation_rejects_a_generator_token_that_is_not_one_generator(
+        tmp_path):
+    from gtkit import casestudy as cs
+
+    w = gt.NclWitness(cs.gamma_alpha(), [(0, -1, W("a[0] a[2]"))])
+    ncl = write(tmp_path, "alpha.json", w.to_json())
+    free = write(tmp_path, "free.json", {
+        "alphabet": ["a[0] a[3]", "a[1]", "a[2]"],
+        "relators": [str(cs.gamma_relator())]})
+    assert main(["verify", "--ncl", ncl, "--free", free]) == 2
+
+
+def test_abelianize_rejects_a_generator_token_that_is_not_one_generator(
+        tmp_path, capsys):
+    # read as generators x and z, this presentation would be called trivial
+    pres = write(tmp_path, "pres.json",
+                 {"generators": ["x y", "z^3"], "relators": ["x", "z"]})
+    assert main(["abelianize", "--pres", pres]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--s", "--m"])
+def test_suite_rejects_s_and_m_where_the_suite_reads_neither(flag, capsys):
+    assert main(["suite", "magnus_inverse", flag, "9", "--trials", "2"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["suite", "nonlo_witnesses", "--m", "8", "--trials", "2"]) == 0

@@ -207,3 +207,103 @@ def test_suite_c_degree1():
 
 def test_suite_c_leading_vars():
     assert run_suite("magnus_c_leading_vars", trials=100, seed=47).ok
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the relation path with one branch per family and a union-find per
+# call, as it stood before the families became variable maps.
+# ---------------------------------------------------------------------------
+
+def _classes_by_union_find(sigma: dict, indices) -> dict:
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in sigma.items():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return {i: find(i) for i in set(indices) | set(sigma) | set(sigma.values())}
+
+
+def _substitute(s, f):
+    out: dict = {}
+    for m, c in s.coeffs.items():
+        key = tuple(f(i) for i in m)
+        v = out.get(key, 0) + c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    if isinstance(s, LeadingTerm):
+        return LeadingTerm(s.degree, out)
+    res = TruncatedSeries(s.cap)
+    res.coeffs = out
+    return res
+
+
+def _annihilates_by_family(rel, target):
+    sigma = dict(rel.sigma) if isinstance(rel, Identify) else {}
+    if isinstance(target, LeadingTerm):
+        if isinstance(rel, ZeroVars):
+            return all(set(m) & rel.indices for m in target.coeffs)
+        reps = _classes_by_union_find(sigma, target.variables())
+        return not _substitute(target, lambda i: reps.get(i, i)).coeffs
+    w = target
+    if w.is_identity:
+        return True
+    cap = min(3, max(1, w.letter_len))
+    series = mu(w, cap)
+    if isinstance(rel, ZeroVars):
+        quotient = Word((g, e) for g, e in w.syls if g.index not in rel.indices)
+        projected = TruncatedSeries(cap, {m: c for m, c in series.coeffs.items()
+                                          if not set(m) & rel.indices})
+    else:
+        reps = _classes_by_union_find(sigma, (g.index for g, _ in w.syls))
+        quotient = Word((gen(g.name, reps.get(g.index, g.index)), e) for g, e in w.syls)
+        reps = _classes_by_union_find(sigma, series.variables())
+        projected = _substitute(series, lambda i: reps.get(i, i))
+    assert not quotient.is_identity or projected == TruncatedSeries.one(cap)
+    return quotient.is_identity
+
+
+_relation = st.one_of(
+    st.sets(st.integers(0, 5), max_size=3).map(ZeroVars),
+    st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=3).map(Identify),
+)
+
+
+def _killed_letter(rel):
+    """A word the relations kill: x_i for a zeroed i, x_i x_sigma(i)^-1."""
+    if isinstance(rel, ZeroVars):
+        return Word([(gen("a", i), 1) for i in sorted(rel.indices)[:1]])
+    if not rel.sigma:
+        return Word()
+    i, j = rel.sigma[0]
+    return Word([(gen("a", i), 1), (gen("a", j), -1)])
+
+
+@given(_relation, _indexed_word,
+       st.lists(st.tuples(_indexed_word, st.sampled_from([1, -1, 2])), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_relation_maps_match_the_family_branches(rel, w, conjugates):
+    # w is random; kernel is a product of conjugates of a killed word
+    kernel = Word()
+    for conj, e in conjugates:
+        kernel = kernel * conj * _killed_letter(rel) ** e * conj.inverse()
+    for word in (w, kernel, w * kernel):
+        assert annihilates(rel, word) == _annihilates_by_family(rel, word)
+        if word.is_identity:
+            continue
+        lt = leading_term(word)
+        assert annihilates(rel, lt) == _annihilates_by_family(rel, lt)
+        sigma = (dict(rel.sigma) if isinstance(rel, Identify)
+                 else {i: 0 for i in rel.indices})
+        for s in (lt, mu(word, 3)):
+            assert apply_sigma(s, sigma) == _substitute(s, lambda i: sigma.get(i, i))
+            assert apply_sigma(s, lambda i: i % 2) == _substitute(s, lambda i: i % 2)

@@ -217,7 +217,9 @@ def _digest(obj):
 
 
 def _tag_table(aut):
-    return [sorted([str(g), s, str(t)] for (g, s), t in d.items()) for d in aut._tags]
+    return [sorted([str(g), s, str(aut._marks[g, s].get(q, "1"))]
+                   for (g, s), _ in aut.successors(q))
+            for q in range(aut.num_states)]
 
 
 def test_pinned_fold_of_a_dependent_generating_set():
