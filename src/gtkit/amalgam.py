@@ -12,14 +12,13 @@ by normalizing x * y^-1, never via canonical coset representatives.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InternalInvariantError, NotMemberError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton
-from .word import Generator, Word, _product_ball, gen, parse_generator, parse_word
+from .word import Generator, Word, _product_ball, gen, parse_generator, parse_word, substitute
 
 EDGE_TAG = "C"
 
@@ -29,7 +28,22 @@ _BLOCK_RE = re.compile(_BLOCK)
 _ELEMENT_RE = re.compile(rf"\s*(?:{_BLOCK}\s*)*")
 
 
-class FreeFactor:
+class _Factor:
+    """What both factor kinds share: the edge alphabet and its images here."""
+
+    def _attach_edge(self, alphabet: Sequence[Generator], images: Sequence[Word]):
+        self._edge_alphabet = tuple(alphabet)
+        self.edge_images = tuple(self.canonical(w) for w in images)
+        self._edge_image = dict(zip(self._edge_alphabet, self.edge_images)).__getitem__
+
+    def from_edge(self, ew: Word) -> Word:
+        return self.canonical(substitute(ew, self._edge_image))
+
+    def parse(self, text: str) -> Word:
+        return self.canonical(parse_word(text, self.alphabet))
+
+
+class FreeFactor(_Factor):
     """A free factor group together with its edge-subgroup data.
 
     `automaton` is the folded edge subgroup, or None while there is no edge.
@@ -43,14 +57,14 @@ class FreeFactor:
         self.edge_images: tuple = ()
         self.automaton: Optional[SubgroupAutomaton] = None
 
-    def _attach_edge(self, images: Sequence[Word], edge_rank: int):
-        self.edge_images = tuple(images)
-        if edge_rank:
+    def _attach_edge(self, alphabet: Sequence[Generator], images: Sequence[Word]):
+        super()._attach_edge(alphabet, images)
+        if alphabet:
             self.automaton = SubgroupAutomaton(self.edge_images)
-            if self.automaton.rank != edge_rank:
+            if self.automaton.rank != len(alphabet):
                 raise PreconditionError(
                     f"edge images in factor {self.name} do not freely generate: "
-                    f"rank {self.automaton.rank} != {edge_rank}"
+                    f"rank {self.automaton.rank} != {len(alphabet)}"
                 )
 
     # group operations on elements (plain reduced words)
@@ -81,31 +95,15 @@ class FreeFactor:
         expr = None if self.automaton is None else self.automaton.try_express(x)
         if expr is None:
             return None
-        return Word([(self._edge_gen(g.index - 1), e) for g, e in expr.syls])
-
-    def from_edge(self, ew: Word) -> Word:
-        out = Word()
-        for g, e in ew.syls:
-            out = out * (self.edge_images[self._edge_pos(g)] ** e)
-        return out
+        return Word([(self._edge_alphabet[g.index - 1], e) for g, e in expr.syls])
 
     def ball(self, max_letters: int):
         """All nontrivial reduced words with letter length <= max_letters."""
         letters = [Word([(g, s)]) for g in self.alphabet for s in (1, -1)]
         return _product_ball(letters, max_letters, include_identity=False)
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.alphabet)
 
-    # wiring set by the Amalgam
-    def _edge_gen(self, pos: int) -> Generator:
-        return self._edge_alphabet[pos]
-
-    def _edge_pos(self, g: Generator) -> int:
-        return self._edge_positions[g]
-
-
-class AbelianFactor:
+class AbelianFactor(_Factor):
     """A finitely generated free-abelian factor; elements are sorted words."""
 
     kind = "free-abelian"
@@ -116,16 +114,15 @@ class AbelianFactor:
         self._rank = {g: i for i, g in enumerate(self.alphabet)}
         self.edge_images: tuple = ()
 
-    def _attach_edge(self, images: Sequence[Word], edge_rank: int):
-        if edge_rank > 1:
+    def _attach_edge(self, alphabet: Sequence[Generator], images: Sequence[Word]):
+        if len(alphabet) > 1:
             raise PreconditionError(
                 "free-abelian factors support a rank-one edge subgroup only"
             )
-        images = tuple(self.canonical(w) for w in images)
-        if edge_rank == 1 and images[0].is_identity:
+        super()._attach_edge(alphabet, images)
+        if alphabet and self.edge_images[0].is_identity:
             raise PreconditionError("edge image in abelian factor must be nontrivial")
-        self.edge_images = images
-        self._edge_vec = self._vec(images[0]) if images else None
+        self._edge_vec = self._vec(self.edge_images[0]) if alphabet else None
 
     def canonical(self, x: Word) -> Word:
         """x with its exponents summed per generator, in alphabet order.
@@ -201,14 +198,6 @@ class AbelianFactor:
             return None
         return Word([(self._edge_alphabet[0], k)])
 
-    def from_edge(self, ew: Word) -> Word:
-        out = Word()
-        for g, e in ew.syls:
-            if self._edge_positions[g] != 0:
-                raise NotMemberError(f"unknown edge generator {g}")
-            out = self.mul(out, self.canonical(self.edge_images[0] ** e))
-        return out
-
     def ball(self, max_letters: int):
         rng = range(-max_letters, max_letters + 1)
         out = []
@@ -217,14 +206,8 @@ class AbelianFactor:
                 out.append(Word([(g, c) for g, c in zip(self.alphabet, combo) if c]))
         return out
 
-    def parse(self, text: str) -> Word:
-        return self.canonical(parse_word(text, self.alphabet))
 
-    def _edge_gen(self, pos: int) -> Generator:
-        return self._edge_alphabet[pos]
-
-    def _edge_pos(self, g: Generator) -> int:
-        return self._edge_positions[g]
+FACTOR_KINDS = {klass.kind: klass for klass in (FreeFactor, AbelianFactor)}
 
 
 @dataclass
@@ -244,14 +227,10 @@ class Amalgam:
         self.edge = edge
         if len(edge.images) != len(self.factors):
             raise PreconditionError("one edge image tuple per factor required")
-        rank = len(edge.alphabet)
-        positions = {g: i for i, g in enumerate(edge.alphabet)}
         for f, images in zip(self.factors, edge.images):
-            if len(images) != rank:
+            if len(images) != len(edge.alphabet):
                 raise PreconditionError("edge image tuple has wrong arity")
-            f._edge_alphabet = edge.alphabet
-            f._edge_positions = positions
-            f._attach_edge(images, rank)
+            f._attach_edge(edge.alphabet, images)
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise PreconditionError("factor names must be distinct")
@@ -314,12 +293,13 @@ class Amalgam:
 
     @classmethod
     def from_json(cls, data) -> "Amalgam":
-        if isinstance(data, str):
-            data = json.loads(data)
         factors = []
         for fd in data["factors"]:
             alphabet = [parse_generator(t) for t in fd["alphabet"]]
-            klass = FreeFactor if fd["kind"] == "free" else AbelianFactor
+            klass = FACTOR_KINDS.get(fd["kind"])
+            if klass is None:
+                raise PreconditionError(f"unknown factor kind {fd['kind']!r}; known kinds: "
+                                        + ", ".join(FACTOR_KINDS))
             factors.append(klass(fd["name"], alphabet))
         edge_alpha = tuple(parse_generator(t) for t in data["edge"]["alphabet"])
         images = tuple(
@@ -704,7 +684,4 @@ def element_from_free_word(G: Amalgam, w: Word) -> AmalgamElement:
 def free_word_from_element(g: AmalgamElement) -> Word:
     if not g.head.is_identity:
         raise PreconditionError("nontrivial head has no free-word image")
-    out = Word()
-    for _, x in g.comps:
-        out = out * x
-    return out
+    return Word([s for _, x in g.comps for s in x.syls])

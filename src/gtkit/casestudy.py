@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +33,7 @@ from .word import (
     Word,
     cancellation_syllables,
     gen,
+    substitute,
 )
 
 A_GEN, B_GEN = gen("a"), gen("b")
@@ -62,8 +62,6 @@ class ExponentMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExponentMatrix":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(data["s"], data["m"], data["a_exp"], data["b_exp"])
 
 
@@ -600,8 +598,6 @@ class NonLoGroup:
 
     @classmethod
     def from_json(cls, data) -> "NonLoGroup":
-        if isinstance(data, str):
-            data = json.loads(data)
         return build_nonlo(ExponentMatrix.from_json(data["exponents"]))
 
 
@@ -718,14 +714,13 @@ def rewrite_to_indexed(w: Word) -> Word:
 
 def expand_indexed(w: Word) -> Word:
     """Inverse of rewrite_to_indexed: a_i -> b^-i a b^i."""
-    out = Word()
-    b = Word([(B_GEN, 1)])
-    a = Word([(A_GEN, 1)])
-    for g, e in w.syls:
-        if g.name != "a" or g.index is None:
-            raise NotMemberError(f"not an indexed generator: {g}")
-        out = out * (b ** (-g.index)) * (a ** e) * (b ** g.index)
-    return out
+    return substitute(w, _indexed_image)
+
+
+def _indexed_image(g: Generator) -> Word:
+    if g.name != "a" or g.index is None:
+        raise NotMemberError(f"not an indexed generator: {g}")
+    return Word([(B_GEN, -g.index), (A_GEN, 1), (B_GEN, g.index)])
 
 
 def shift_indexed(w: Word, k: int) -> Word:
@@ -739,13 +734,13 @@ def indexed_to_v(w: Word) -> Word:
     v_1 = a_2 a_1^-1 and v_i = a_i otherwise, so a_1 = v_1^-1 v_2 and
     a_i = v_i otherwise.
     """
-    out = Word()
-    for g, e in w.syls:
-        if g.index == 1:
-            out = out * ((Word([(v_i(1), -1), (v_i(2), 1)])) ** e)
-        else:
-            out = out * Word([(v_i(g.index), e)])
-    return out
+    return substitute(w, _v_image)
+
+
+def _v_image(g: Generator) -> Word:
+    if g.index == 1:
+        return Word([(v_i(1), -1), (v_i(2), 1)])
+    return Word([(v_i(g.index), 1)])
 
 
 def sprime_weights(w: Word) -> dict:

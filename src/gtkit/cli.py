@@ -8,11 +8,15 @@ unexpected exception; the traceback goes to stderr).
 All randomness flows from the suite and build --seed: suite reports embed
 the seed, search reports embed their bounds, and identical invocations
 produce byte-identical reports.  Flags are never read from abbreviations.
+Every input file (group, certificate, presentation, witness) must hold a
+JSON object; a file whose top-level value is a string, list or number
+exits 2.  An amalgam factor's kind is exactly `free` or `free-abelian`.
 Generator tokens in group and presentation files (alphabets, generator
 lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
-exits 2.  Of the suites, only lemma_small_cancellation and nonlo_witnesses
-read --s and --m; giving either to another single suite exits 2, and
-`suite all` passes them to those two.
+exits 2.  `suite --trials` must be non-negative.  Of the suites, only
+lemma_small_cancellation and nonlo_witnesses read --s and --m; giving
+either to another single suite exits 2, and `suite all` passes them to
+those two.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ re-verified by normalization before being surfaced.
 
 from __future__ import annotations
 
-import json
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .amalgam import (
 )
 from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton, _witness_gen
-from .word import Generator, Word, _product_ball, conjugacy_key, gen, parse_word
+from .word import Generator, HomSpec, Word, _product_ball, conjugacy_key, gen, parse_word
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,6 @@ class GtCertificate:
 
     @classmethod
     def from_json(cls, G: Amalgam, data) -> "GtCertificate":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(
             G.parse_element(data["base"]),
             [G.parse_element(t) for t in data["conjugators"]],
@@ -115,8 +112,6 @@ class NclWitness:
 
     @classmethod
     def from_json(cls, data) -> "NclWitness":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(
             parse_word(data["target"]),
             [(i, s, parse_word(c)) for i, s, c in data["terms"]],
@@ -125,12 +120,11 @@ class NclWitness:
 
 def verify_ncl_witness(relators: Sequence[Word], w: NclWitness) -> bool:
     """Free-reduction check that the conjugated relator product is the target."""
-    prod = Word()
-    for idx, sign, conj in w.terms:
+    for idx, _, _ in w.terms:
         if not 0 <= idx < len(relators):
             raise PreconditionError(f"relator index out of range: {idx}")
-        prod = prod * (relators[idx] ** sign).conj(conj)
-    return prod == w.target
+    return w.target == Word([s for idx, sign, conj in w.terms
+                             for s in (relators[idx] ** sign).conj(conj).syls])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +144,8 @@ def amalgam_conjugator_ball(G: Amalgam, bounds: SearchBounds) -> list:
 
     Components are drawn from the factor balls (letter length bounded by
     max_elt_letters) minus the edge subgroup.  Deterministic order: by
-    component count, then serialization.
+    component count, then by factor index and factor-ball order at each
+    added component (search_gt re-sorts its copy by serialization).
     """
     factor_balls = _outside_edge_balls(G, bounds.max_elt_letters)
     out = [G.identity()]
@@ -383,14 +378,16 @@ def _first_product(start, n_units: int, step, accept, depth: int, budget: int):
 # Explicit certificate constructions
 # ---------------------------------------------------------------------------
 
+def _primed(alphabet: Sequence[str], w: Word) -> Word:
+    """The copy of w in A': each generator a of the alphabet becomes a'."""
+    return HomSpec({gen(a): Word([(gen(a + "'"), 1)]) for a in alphabet}).apply(w)
+
+
 def doubled_amalgam(alphabet: Sequence[str], edge_gens: Sequence[Word]) -> Amalgam:
     """A *_C A' : two copies of a free group glued along <edge_gens>."""
-    prime = {gen(a): gen(a + "'") for a in alphabet}
-    primed = []
-    for w in edge_gens:
-        primed.append(Word([(prime[g], e) for g, e in w.syls]))
+    primed = [_primed(alphabet, w) for w in edge_gens]
     f1 = FreeFactor("A", [gen(a) for a in alphabet])
-    f2 = FreeFactor("A'", list(prime.values()))
+    f2 = FreeFactor("A'", [gen(a + "'") for a in alphabet])
     edge_alpha = tuple(gen("e", i + 1) for i in range(len(edge_gens)))
     return Amalgam(
         [f1, f2],
@@ -410,27 +407,21 @@ def bergman_witness(alphabet: Sequence[str], edge_gens: Sequence[Word],
     cs = list(cs)
     if len(cs) < 2:
         raise PreconditionError("need n >= 2 conjugating constants")
-    aut = SubgroupAutomaton(edge_gens)
-    if aut.contains(a):
+    G0 = doubled_amalgam(alphabet, edge_gens)
+    A = G0.factors[0]
+    if A.in_edge(a):
         raise PreconditionError("a must lie outside C")
     for c in cs:
-        if not aut.contains(c):
+        if not A.in_edge(c):
             raise PreconditionError(f"not an element of C: {c}")
-    t = Word()
-    for c in cs:
-        t = t * a * c
-    if not aut.contains(t):
-        raise PreconditionError(f"a c_1 ... a c_n lies outside C: {t}")
-    G0 = doubled_amalgam(alphabet, edge_gens)
-    prime = {gen(x): gen(x + "'") for x in alphabet}
-    a_primed = Word([(prime[g], e) for g, e in a.syls])
-    base = normalize(G0, [(1, a_primed), (0, a.inverse())])
-    conjugators = []
-    for i in range(len(cs)):
-        w = Word()
-        for c in cs[i:]:
-            w = w * a * c
-        conjugators.append(normalize(G0, [(0, w)]))
+    # suffixes[k] = (a c_{n-k+1}) ... (a c_n), built right to left
+    suffixes = [Word()]
+    for c in reversed(cs):
+        suffixes.append(a * c * suffixes[-1])
+    if not A.in_edge(suffixes[-1]):
+        raise PreconditionError(f"a c_1 ... a c_n lies outside C: {suffixes[-1]}")
+    base = normalize(G0, [(1, _primed(alphabet, a)), (0, a.inverse())])
+    conjugators = [normalize(G0, [(0, w)]) for w in reversed(suffixes[1:])]
     cert = GtCertificate(base, conjugators)
     if not verify_gt_certificate(G0, cert):
         raise InternalInvariantError("constructed certificate fails verification")

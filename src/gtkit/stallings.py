@@ -17,7 +17,7 @@ from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import IDENTITY, Generator, Word, gen
+from .word import IDENTITY, Generator, Word, gen, substitute
 
 WITNESS_NAME = "g"
 # A segment lookup and jump cost about as much as stepping this many edges
@@ -481,14 +481,12 @@ class SubgroupAutomaton:
 
     def evaluate(self, expr: Word) -> Word:
         """Evaluate a witness-alphabet word through the generator images."""
-        parts = []
-        for g, e in expr.syls:
-            if g.name != WITNESS_NAME or g.index is None or not (
-                1 <= g.index <= len(self.generators)
-            ):
-                raise NotMemberError(f"not a witness symbol: {g}")
-            parts.append(self.generators[g.index - 1] ** e)
-        return Word([s for part in parts for s in part.syls])
+        return substitute(expr, self._witness_image)
+
+    def _witness_image(self, g: Generator) -> Word:
+        if g.name != WITNESS_NAME or not 1 <= (g.index or 0) <= len(self.generators):
+            raise NotMemberError(f"not a witness symbol: {g}")
+        return self.generators[g.index - 1]
 
     # -- syllable-exact prefix acceptance ------------------------------------
 

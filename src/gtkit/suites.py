@@ -902,7 +902,8 @@ def suite_block_cancellation(rep: SuiteReport, rng: random.Random) -> None:
     Fixtures c1 = u1 u2 and c2 = u2^-1 u3 share the unit u2, so the mu parts
     of c1^g and c2^g can cancel.  Each trial builds both standard forms
     (which re-verify their own structural facts) and the left-first trace
-    of the product, and counts a skip when the tracer reports no mu-mu
+    of the product, which must be (u1 u3)^g with cancellation_syllables(c1^g,
+    c2^g) cancel pairs.  A skip is counted when the tracer reports no mu-mu
     cancellation pair.  Bridges between distinct conjugators are not built.
     """
     csub = _csystem()
@@ -920,6 +921,11 @@ def suite_block_cancellation(rep: SuiteReport, rng: random.Random) -> None:
         conj1 = g.inverse() * c1 * g
         conj2 = g.inverse() * c2 * g
         trace = casestudy.lfp_trace([conj1, conj2])
+        fixture = {"units": [str(u1), str(u2), str(u3)], "g": str(g)}
+        if trace.product() != (u1 * u3).conj(g):
+            rep.violations.append(Violation("traced-product", fixture))
+        if len(trace.cancel_pairs) != cancellation_syllables(conj1, conj2):
+            rep.violations.append(Violation("cancel-pair-count", fixture))
         d1 = casestudy.standard_form(csub, c1, g)
         d2 = casestudy.standard_form(csub, c2, g)
         mu1_range = range(d1.lam.syllable_len + 1,
@@ -1033,7 +1039,9 @@ def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteRep
     """
     if name not in SUITES:
         raise PreconditionError(f"unknown suite: {name!r}")
-    rep = SuiteReport(name, max(trials, 0), seed=seed, params=params)
+    if trials < 0:
+        raise PreconditionError(f"trials must be non-negative: {trials}")
+    rep = SuiteReport(name, trials, seed=seed, params=params)
     if trials > 0:
         SUITES[name](rep, random.Random(seed), **params)
     return rep

@@ -10,7 +10,6 @@ conjugates collapsing to the identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,8 +70,6 @@ class ConjTuple:
 
     @classmethod
     def from_json(cls, G: Amalgam, data) -> "ConjTuple":
-        if isinstance(data, str):
-            data = json.loads(data)
         entries = [
             (G.parse_element(e["t"]), G.parse_element(e["g"]))
             for e in data["entries"]

@@ -10,11 +10,10 @@ distinct throughout: ``l(w)`` in the alternating-product sense is
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotMemberError, PreconditionError, UnknownGeneratorError
 
@@ -342,6 +341,18 @@ def parse_generator(token: str) -> Generator:
 # Homomorphisms
 # ---------------------------------------------------------------------------
 
+def substitute(w: Word, image: Callable[[Generator], Word]) -> Word:
+    """The image of w under the homomorphism sending each generator g to image(g).
+
+    The powers image(g)**e are concatenated and freely reduced in one pass.
+    """
+    syls = w.syls
+    if len(syls) == 1:
+        g, e = syls[0]
+        return image(g) ** e
+    return Word([s for g, e in syls for s in (image(g) ** e).syls])
+
+
 class HomSpec:
     """A homomorphism between free groups given by generator images."""
 
@@ -362,10 +373,7 @@ class HomSpec:
             raise UnknownGeneratorError(f"generator {g} outside hom domain") from None
 
     def apply(self, w: Word) -> Word:
-        out = IDENTITY
-        for g, e in w.syls:
-            out = out * (self.image(g) ** e)
-        return out
+        return substitute(w, self.image)
 
 
 def weight(w: Word, t: Generator, basis: Optional[HomSpec] = None) -> int:
@@ -424,8 +432,6 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data) -> "Presentation":
-        if isinstance(data, str):
-            data = json.loads(data)
         gens = [parse_generator(g) for g in data["generators"]]
         rels = [parse_word(r, gens) for r in data["relators"]]
         return cls(gens, rels)

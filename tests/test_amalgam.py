@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -364,6 +365,19 @@ def test_amalgam_json_roundtrip(z2z):
     assert back.to_json() == data
     x = normalize(back, [(0, W("a")), (1, W("b^-2")), (0, W("a"))])
     assert x.is_identity
+
+
+@pytest.mark.parametrize("kind", ["fre", "abelian", "Free"])
+def test_amalgam_json_rejects_an_unknown_factor_kind(z2z, kind):
+    data = z2z.to_json()
+    data["factors"][1]["kind"] = kind
+    with pytest.raises(PreconditionError, match="unknown factor kind"):
+        Amalgam.from_json(data)
+
+
+def test_amalgam_json_does_not_decode_a_string(z2z):
+    with pytest.raises(TypeError):
+        Amalgam.from_json(json.dumps(z2z.to_json()))
 
 
 def test_abelian_factor_edge_arithmetic():

@@ -513,6 +513,29 @@ def test_suite_block_cancellation():
     assert rep.skips < 60  # the fixtures do produce mu-mu cancellations
 
 
+def test_suite_block_cancellation_reports_a_wrong_traced_product(monkeypatch):
+    real = cs.lfp_trace
+    # a tracer that drops the second conjugate
+    monkeypatch.setattr(cs, "lfp_trace", lambda inputs: real(inputs[:1]))
+    rep = run_suite("block_cancellation", trials=20, seed=56)
+    assert "traced-product" in {v.kind for v in rep.violations}
+
+
+def test_suite_block_cancellation_reports_a_lost_cancel_pair(monkeypatch):
+    real = cs.lfp_trace
+
+    def lossy(inputs):
+        trace = real(inputs)
+        if trace.cancel_pairs:
+            trace.cancel_pairs.pop()
+        return trace
+
+    monkeypatch.setattr(cs, "lfp_trace", lossy)
+    rep = run_suite("block_cancellation", trials=20, seed=56)
+    assert rep.violations
+    assert {v.kind for v in rep.violations} == {"cancel-pair-count"}
+
+
 def test_suite_claim_a_shortening():
     assert run_suite("claim_a_shortening", trials=40, seed=57).ok
 

@@ -473,3 +473,60 @@ def test_suite_rejects_s_and_m_where_the_suite_reads_neither(flag, capsys):
     assert main(["suite", "magnus_inverse", flag, "9", "--trials", "2"]) == 2
     assert capsys.readouterr().out == ""
     assert main(["suite", "nonlo_witnesses", "--m", "8", "--trials", "2"]) == 0
+
+
+# -- input files must hold JSON objects ------------------------------------------
+
+def write_string_encoded(tmp_path, name, data):
+    """A file whose top-level value is a JSON string holding data's JSON text."""
+    return write(tmp_path, name, json.dumps(data))
+
+
+def test_verify_rejects_a_string_encoded_certificate(bs2_files, tmp_path, capsys):
+    group, cert = bs2_files
+    certf = write_string_encoded(tmp_path, "cert.json", json.load(open(cert)))
+    assert main(["verify", "--group", group, "--cert", certf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed certificate file" in captured.err
+
+
+def test_verify_rejects_a_string_encoded_ncl_witness(tmp_path, capsys):
+    from gtkit import casestudy as cs
+
+    w = gt.NclWitness(cs.gamma_alpha(), [(0, -1, W("a[0] a[2]"))])
+    ncl = write_string_encoded(tmp_path, "alpha.json", w.to_json())
+    free = write(tmp_path, "free.json", {
+        "alphabet": ["a[0]", "a[1]", "a[2]"], "relators": [str(cs.gamma_relator())]})
+    assert main(["verify", "--ncl", ncl, "--free", free]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed witness file" in captured.err
+
+
+def test_abelianize_rejects_a_string_encoded_presentation(tmp_path, capsys):
+    pres = write_string_encoded(tmp_path, "pres.json",
+                                {"generators": ["x", "y"], "relators": ["x"]})
+    assert main(["abelianize", "--pres", pres]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed presentation file" in captured.err
+
+
+def test_unknown_factor_kind_exits_2(tmp_path, capsys):
+    data = {
+        "kind": "amalgam",
+        "factors": [{"kind": "fre", "name": "A", "alphabet": ["a", "b"]},
+                    {"kind": "free", "name": "B", "alphabet": ["c"]}],
+        "edge": {"alphabet": [], "images": [[], []]},
+    }
+    group = write(tmp_path, "typo.json", data)
+    # read as free-abelian, the commutator would be trivial
+    assert main(["search", "gt", "--group", group,
+                 "--elem", "[A: a b a^-1 b^-1]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown factor kind 'fre'" in captured.err
+
+
+@pytest.mark.parametrize("trials", ["-5", "-1"])
+def test_suite_rejects_negative_trials(trials, capsys):
+    assert main(["suite", "magnus_inverse", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials must be non-negative" in captured.err

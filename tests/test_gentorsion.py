@@ -20,7 +20,7 @@ from gtkit.amalgam import (
     normalize,
 )
 from gtkit.cli import main
-from gtkit.errors import InternalInvariantError, PreconditionError
+from gtkit.errors import GtkitError, InternalInvariantError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton
 from gtkit.suites import SUITES, run_suite
 from gtkit.tamed import TamedSampler
@@ -79,6 +79,12 @@ def test_bergman_witness_f2():
 def test_bergman_requires_a_outside_c():
     with pytest.raises(PreconditionError):
         gt.bergman_witness(["a"], [W("a^2")], W("a^2"), [W("1"), W("1")])
+
+
+@pytest.mark.parametrize("edge, a", [("b^2", "a"), ("b^2", "b")])
+def test_bergman_rejects_words_outside_the_alphabet(edge, a):
+    with pytest.raises(GtkitError):
+        gt.bergman_witness(["a"], [W(edge)], W(a), [W("1"), W("1")])
 
 
 def test_certificate_json_roundtrip():
@@ -806,6 +812,11 @@ def test_run_suite_unknown_name():
 def test_run_suite_zero_trials_empty_report():
     rep = run_suite("magnus_inverse", trials=0, seed=1)
     assert rep.trials == 0 and rep.ok
+
+
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(PreconditionError, match="non-negative"):
+        run_suite("magnus_inverse", trials=-5, seed=1)
 
 
 def test_run_suite_deterministic():
