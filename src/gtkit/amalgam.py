@@ -18,7 +18,16 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton
-from .word import Generator, Word, _product_ball, gen, parse_generator, parse_word, substitute
+from .word import (
+    Generator,
+    Word,
+    _product_ball,
+    gen,
+    parse_generator,
+    parse_word,
+    sort_words,
+    substitute,
+)
 
 EDGE_TAG = "C"
 
@@ -312,11 +321,8 @@ class Amalgam:
 
 def _outside_edge_balls(G: Amalgam, max_letters: int) -> list:
     """Per factor, its ball minus the edge subgroup, sorted by sort_key."""
-    return [
-        sorted((x for x in f.ball(max_letters) if not f.in_edge(x)),
-               key=lambda w: w.sort_key())
-        for f in G.factors
-    ]
+    return [sort_words(x for x in f.ball(max_letters) if not f.in_edge(x))
+            for f in G.factors]
 
 
 class AmalgamElement:

@@ -13,10 +13,11 @@ JSON object; a file whose top-level value is a string, list or number
 exits 2.  An amalgam factor's kind is exactly `free` or `free-abelian`.
 Generator tokens in group and presentation files (alphabets, generator
 lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
-exits 2.  `suite --trials` must be non-negative.  Of the suites, only
-lemma_small_cancellation and nonlo_witnesses read --s and --m; giving
-either to another single suite exits 2, and `suite all` passes them to
-those two.
+exits 2.  `search --max-n` and `--max-k` name one bound; giving both
+with different values exits 2.  `suite --trials` must be non-negative.
+Of the suites, only lemma_small_cancellation and nonlo_witnesses read --s
+and --m; giving either to another single suite exits 2, and `suite all`
+passes them to those two.
 """
 
 from __future__ import annotations
@@ -110,8 +111,11 @@ class GroupFile:
 
 
 def _bounds(args) -> SearchBounds:
-    # --max-n and --max-k name the same bound; an explicit 0 reaches
-    # SearchBounds and is rejected there
+    # --max-n and --max-k name the same bound, so two different values
+    # conflict; an explicit 0 reaches SearchBounds and is rejected there
+    if None not in (args.max_n, args.max_k) and args.max_n != args.max_k:
+        raise PreconditionError(
+            f"--max-n {args.max_n} and --max-k {args.max_k} name the same bound")
     max_n = next((v for v in (args.max_n, args.max_k) if v is not None), 3)
     return SearchBounds(
         radius=args.radius,

@@ -10,6 +10,7 @@ re-verified by normalization before being surfaced.
 
 from __future__ import annotations
 
+import functools
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -26,7 +27,16 @@ from .amalgam import (
 )
 from .errors import InternalInvariantError, PreconditionError
 from .stallings import SubgroupAutomaton, _witness_gen
-from .word import Generator, HomSpec, Word, _product_ball, conjugacy_key, gen, parse_word
+from .word import (
+    Generator,
+    HomSpec,
+    Word,
+    _product_ball,
+    conjugacy_key,
+    gen,
+    parse_word,
+    sort_words,
+)
 
 
 @dataclass(frozen=True)
@@ -568,7 +578,7 @@ def check_multimalnormal(alphabet: Sequence[Generator],
                                   max_elements=20_000)
     if any(w.is_identity for w in cball):
         raise PreconditionError("the identity lies in the seed ball; invalid C'")
-    cball = sorted(cball, key=lambda w: w.sort_key())
+    cball = sort_words(cball)
     aball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
              if not aut.contains(w)]
     report = SuiteReport("multimalnormal", 0, capped=capped, params={
@@ -624,8 +634,7 @@ def check_nss_intersection(alphabet: Sequence[Generator],
     if not aut.contains(alpha) or alpha.is_identity:
         raise PreconditionError("alpha must be a nontrivial element of C")
     ambient, capped = nss_ball_free(alphabet, [alpha], bounds)
-    members = sorted((w for w in ambient if aut.contains(w)),
-                     key=lambda w: w.sort_key())
+    members = sort_words(w for w in ambient if aut.contains(w))
     report = SuiteReport("nss-intersection", len(members), capped=capped,
                          params={"bounds": bounds.to_json(), "alpha": str(alpha)})
     levels = _NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
@@ -642,11 +651,23 @@ def check_nss_intersection(alphabet: Sequence[Generator],
     return report
 
 
+@functools.lru_cache(maxsize=16)
+def _witness_ball(rank: int, radius: int) -> tuple:
+    """``subgroup_product_ball`` over the witness letters g[1]..g[rank].
+
+    It depends on (rank, radius) alone, so every NSS level search with the
+    same shape shares one copy.
+    """
+    return tuple(subgroup_product_ball(
+        [Word([(_witness_gen(i), 1)]) for i in range(rank)], radius))
+
+
 class _NssLevels:
     """Membership in NSS_C({A}) for a word A over C's basis g[1]..g[rank],
     level by level as check_nss_intersection describes.  All level searches
-    share one node cap; the conjugator ball of ``radius`` basis letters and
-    the (A^c)^-1 are built when a search first needs them."""
+    share one node cap; the conjugator ball of ``radius`` basis letters
+    (from _witness_ball) and the (A^c)^-1 are taken when a search first
+    needs them."""
 
     def __init__(self, A: Word, rank: int, radius: int, max_level: int,
                  node_cap: int):
@@ -683,8 +704,7 @@ class _NssLevels:
             if self.nodes > self.node_cap:
                 break
             if self.conjugators is None:
-                self.conjugators = subgroup_product_ball(
-                    [Word([(g, 1)]) for g in self.letters], self.radius)
+                self.conjugators = _witness_ball(len(self.letters), self.radius)
             # W is at level k if some W (A^c_k)^-1 ... (A^c_2)^-1 is a conjugate of A
             path, _, used = _first_product(
                 W, len(self.conjugators), self._unconjugate,

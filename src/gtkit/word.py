@@ -229,6 +229,36 @@ class Word:
 IDENTITY = Word()
 
 
+class _SyllableOrder:
+    """A syllable tuple ordered as in ``Word.sort_key`` among words of equal
+    letter length: compared up to the first differing syllable, by generator
+    key and then exponent; a proper prefix comes first."""
+
+    __slots__ = ("syls",)
+
+    def __init__(self, syls: tuple):
+        self.syls = syls
+
+    def __lt__(self, other: "_SyllableOrder") -> bool:
+        a, b = self.syls, other.syls
+        for (g, e), (h, f) in zip(a, b):
+            if g != h:
+                return g._key < h._key
+            if e != f:
+                return e < f
+        return len(a) < len(b)
+
+
+def sort_words(words: Iterable[Word]) -> list:
+    """The words in ``Word.sort_key`` order, without building a key per syllable.
+
+    Letter length decides most comparisons; only words of equal letter
+    length compare syllables, and only up to their first difference.
+    """
+    decorated = sorted([(w.letter_len, _SyllableOrder(w.syls), w) for w in words])
+    return [w for _, _, w in decorated]
+
+
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
     return x * y * x.inverse() * y.inverse()

@@ -131,6 +131,26 @@ def test_search_zero_max_n_exit_2(tmp_path, capsys, flag):
     assert "max_n" in capsys.readouterr().err
 
 
+def test_search_conflicting_max_n_max_k_exit_2(tmp_path, capsys):
+    # the two flags name one bound: different values are rejected, not
+    # resolved silently in favour of either
+    group = write(tmp_path, "f.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a"],
+    })
+    base = ["search", "rtf", "--group", group, "--radius", "1", "--elt-letters", "1"]
+    assert main(base + ["--max-n", "2", "--max-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--max-n 2" in err and "--max-k 3" in err
+    reports = []
+    for flags in (["--max-n", "2", "--max-k", "2"], ["--max-n", "2"], ["--max-k", "2"]):
+        out = str(tmp_path / "r.json")
+        assert main(base + flags + ["--out", out]) in (0, 1)
+        with open(out) as fh:
+            reports.append(json.load(fh))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["params"]["bounds"]["max_n"] == 2
+
+
 def test_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "2", "suite", "magnus_inverse", "--trials", "1"])

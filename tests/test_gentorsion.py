@@ -21,7 +21,7 @@ from gtkit.amalgam import (
 )
 from gtkit.cli import main
 from gtkit.errors import GtkitError, InternalInvariantError, PreconditionError
-from gtkit.stallings import SubgroupAutomaton
+from gtkit.stallings import SubgroupAutomaton, _witness_gen
 from gtkit.suites import SUITES, run_suite
 from gtkit.tamed import TamedSampler
 from gtkit.word import Word, gen, parse_word as W
@@ -524,6 +524,29 @@ def test_nss_decisions_cover_the_inner_ball_oracle(gens, alpha, bounds):
     assert not rep.capped
     for v in rep.violations:
         assert W(v.data["member"]) not in inner
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 3), (2, 4), (3, 2)])
+def test_witness_ball_is_the_cached_subgroup_product_ball(rank, radius):
+    ball = gt._witness_ball(rank, radius)
+    assert isinstance(ball, tuple)
+    letters = [Word([(_witness_gen(i), 1)]) for i in range(rank)]
+    assert list(ball) == gt.subgroup_product_ball(letters, radius)
+    assert gt._witness_ball(rank, radius) is ball
+
+
+@pytest.mark.parametrize("gens, alpha", [
+    (_ONEREL, _ONEREL[0] * _ONEREL[1]),
+    ([W("a"), W("b^2")], W("a b^2 a^-1 b^-2")),  # ab(alpha) = 0: every level is tried
+])
+def test_nss_report_is_the_same_with_a_cold_or_warm_witness_ball(gens, alpha):
+    bounds = gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2)
+    gt._witness_ball.cache_clear()
+    cold = json.dumps(gt.check_nss_intersection(AB, gens, alpha, bounds).to_json())
+    assert gt._witness_ball.cache_info().misses == 1
+    warm = json.dumps(gt.check_nss_intersection(AB, gens, alpha, bounds).to_json())
+    assert gt._witness_ball.cache_info().hits >= 1
+    assert cold == warm
 
 
 def test_nss_violations_are_exact_non_members():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gtkit.errors import NotMemberError, UnknownGeneratorError
 from gtkit.word import (
     AbelianInvariants,
+    _SyllableOrder,
     HomSpec,
     Presentation,
     Word,
@@ -16,6 +17,7 @@ from gtkit.word import (
     gen,
     parse_word as W,
     smith_invariants,
+    sort_words,
     weight,
 )
 
@@ -345,6 +347,46 @@ def test_generator_sort_key_order():
     assert am2.sort_key() == ("a", True, -2)
     w = W("b a[1]^2 a^-1")
     assert w.sort_key() == (4, tuple((g.sort_key(), e) for g, e in w.syls))
+
+
+# an alphabet on which str order and sort_key order disagree:
+# "a'" < "a[1]" and "a[10]" < "a[2]" as strings, the reverse by sort_key
+SORT_ALPHABET = [A, gen("a'"), gen("a", -2), gen("a", -1), gen("a", 2), gen("a", 10), B]
+sort_syllable = st.tuples(st.sampled_from(SORT_ALPHABET), st.integers(-3, 3).filter(bool))
+
+
+@st.composite
+def tied_words(draw):
+    """Words that share a long syllable prefix and whose tails all have one
+    letter length, plus a syllable prefix of each (ties go to the syllables)."""
+    prefix = draw(st.lists(sort_syllable, min_size=5, max_size=30))
+    n = draw(st.integers(1, 4))
+    tail = st.lists(st.tuples(st.sampled_from(SORT_ALPHABET), st.sampled_from([1, -1])),
+                    min_size=n, max_size=n)
+    words = [Word(prefix + t) for t in draw(st.lists(tail, min_size=2, max_size=8))]
+    return words + [w.left(draw(st.integers(0, w.syllable_len))) for w in words]
+
+
+@given(st.lists(st.lists(sort_syllable, max_size=30).map(Word), max_size=40), tied_words())
+@settings(max_examples=300, deadline=None)
+def test_sort_words_matches_sort_key_order(free, tied):
+    for ws in (free + tied, tied + free, tied[::-1]):
+        assert sort_words(ws) == sorted(ws, key=Word.sort_key)
+
+
+def test_sort_words_orders_generators_by_key_not_by_string():
+    ws = [W("a[2]"), W("a[10]"), W("a'"), W("a[1]"), W("a[2] a'"), W("a[2] a[1]")]
+    assert sort_words(ws) == [W("a[1]"), W("a[2]"), W("a[10]"), W("a'"),
+                              W("a[2] a[1]"), W("a[2] a'")]
+    assert sort_words(ws) == sorted(ws, key=Word.sort_key)
+    assert sort_words(ws) != sorted(ws, key=str)
+    # a proper syllable prefix comes first; within sort_words letter length
+    # already decides this, so the syllable order is checked on its own too
+    long = W("a b^2 a[2]^-1 a'")
+    assert sort_words([long, long.left(3), long.left(1)]) == [long.left(1), long.left(3), long]
+    short = _SyllableOrder(long.left(3).syls)
+    assert short < _SyllableOrder(long.syls) and not _SyllableOrder(long.syls) < short
+    assert not short < _SyllableOrder(long.left(3).syls)
 
 
 def test_equal_words_have_equal_hashes_whether_or_not_hashed_first():
