@@ -6,8 +6,8 @@ error, missing key, wrong shape), unknown target, or a capped search that
 found nothing (inconclusive), 3 = internal error (a failed invariant or an
 unexpected exception; the traceback goes to stderr).
 All randomness flows from the suite and build --seed: suite reports embed
-the seed, search reports embed their bounds, and identical invocations
-produce byte-identical reports.  Flags are never read from abbreviations.
+the seed, search reports embed their bounds and have no seed field, and
+identical invocations produce byte-identical reports.  Flags are never read from abbreviations.
 Every input file (group, certificate, presentation, witness) must hold a
 JSON object; a file whose top-level value is a string, list or number
 exits 2.  An amalgam factor's kind is exactly `free` or `free-abelian`.

@@ -492,7 +492,7 @@ class SuiteReport:
     skips: int = 0
     inconclusive: int = 0
     capped: bool = False
-    seed: int = 0
+    seed: Optional[int] = None  # set by run_suite; searches take no seed
     params: dict = field(default_factory=dict)
 
     @property
@@ -500,17 +500,18 @@ class SuiteReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "trials": self.trials,
             "violations": [v.to_json() for v in self.violations],
             "skips": self.skips,
             "inconclusive": self.inconclusive,
             "capped": self.capped,
-            "seed": self.seed,
-            "params": self.params,
-            "ok": self.ok,
         }
+        if self.seed is not None:
+            out["seed"] = self.seed
+        out.update(params=self.params, ok=self.ok)
+        return out
 
 
 def subgroup_product_ball(generators: Sequence[Word], radius: int,

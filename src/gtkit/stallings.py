@@ -8,22 +8,21 @@ membership it supports rewriting members over the original generator tuple
 expression is read off its accepting path) and deciding syllable-exact
 prefix acceptance, i.e. membership of an alternating word p with l(p) = i
 in the sets L_i(C) and R_i(C).
+
+The graph is stored as g^k chains between branch vertices (the g^k-edge
+graphs of Kapovich-Weidmann-Miasnikov, *Foldings, graphs of groups and the
+membership problem*, IJAC 2005), so folds and reads cost per syllable, not
+per letter.
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
 from .word import IDENTITY, Generator, Word, gen, substitute
 
 WITNESS_NAME = "g"
-# A segment lookup and jump cost about as much as stepping this many edges
-# one at a time: shorter runs are not kept as segments, and a read with
-# fewer edges left steps without a lookup.
-_MIN_SEGMENT = 8
 
 
 def _witness_gen(i: int) -> Generator:
@@ -31,12 +30,21 @@ def _witness_gen(i: int) -> Generator:
 
 
 class SubgroupAutomaton:
-    """Folded labeled graph deciding membership in <generators>."""
+    """Folded labeled graph deciding membership in <generators>.
+
+    Letter states are numbered depth-first from the base (state 0), taking
+    each state's edges in label order; ``trace`` and every letter-level view
+    use these numbers.  Internally the graph is a set of vertices joined by
+    chains (u, v, g, n, tag): n edges u --g--> ... --g--> v through states of
+    degree 2, untagged unless n = 1.  A letter state is a vertex or a
+    (chain, offset) pair.
+    """
 
     def __init__(self, generators: Iterable[Word]):
         self.generators = tuple(generators)
         if not self.generators:
             raise PreconditionError("subgroup needs at least one generator")
+        self._view = None
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -44,52 +52,50 @@ class SubgroupAutomaton:
     def _build(self):
         """Fold the bouquet of generator petals, carrying expression tags.
 
-        Each edge record (a, b, k, tag) realizes a --g_k--> b and stores an
-        immutable word over the witness symbols; each state carries a
-        witness-word offset in a weighted union-find.  The invariant is
-        that evaluating the effective tag phi(a) tag phi(b)^-1 of an edge
-        gives P(class a) g P(class b)^-1 for a fixed realization P of the
-        state classes with P = 1 at the base class.  A fold of two edges
-        with equal source and label sets the dying class's offset to the
-        discrepancy of their effective tags, which preserves the invariant
-        without touching any edge.  Expressions of members are then read
-        off by concatenating effective tags along the accepting path.
+        The fold is the letter-at-a-time Stallings fold with expression tags,
+        run a chain at a time.  Letters are coded by label, 2k for (g_k, -1)
+        and 2k + 1 for (g_k, +1), g_k the k-th generator in sort_key order.
+        A chain [a, b, k, e0, n, tag, back] holds letters e0..e0+n-1, which
+        realize a --g_k^n--> b through n - 1 implicit interior states; back
+        is the label its interior states had first in their adjacency (the
+        one pointing back along the petal that made them).  Vertices are
+        nodes of a weighted union-find: phi(x) = phi(parent[x]) offset[x],
+        phi(root) = 1, and a chain's letters are untagged apart from a
+        closing letter's witness tag (chains of one letter), so the
+        effective tag of its first letter is phi(a), of its last phi(b)^-1,
+        and of the letters between 1.  The invariant is that the effective
+        tag phi(a) tag phi(b)^-1 of a letter evaluates to P(class a) g
+        P(class b)^-1 for a fixed realization P of the state classes with
+        P = 1 at the base class.  A fold of two letters with equal source
+        and label sets the dying class's offset to the discrepancy of their
+        effective tags, which preserves the invariant without touching any
+        letter.  Expressions of members are then read off by concatenating
+        effective tags along the accepting path.
 
-        g_k is the k-th generator letter in sort_key order, and labels are
-        coded as ints in that order, 2k for (g_k, -1) and 2k + 1 for
-        (g_k, +1), so the adjacency maps of the fold hash ints, not
-        generators.  Every empty offset and tag is the shared IDENTITY word.
+        A vertex's adjacency maps labels to the end letters of its chains,
+        in the order the letter fold would have registered them, and the
+        work queue holds end letters.  Two chains that leave one vertex with
+        one label fold their first L - 1 letters at once (L the shorter
+        length): the longer keeps a vertex there, the other's rest hangs
+        off a member of it, and the L-th letters then fold as any two
+        letters do.  So every fold step, and every syllable a petal follows
+        along the graph before it leaves it, costs O(1) chain operations,
+        and the result (classes, offsets, hence tags) is the letter fold's.
 
-        Once a petal leaves the graph built so far (its newest state was not
-        folded away), no fold can happen before its last letter: the word is
-        reduced and the queue is empty.  Those letters are added as one chain
-        run of consecutive state and edge ids, with no adjacency dict or edge
-        record; the run's syllables give each letter's label.  Such a state
-        stays *fresh* until a fold step touches it (reads or writes its
-        adjacency, merges it, or kills one of its edges), which builds the
-        dict and edge records it would have had.  Fresh states are roots
-        with exactly their two chain edges, both untagged.
-
-        The folded automaton keeps one list per label, the successor of
-        every state (-1 where missing), and per label a dict of the states
-        whose outgoing edge carries a nontrivial tag.  Per label it also
-        keeps the segments: runs of at least _MIN_SEGMENT fresh chain
-        states p whose successor is p + 1 (or each p - 1), recorded as
-        their rows are written.  Most of a folded C is such chains, and a
-        read jumps along a segment in one step.
+        Afterwards letters with a nontrivial effective tag are split off
+        into chains of their own, chains are joined through the degree-2
+        vertices the fold left, and the states are numbered (see
+        _number).  Letter-level rows are built only on request (_letters).
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
         code = {g: k for k, g in enumerate(alphabet)}
-        labels = [(g, s) for g in alphabet for s in (-1, 1)]
         parent = [0]
         offset = [IDENTITY]  # phi(x) = phi(parent[x]) * offset[x]; phi(root) = 1
-        adj = [dict()]       # state -> {label code: edge id}; None while fresh
-        edges = [None]       # edges[eid] = (a, b, k, tag); a --g_k(+1)--> b
-        dead = bytearray(1)  # dead[eid] once the edge was folded away
-        fresh = bytearray(1)  # fresh[x] while x is an untouched chain state
-        runs = []            # (first state, first edge, syllable bounds, labels)
-        run_starts = []      # first state of each run, for bisect
+        adj = [{}]           # root -> {label: end letter of a chain}
+        owner = {}           # end letter -> live chain [a, b, k, e0, n, tag, back]
+        queue = []
+        top = 0              # next unused letter id
 
         def find_phi(x):
             p = parent[x]
@@ -112,265 +118,349 @@ class SubgroupAutomaton:
         def find(x):
             return x if parent[x] == x else find_phi(x)[0]
 
-        def effective(eid):
-            a, b, _k, tag = edges[eid]
-            ra, pa = find_phi(a)
-            rb, pb = find_phi(b)
-            if pa.syls:
-                tag = pa * tag
-            if pb.syls:
-                tag = tag * pb.inverse()
-            return ra, rb, tag
+        def phi(x):
+            return IDENTITY if parent[x] == x else find_phi(x)[1]
 
-        def chain_out(x):
-            """The live adjacency of fresh state x, building its edge records.
+        def node(up=None, off=IDENTITY):
+            """A new root, or a member of root up at offset off."""
+            x = len(parent)
+            parent.append(x if up is None else up)
+            offset.append(off)
+            adj.append({})
+            return x
 
-            A run's states first, first + 1, ... are entered by consecutive
-            letters of one petal, along edges eid, eid + 1, ...  Its last
-            state is left by the petal's last letter, whose edge record
-            exists by the time that state is touched.
-            """
-            first, eid, bounds, labs = runs[bisect_right(run_starts, x) - 1]
-            eid += x - first
-            out = {}
-            for e, lab, far in ((eid, labs[bisect_right(bounds, x) - 1] ^ 1, x - 1),
-                                (eid + 1, labs[bisect_right(bounds, x + 1) - 1], x + 1)):
-                if edges[e] is None:
-                    edges[e] = ((x, far, lab >> 1, IDENTITY) if lab & 1
-                                else (far, x, lab >> 1, IDENTITY))
-                if not dead[e]:
-                    out[lab] = e
-            return out
+        def chain(a, b, k, e0, n, tag, back):
+            rec = [a, b, k, e0, n, tag, back]
+            owner[e0] = owner[e0 + n - 1] = rec
+            return rec
 
-        def touch(x):
-            fresh[x] = 0
-            adj[x] = chain_out(x)
+        def kill(rec):
+            owner.pop(rec[3], None)
+            owner.pop(rec[3] + rec[4] - 1, None)
 
-        queue = []
+        def split(rec, j):
+            """Make rec's state j letters from a a vertex; return it."""
+            a, b, k, e0, n, _tag, back = rec
+            x = node()
+            chain(a, x, k, e0, j, IDENTITY, back)
+            chain(x, b, k, e0 + j, n - j, IDENTITY, back)
+            adj[x] = ({back: e0 + j - 1, back ^ 1: e0 + j} if back == 2 * k
+                      else {back: e0 + j, back ^ 1: e0 + j - 1})
+            return x
 
-        def insert(eid):
-            if dead[eid]:
+        def cut(rec, j, at_a, y):
+            """Drop rec's j < n letters at its a end (at_a) or b end and
+            hang the rest off node y; return the rest's end letter at y."""
+            a, b, k, e0, n, _tag, back = rec
+            if at_a:
+                del owner[e0]
+                chain(y, b, k, e0 + j, n - j, IDENTITY, back)
+                return e0 + j
+            del owner[e0 + n - 1]
+            chain(a, y, k, e0, n - j, IDENTITY, back)
+            return e0 + n - j - 1
+
+        def lead(rec, at_a):
+            """The effective tag of rec's end letter at a (at_a) or b, read
+            away from that end."""
+            a, b, _k, _e0, n, tag, _back = rec
+            if at_a:
+                out = phi(a)
+                return out * tag * phi(b).inverse() if n == 1 else out
+            out = phi(b)
+            return out * tag.inverse() * phi(a).inverse() if n == 1 else out
+
+        def across(rec, at_a):
+            """The effective tag of all of rec, read from its a end (at_a) or b end."""
+            if rec[4] == 1:
+                return lead(rec, at_a)
+            return lead(rec, at_a) * phi(rec[1] if at_a else rec[0]).inverse()
+
+        def merge(dt, kt, delta):
+            parent[dt] = kt
+            offset[dt] = delta
+            moved, adj[dt] = adj[dt], None
+            queue.extend(e for e in moved.values() if e in owner)
+
+        def fold(state, lab, keep, gone):
+            """Fold end letter gone into end letter keep, both leaving state with lab."""
+            K, G = owner[keep], owner[gone]
+            at_a = lab & 1
+            kn, gn = K[4], G[4]
+            if kn > 1 and gn > 1:
+                # letters 1..L-1 fold into K's interior, which no other
+                # letter touches; the L-th letters fold next
+                j = min(kn, gn) - 1
+                delta = lead(K, at_a).inverse() * lead(G, at_a)
+                x = split(K, j if at_a else kn - j)
+                queue.append(cut(G, j, at_a, node(x, delta)))
                 return
-            a, b, k, _ = edges[eid]
-            for raw, lab in ((a, 2 * k + 1), (b, 2 * k)):
-                state = find(raw)
-                if fresh[state]:
-                    touch(state)
-                cur = adj[state].get(lab)
-                if cur is None or dead[cur]:
-                    adj[state][lab] = eid
-                    continue
-                if cur == eid:
-                    continue
-                # fold: one edge survives, the other dies
-                keep, gone = cur, eid
-                kt, dt = _target(keep, lab), _target(gone, lab)
-                if kt != dt and find(0) == dt:
-                    # the base class must survive so that its realization
-                    # stays trivial; swap the roles
-                    keep, gone = gone, keep
-                    kt, dt = dt, kt
-                    adj[state][lab] = keep
-                dead[gone] = 1
-                for y in edges[gone][:2]:
-                    if fresh[y]:
-                        touch(y)
-                if kt != dt:
-                    for y in (kt, dt):
-                        if fresh[y]:
-                            touch(y)
-                    delta = _discrepancy(keep, gone, lab)
-                    parent[dt] = kt
-                    offset[dt] = delta
-                    moved, adj[dt] = adj[dt], {}
-                    for meid in moved.values():
-                        if not dead[meid]:
-                            queue.append(meid)
-                # the survivor may still owe a registration on its other
-                # side (registration is idempotent), the dead edge stops
+            kfar, gfar = (K[1], G[1]) if at_a else (K[0], G[0])
+            if gn > 1:
+                # K is one letter: G's first interior state joins K's far end
+                y = node(find(kfar), lead(K, at_a).inverse() * lead(G, at_a))
+                queue.append(cut(G, 1, at_a, y))
                 queue.append(keep)
                 return
+            dt = find(gfar)
+            if kn > 1:
+                if dt == find(0):
+                    # the base class must survive: G's letter stays, and K's
+                    # first interior state joins the base
+                    adj[state][lab] = gone
+                    z = node(dt, lead(G, at_a).inverse() * lead(K, at_a))
+                    queue.append(cut(K, 1, at_a, z))
+                    queue.append(gone)
+                    return
+                delta = lead(K, at_a).inverse() * lead(G, at_a)
+                kill(G)
+                merge(dt, split(K, 1 if at_a else kn - 1), delta)
+                queue.append(keep)
+                return
+            kt = find(kfar)
+            if kt != dt and dt == find(0):
+                keep, gone, K, G, kt, dt = gone, keep, G, K, dt, kt
+                adj[state][lab] = keep
+            kill(G)
+            if kt != dt:
+                merge(dt, kt, lead(K, at_a).inverse() * lead(G, at_a))
+            queue.append(keep)
 
-        def _target(eid, lab):
-            a, b, _k, _tag = edges[eid]
-            return find(b if lab & 1 else a)
-
-        def _discrepancy(keep, gone, lab):
-            """D(keep)^-1 D(gone), where D(e) = phi(src) s phi(dst)^-1 is
-            edge e's effective tag read along lab (s its tag, inverted when
-            lab runs against the edge), multiplied out from these parts so
-            that no offset is inverted twice."""
-            ka, kb, _k, ktag = edges[keep]
-            da, db, _k, dtag = edges[gone]
-            if lab & 1:
-                ktag = ktag.inverse()
-            else:
-                ka, kb, da, db = kb, ka, db, da
-                dtag = dtag.inverse()
-            out = find_phi(kb)[1] * ktag
-            if ka != da:
-                out = out * find_phi(ka)[1].inverse() * find_phi(da)[1]
-            return out * dtag * find_phi(db)[1].inverse()
-
-        def link(a, b, lab, tag):
-            """Add a --lab--> b with tag (given from a) and fold."""
-            k = lab >> 1
-            eid = len(edges)
-            edges.append((a, b, k, tag) if lab & 1 else (b, a, k, tag.inverse()))
-            dead.append(0)
-            queue.append(eid)
-            while queue:
-                insert(queue.pop())
+        def insert(eid):
+            rec = owner.get(eid)
+            if rec is None:
+                return
+            a, b, k, e0, n = rec[:5]
+            for raw, lab, here in ((a, 2 * k + 1, eid == e0), (b, 2 * k, eid == e0 + n - 1)):
+                if not here:
+                    continue
+                state = find(raw)
+                cur = adj[state].get(lab)
+                if cur is None or cur not in owner:
+                    adj[state][lab] = eid
+                elif cur != eid:
+                    fold(state, lab, cur, eid)
+                    return
 
         for i, w in enumerate(self.generators):
             if not w.syls:
                 continue
-            bounds, labs = [], []  # first letter and label code of each syllable
-            last = 0
-            for g, e in w.syls:
-                bounds.append(last)
-                labs.append(2 * code[g] + (e > 0))
-                last += abs(e)
-            bounds.append(last)
-            last -= 1              # the last letter closes the petal at the base
-            cur = p = q = 0        # raw state, letter, syllable
-            while p < last:
-                if p == bounds[q + 1]:
-                    q += 1
-                nxt = len(parent)
-                parent.append(nxt)
-                offset.append(IDENTITY)
-                adj.append({})
-                fresh.append(0)
-                link(cur, nxt, labs[q], IDENTITY)
-                cur = nxt  # raw id: tags are stated relative to raw states
-                p += 1
-                if parent[nxt] == nxt and p < last:
-                    # the petal has left the graph at nxt: letters p..last-1
-                    # make the fresh states nxt + 1..nxt + m of a run from nxt
-                    m = last - p
-                    runs.append((nxt, len(edges) - 1,
-                                 [b + nxt + 1 - p for b in bounds[q:]], labs[q:]))
-                    run_starts.append(nxt)
-                    parent.extend(range(nxt + 1, nxt + 1 + m))
-                    offset.extend([IDENTITY] * m)
-                    adj.extend([None] * m)
-                    fresh.extend(b"\x01" * m)
-                    edges.extend([None] * m)
-                    dead.extend(bytes(m))
-                    touch(nxt)  # registers the run's first edge at nxt
-                    cur = nxt + m
-                    p = last
-            link(cur, 0, labs[-1], Word([(_witness_gen(i), 1)]))
-
-        # Number the classes depth-first from the base, taking each state's
-        # live edges in label-code order, and fill the per-label successor
-        # rows (-1 where missing), tag marks (nontrivial tags only) and
-        # segments straight from the fold's adjacency.  Tags are re-read
-        # through the union-find only for edges with a merged endpoint.
-        size = len(parent)
-        rows = [[-1] * size for _ in labels]
-        marks = [{} for _ in labels]
-        segs = [[] for _ in labels]  # (first, end, step): row[p] == p + step
-        order = [-1] * size
-
-        def fill(x0, x1):
-            """Rows of fresh states x0..x1-1 whose fresh neighbours are
-            numbered and whose own numbers run consecutively (up or down in
-            x): one slice per syllable and direction, copied from order.
-            Each slice is also recorded as a segment of its label, less an
-            end entry that leads to a neighbour numbered out of sequence."""
-            if x0 >= x1:
-                return
-            bounds, labs = runs[bisect_right(run_starts, x0) - 1][2:]
-            down = order[x0] > order[x1 - 1]
-            for j, lab in enumerate(labs):
-                # in-edges of states bounds[j].., out-edges of the states before
-                for at, lo, d in ((lab ^ 1, bounds[j], -1), (lab, bounds[j] - 1, 1)):
-                    a = max(lo, x0)
-                    b = min(lo + bounds[j + 1] - bounds[j], x1)
-                    if a < b:
-                        vals = order[a + d:b + d]
-                        if down:
-                            vals.reverse()
-                            a = b - 1
-                            d = -d
-                        p, q = order[a], order[a] + len(vals)
-                        rows[at][p:q] = vals
-                        if vals[0] != p + d:
-                            p += 1
-                        if vals[-1] != q - 1 + d:
-                            q -= 1
-                        if p < q:
-                            segs[at].append((p, q, d))
-
-        base = find(0)
-        order[base] = 0
-        n = 1
-        stack = [base]
-        while stack:
-            s = stack.pop()
-            i = order[s]
-            if fresh[s]:
-                if fresh[s - 1] and fresh[s + 1]:
-                    # Inside a chain: the loop below would number the rest
-                    # of it one state after another up to a numbered state,
-                    # or up to the state before a touched one, which it
-                    # would push.  Do that by slices.
-                    if order[s + 1] < 0:
-                        end = y = fresh.find(0, s + 1)
-                        while order[y - 1] >= 0:
-                            y -= 1
-                        order[s + 1:y] = range(n, n + y - s - 1)
-                        n += y - s - 1
-                        if y == end:
-                            y -= 1
-                            stack.append(y)
-                        fill(s + 1, y)
-                    elif order[s - 1] < 0:
-                        end = y = fresh.rfind(0, 0, s)
-                        while order[y + 1] >= 0:
-                            y += 1
-                        order[y + 1:s] = range(n + s - y - 2, n - 1, -1)
-                        n += s - y - 1
-                        if y == end:
-                            y += 1
-                            stack.append(y)
-                        fill(y + 1, s)
-                    fill(s, s + 1)
-                    continue
-                out = chain_out(s)
+            syls = [(2 * code[g] + (e > 0), abs(e)) for g, e in w.syls]
+            last = syls[-1][0]  # the last letter closes the petal at the base
+            if syls[-1][1] > 1:
+                syls[-1] = (last, syls[-1][1] - 1)
             else:
-                out = adj[s]
-            for lab in sorted(out):
-                eid = out[lab]
-                if dead[eid]:
-                    continue
-                a, b, _k, tag = edges[eid]
-                t = b if lab & 1 else a
-                if parent[t] != t:
-                    t = find(t)
-                j = order[t]
-                if j < 0:
-                    j = order[t] = n
-                    n += 1
-                    stack.append(t)
-                rows[lab][i] = j
-                if lab & 1:
-                    if parent[a] != a or parent[b] != b:
-                        tag = effective(eid)[2]
-                    if tag.syls:
-                        marks[lab][i] = tag
-                        marks[lab - 1][j] = tag.inverse()
-        for row in rows:
-            del row[n:]
+                syls.pop()
+            # Follow the petal along the graph while it can.  The letter fold
+            # would merge each new state into the state it reaches, at offset
+            # acc: the followed effective tags' inverse times the previous
+            # offset.  Where it stops is a vertex, or offset j on chain rec,
+            # where the next syllable (of another generator) cannot go on.
+            at, rec, j, acc = 0, None, 0, IDENTITY
+            q = 0
+            cnt = syls[0][1] if syls else 0
+            while q < len(syls) and rec is None:
+                lab = syls[q][0]
+                eid = adj[at].get(lab)
+                if eid is None or eid not in owner:
+                    break
+                c = owner[eid]
+                at_a, n = lab & 1, c[4]
+                if cnt >= n:
+                    acc = across(c, at_a).inverse() * acc
+                    at = find(c[1] if at_a else c[0])
+                    cnt -= n
+                else:
+                    acc = lead(c, at_a).inverse() * acc
+                    rec, j, cnt = c, cnt if at_a else n - cnt, 0
+                if not cnt:
+                    q += 1
+                    if q < len(syls):
+                        cnt = syls[q][1]
+            if rec is not None:
+                at = split(rec, j)
+            cur = node(at, acc) if acc.syls else at
+            if q < len(syls):
+                # the petal leaves the graph: its remaining letters up to the
+                # last make one chain per syllable, with a vertex between two
+                prev, first = cur, True
+                for lab, cnt in [(syls[q][0], cnt)] + syls[q + 1:]:
+                    k, z, e0 = lab >> 1, node(), top
+                    top += cnt
+                    if lab & 1:
+                        chain(prev, z, k, e0, cnt, IDENTITY, lab ^ 1)
+                        near, far = e0, e0 + cnt - 1
+                    else:
+                        chain(z, prev, k, e0, cnt, IDENTITY, lab ^ 1)
+                        near, far = e0 + cnt - 1, e0
+                    adj[find(prev) if first else prev][lab] = near
+                    adj[z][lab ^ 1] = far
+                    prev, first = z, False
+                cur = prev
+            tag = Word([(_witness_gen(i), 1)])
+            if last & 1:
+                chain(cur, 0, last >> 1, top, 1, tag, last ^ 1)
+            else:
+                chain(0, cur, last >> 1, top, 1, tag.inverse(), last ^ 1)
+            queue.append(top)
+            top += 1
+            while queue:
+                insert(queue.pop())
+
+        # The folded graph: letters with a nontrivial effective tag become
+        # chains of their own, the vertices are the classes, base first.
+        vid = {find(0): 0}
+
+        def vertex(x):
+            return vid.setdefault(x, len(vid))
+
+        edges = []  # [u, v, k, n, tag or None]
+        for rec in {id(r): r for r in owner.values()}.values():
+            a, b, k, _e0, n, tag, _back = rec
+            u, v = vertex(find(a)), vertex(find(b))
+            if n == 1:
+                t = phi(a) * tag * phi(b).inverse()
+                edges.append([u, v, k, 1, t if t.syls else None])
+                continue
+            head, tail = phi(a), phi(b).inverse()
+            if head.syls:
+                y = vertex(node())
+                edges.append([u, y, k, 1, head])
+                u, n = y, n - 1
+            if tail.syls:
+                y = u if n == 1 else vertex(node())
+                edges.append([y, v, k, 1, tail])
+                v, n = y, n - 1
+            if n:
+                edges.append([u, v, k, n, None])
+        self._finish(alphabet, *_joined(edges, len(vid)))
+
+    def _finish(self, alphabet: list, nv: int, edges: list):
+        """Read tables and state numbers of the graph with nv vertices and
+        the given chains [u, v, k, n, tag]."""
+        self._alphabet = alphabet
+        self._chains = edges
+        plus = [{} for _ in range(nv)]   # vertex -> {g: (chain, n, far, tag)}
+        minus = [{} for _ in range(nv)]
+        gens = [set() for _ in range(nv)]
+        for c, (u, v, k, n, tag) in enumerate(edges):
+            g = alphabet[k]
+            plus[u][g] = (c, n, v, tag)
+            minus[v][g] = (c, n, u, None if tag is None else tag.inverse())
+            gens[u].add(g)
+            gens[v].add(g)
+        self._plus, self._minus = plus, minus
+        # a syllable may end at the base or at a vertex with two generators
+        self._turns = [x == 0 or len(s) > 1 for x, s in enumerate(gens)]
         self.base = 0
-        self.num_states = n
-        self._rows = dict(zip(labels, rows))
-        self._marks = dict(zip(labels, marks))
-        # per label, what a read takes: (row, marks, starts, ends, steps)
-        self._reads = {lab: (row, mark) + _segment_lists(seg)
-                       for lab, row, mark, seg in zip(labels, rows, marks, segs)}
+        self.num_edges = sum(n for _u, _v, _k, n, _t in edges)  # undirected
+        self.num_states = nv + self.num_edges - len(edges)
+        self._number(nv)
+
+    def _number(self, nv: int):
+        """Number the letter states depth-first from the base, as a
+        letter-at-a-time search with a stack does: pop a state, and number
+        and push each unnumbered successor in label order.  Popped inside a
+        chain, the search numbers the rest of it consecutively, up to a
+        state already numbered or the far vertex, which it pushes.  So a
+        chain's interior numbers form at most three segments of consecutive
+        numbers: its two end states when a vertex reached them, and the
+        walk from one end.
+        """
+        edges = self._chains
+        outs = [[] for _ in range(nv)]  # vertex -> [(label, chain, forward)]
+        for c, (u, v, k, _n, _t) in enumerate(edges):
+            outs[u].append((2 * k + 1, c, True))
+            outs[v].append((2 * k, c, False))
+        vnum = [-1] * nv
+        lo = [0] * len(edges)   # interior states numbered from the u end
+        hi = [0] * len(edges)   # ... and from the v end
+        segs = [[] for _ in edges]  # (first offset, count, first number, step)
+        vnum[0] = 0
+        n_next = 1
+        stack = [(0, -1)]
+        while stack:
+            s, side = stack.pop()
+            if side < 0:
+                for _lab, c, fwd in sorted(outs[s]):
+                    u, v, _k, n, _t = edges[c]
+                    if n == 1:
+                        t = v if fwd else u
+                        if vnum[t] < 0:
+                            vnum[t] = n_next
+                            n_next += 1
+                            stack.append((t, -1))
+                    elif lo[c] + hi[c] < n - 1 and (lo[c] if fwd else hi[c]) == 0:
+                        if fwd:
+                            lo[c] = 1
+                            segs[c].append((1, 1, n_next, 1))
+                        else:
+                            hi[c] = 1
+                            segs[c].append((n - 1, 1, n_next, 1))
+                        n_next += 1
+                        stack.append((c, 0 if fwd else 1))
+                continue
+            c = s
+            u, v, _k, n, _t = edges[c]
+            m = n - 1 - lo[c] - hi[c]
+            if side == 0:
+                if m:
+                    segs[c].append((lo[c] + 1, m, n_next, 1))
+                    n_next += m
+                    lo[c] += m
+                t = v if lo[c] == n - 1 else -1
+            else:
+                if m:
+                    segs[c].append((n - 1 - hi[c], m, n_next, -1))
+                    n_next += m
+                    hi[c] += m
+                t = u if hi[c] == n - 1 else -1
+            if t >= 0 and vnum[t] < 0:
+                vnum[t] = n_next
+                n_next += 1
+                stack.append((t, -1))
+        self._vnum = vnum
+        self._segs = segs
+
+    def _state(self, c: int, j: int) -> int:
+        """The number of the state j letters into chain c."""
+        for o, m, first, step in self._segs[c]:
+            t = (j - o) * step
+            if 0 <= t < m:
+                return first + t
+        raise InternalInvariantError(f"unnumbered state {j} of chain {c}")
+
+    # -- letter-level views ----------------------------------------------------
+
+    def _letters(self) -> tuple:
+        """Per (generator, sign) label, the successor row of every state (-1
+        where missing) and the nontrivial tags {state: tag} of the edges
+        leaving it.  Built on first use, a slot per state and label; the
+        fold and the reads never need it."""
+        if self._view is None:
+            labels = [(g, s) for g in self._alphabet for s in (-1, 1)]
+            rows = [[-1] * self.num_states for _ in labels]
+            marks = [{} for _ in labels]
+            vnum = self._vnum
+            for c, (u, v, k, n, tag) in enumerate(self._chains):
+                path = [vnum[u]] + [self._state(c, j) for j in range(1, n)] + [vnum[v]]
+                fwd, back = rows[2 * k + 1], rows[2 * k]
+                for p, q in zip(path, path[1:]):
+                    fwd[p] = q
+                    back[q] = p
+                if tag is not None:
+                    marks[2 * k + 1][path[0]] = tag
+                    marks[2 * k][path[1]] = tag.inverse()
+            self._view = (dict(zip(labels, rows)), dict(zip(labels, marks)))
+        return self._view
+
+    @property
+    def _rows(self) -> dict:
+        return self._letters()[0]
+
+    @property
+    def _marks(self) -> dict:
+        return self._letters()[1]
 
     # -- basic queries -------------------------------------------------------
 
@@ -379,11 +469,6 @@ class SubgroupAutomaton:
         """Read-only view: delta[q] is dict(successors(q)).  Only perfbench's
         tracer reads it, for len(aut.delta)."""
         return _StateView(self)
-
-    @property
-    def num_edges(self) -> int:
-        """Undirected edge count."""
-        return sum(self.num_states - row.count(-1) for row in self._rows.values()) // 2
 
     @property
     def rank(self) -> int:
@@ -402,23 +487,51 @@ class SubgroupAutomaton:
 
     def trace(self, w: Word) -> Optional[int]:
         """Read w from the base; None if some transition is missing."""
-        cur = self._walk(w)
-        return None if cur < 0 else cur
+        at = self._walk(w)
+        if at is None:
+            return None
+        return self._vnum[at] if type(at) is int else self._state(*at)
 
-    def _walk(self, w: Word, tags: Optional[list] = None) -> int:
-        """The state w leads to from the base, or -1 where an edge is
-        missing; tags, when given, collects the nontrivial tags of the
-        edges taken, in order."""
-        cur = self.base
-        reads = self._reads
+    def _walk(self, w: Word, tags: Optional[list] = None):
+        """Where w leads from the base: a vertex, a pair (chain, offset) for
+        a state inside a chain, or None where an edge is missing.  tags,
+        when given, collects the nontrivial tags of the edges taken, in
+        order.  A syllable that ends inside a chain must be w's last, since
+        a state there has edges of one generator only."""
+        at = 0
         for g, e in w.syls:
-            read = reads.get((g, 1) if e > 0 else (g, -1))
-            if read is None:
-                return -1
-            cur = _read(read, cur, abs(e), tags)
-            if cur < 0:
-                return -1
-        return cur
+            if type(at) is not int:
+                return None
+            at = self._syllable(at, g, e, tags)
+            if at is None:
+                return None
+        return at
+
+    def _syllable(self, x: int, g: Generator, e: int, tags: Optional[list] = None):
+        """Where g^e leads from vertex x, as _walk says, a whole chain at a
+        time."""
+        table, k = (self._plus, e) if e > 0 else (self._minus, -e)
+        while True:
+            end = table[x].get(g)
+            if end is None:
+                return None
+            c, n, y, tag = end
+            if k < n:
+                return (c, k if e > 0 else n - k)
+            if y == x:
+                # a loop: go round it k // n times at once
+                m, k = divmod(k, n)
+                if tags is not None and tag is not None:
+                    tags.append(tag ** m)
+                if not k:
+                    return x
+                continue
+            if tags is not None and tag is not None:
+                tags.append(tag)
+            x = y
+            k -= n
+            if not k:
+                return x
 
     def contains(self, w: Word) -> bool:
         return self.trace(w) == self.base
@@ -472,7 +585,7 @@ class SubgroupAutomaton:
         """express(w), or None when w is not in the subgroup: one read
         decides membership and collects the tags."""
         tags = []
-        if self._walk(w, tags) != self.base:
+        if self._walk(w, tags) != 0:
             return None
         out = Word([s for tag in tags for s in tag.syls])
         if self.evaluate(out) != w:
@@ -513,72 +626,58 @@ class SubgroupAutomaton:
         Acceptance is monotone in i: if L_{i+1}(w) is acceptable, the state
         after L_i(w) has an out-edge on w's (i+1)-st generator, which differs
         from the i-th.  So L_i(w) is acceptable exactly when i is at most
-        this value, and one trace that stops at the first failure decides
-        every prefix of w.
+        this value, and one read that stops at the first failure decides
+        every prefix of w.  A syllable that ends inside a chain fails, since
+        a state there has edges of one generator only.
         """
-        rows = self._rows
-        reads = self._reads
-        cur = self.base
+        turns = self._turns
+        at = 0
         for i, (g, e) in enumerate(w.syls):
-            read = reads.get((g, 1) if e > 0 else (g, -1))
-            if read is None:
-                return i
-            cur = _read(read, cur, abs(e))
-            if cur < 0:
-                return i
-            if cur != self.base and not any(
-                    r[cur] >= 0 for (h, _s), r in rows.items() if h != g):
+            at = self._syllable(at, g, e)
+            if at is None or type(at) is not int or not turns[at]:
                 return i
         return len(w.syls)
 
 
-def _read(read: tuple, cur: int, k: int, tags: Optional[list] = None) -> int:
-    """The state k >= 1 edges after cur along a label's read record
-    (row, marks, starts, ends, steps), or -1 where an edge is missing.
-
-    Edges are taken one at a time, except that with at least _MIN_SEGMENT
-    of them left a state inside one of the label's segments jumps to
-    cur +- j for the j edges that stay in it.  After a lookup that lands
-    between two segments there is no other lookup until the read leaves
-    that gap.  tags, when given, collects the nontrivial tags of the edges
-    taken, in order; segments hold untagged edges only.
-    """
-    row, marks, starts, ends, steps = read
-    lo = hi = 0
-    while k:
-        if k >= _MIN_SEGMENT and not lo <= cur < hi:
-            i = bisect_right(starts, cur) - 1
-            if cur < ends[i]:
-                if steps[i] > 0:
-                    j = ends[i] - cur
-                    if j >= k:
-                        return cur + k
-                    cur += j
-                else:
-                    j = cur - starts[i] + 1
-                    if j >= k:
-                        return cur - k
-                    cur -= j
-                k -= j
-                continue
-            lo, hi = ends[i], starts[i + 1]
-        if tags is not None and cur in marks:
-            tags.append(marks[cur])
-        cur = row[cur]
-        if cur < 0:
-            return -1
-        k -= 1
-    return cur
-
-
-def _segment_lists(segs: list) -> tuple:
-    """A label's segments of at least _MIN_SEGMENT states as sorted starts,
-    ends and steps lists.  An empty segment (-1, 0) comes first and a start
-    sys.maxsize last, so that every state lies in a segment or between two."""
-    segs = sorted(s for s in segs if s[1] - s[0] >= _MIN_SEGMENT)
-    return ([-1] + [p for p, _q, _d in segs] + [sys.maxsize],
-            [0] + [q for _p, q, _d in segs],
-            [0] + [d for _p, _q, d in segs])
+def _joined(edges: list, nv: int) -> tuple:
+    """The chains [u, v, k, n, tag] on nv vertices joined through every
+    vertex other than the base 0 that has just one chain in and one out,
+    untagged and of one generator; the vertex count and the joined chains,
+    with the vertices that remain renumbered in order."""
+    ends = [[] for _ in range(nv)]
+    for c, (u, v, _k, _n, _t) in enumerate(edges):
+        ends[u].append(c)
+        ends[v].append(c)
+    after = {}  # chain -> the chain it continues into
+    for x in range(1, nv):
+        if len(ends[x]) != 2:
+            continue
+        c, d = ends[x]
+        if edges[c][0] == x:
+            c, d = d, c
+        if (c != d and edges[c][1] == x and edges[d][0] == x and edges[c][2] == edges[d][2]
+                and edges[c][4] is None and edges[d][4] is None):
+            after[c] = d
+    if not after:
+        return nv, edges
+    inner = set(after.values())
+    joined = []
+    for c, (u, v, k, n, tag) in enumerate(edges):
+        if c in inner:
+            continue
+        while c in after:
+            c = after[c]
+            n += edges[c][3]
+            v = edges[c][1]
+        joined.append([u, v, k, n, tag])
+    new = [-1] * nv
+    new[0] = 0
+    kept = [0] + sorted({x for u, v, _k, _n, _t in joined for x in (u, v)} - {0})
+    for i, x in enumerate(kept):
+        new[x] = i
+    for ch in joined:
+        ch[0], ch[1] = new[ch[0]], new[ch[1]]
+    return len(kept), joined
 
 
 class _StateView:

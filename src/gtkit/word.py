@@ -182,7 +182,11 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         """Repeated squaring; reduced words are canonical, so the result
-        equals the |n|-fold product."""
+        equals the |n|-fold product.  A one-syllable word multiplies its
+        exponent."""
+        if len(self.syls) == 1 and n:
+            g, e = self.syls[0]
+            return Word(((g, e * n),), _normalized=True)
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         out = None

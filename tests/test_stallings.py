@@ -1,5 +1,4 @@
 import functools
-import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -525,7 +524,7 @@ def test_pinned_rows_and_marks_of_large_c_folds(shape, states, digest):
 
 
 # ---------------------------------------------------------------------------
-# Segment reads against letter-at-a-time reads
+# Chain reads against letter-at-a-time reads
 # ---------------------------------------------------------------------------
 
 def _letterwise_trace(aut, w):
@@ -619,31 +618,41 @@ def _check_reads(aut, w, every=1):
             assert aut._acceptable_run(v) == _letterwise_acceptable_run(aut, v)
 
 
-def _segment_states(aut):
-    """Every (label, state) inside a segment, after checking that the rows
-    agree with its step there."""
-    inside = set()
-    for lab, (row, marks, starts, ends, steps) in aut._reads.items():
-        assert row is aut._rows[lab] and marks is aut._marks[lab]
-        assert (starts[0], ends[0], starts[-1]) == (-1, 0, sys.maxsize)
-        assert all(q <= p for q, p in zip(ends, starts[1:]))
-        for p, q, d in zip(starts[1:], ends[1:], steps[1:]):
-            assert 0 <= p < q <= aut.num_states
-            assert [row[x] for x in range(p, q)] == [x + d for x in range(p, q)]
-            assert not any(x in marks for x in range(p, q))
-            inside.update((lab, x) for x in range(p, q))
-    return inside
+def _check_chains(aut):
+    """The chains agree with the materialized rows: each chain's letters
+    run along one row through states of degree 2, every edge lies on
+    exactly one chain, and a tagged edge is a chain of its own."""
+    rows, marks = aut._rows, aut._marks
+    degree = [0] * aut.num_states
+    for row in rows.values():
+        for q, t in enumerate(row):
+            if t >= 0:
+                degree[q] += 1
+    taken = 0
+    for c, (u, v, k, n, tag) in enumerate(aut._chains):
+        g = aut._alphabet[k]
+        path = ([aut._vnum[u]] + [aut._state(c, j) for j in range(1, n)]
+                + [aut._vnum[v]])
+        assert [rows[g, 1][p] for p in path[:-1]] == path[1:]
+        assert [rows[g, -1][p] for p in path[1:]] == path[:-1]
+        assert all(degree[p] == 2 for p in path[1:-1])
+        if tag is None:
+            assert not any(p in marks[g, 1] for p in path[:-1])
+        else:
+            assert n == 1 and marks[g, 1][path[0]] == tag
+        taken += n
+    assert taken == aut.num_edges == sum(len(row) - row.count(-1) for row in rows.values()) // 2
 
 
 @given(st.lists(_chain_word, min_size=1, max_size=4),
        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 2])), max_size=4),
        st.integers(0, 200), st.sampled_from([-3, -1, 1, 3]), _chain_word)
 @settings(max_examples=150, deadline=None)
-def test_segment_reads_match_letterwise_reads(gens, picks, pos, delta, tail):
+def test_chain_reads_match_letterwise_reads(gens, picks, pos, delta, tail):
     gens = [w for w in gens if not w.is_identity]
     assume(gens)
     aut = SubgroupAutomaton(gens)
-    _segment_states(aut)
+    _check_chains(aut)
     member = Word()
     for k, e in picks:
         member = member * gens[k % len(gens)] ** e
@@ -666,7 +675,7 @@ def _c_fold(s, m, seed):
                 min_size=1, max_size=3),
        st.integers(0, 10 ** 4), st.integers(-40, 40), _chain_word)
 @settings(max_examples=100, deadline=None)
-def test_segment_reads_match_letterwise_reads_on_c(shape, picks, cut, delta, tail):
+def test_chain_reads_match_letterwise_reads_on_c(shape, picks, cut, delta, tail):
     aut = _c_fold(*shape)
     gens = aut.generators
     member = Word()
@@ -680,13 +689,13 @@ def test_segment_reads_match_letterwise_reads_on_c(shape, picks, cut, delta, tai
         _check_reads(aut, w, every=7)
 
 
-def test_segments_cover_the_chains_of_c_10_8():
-    # a few hundred segments hold all but 253 of the 43,306 directed edges
+def test_chains_of_c_10_8():
+    # a few hundred chains hold all 21,646 states; most of the vertices
+    # branch or change generator, the rest end a tagged letter
     aut = _c_fold(10, 8, 0)
-    inside = _segment_states(aut)
-    edges = sum(aut.num_states - row.count(-1) for row in aut._rows.values())
-    assert (edges, len(inside)) == (43306, 43053)
-    assert sum(len(read[2]) - 2 for read in aut._reads.values()) == 292
+    _check_chains(aut)
+    assert (aut.num_states, aut.num_edges) == (21646, 21653)
+    assert (len(aut._vnum), len(aut._chains)) == (160, 167)
 
 
 def test_read_down_a_chain_stops_at_the_base_without_an_edge():
@@ -694,7 +703,7 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
     # that reaches the base must stop there, since the base has no a^-1 edge
     aut = SubgroupAutomaton([W("a^40 b")])
     assert aut.step(aut.base, A, -1) is None
-    assert len(aut._reads[(A, -1)][2]) > 2  # a^-1 has a segment
+    assert sorted(n for _u, _v, _k, n, _t in aut._chains) == [1, 40]
     for w, q in ((W("b^-1 a^-40"), aut.base), (W("b^-1 a^-41"), None),
                  (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 1)):
         assert aut.trace(w) == _letterwise_trace(aut, w) == q
@@ -706,7 +715,7 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
 
 @pytest.mark.parametrize("gens, probes", [
     # the petal's first and last letters fold together, and its chain's
-    # slices end next to a state numbered before them
+    # segments end next to a state numbered before them
     (["a^-10 b^4 a"], ["a^-10 b^4 a", "a^-10 b^4 a^-9 b^4", "a b^-4 a^10"]),
     (["a^-20 b^9 a"], ["a^-20 b^9 a", "a b^-9 a^20", "a^-10"]),
     # the second petal folds along the first and leaves it mid-chain
@@ -715,10 +724,85 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
     (["a^20 b^20", "a^20 c^20"], ["a^20 c^20 b^-20", "c^-20 a^-20", "a^20 c^7"]),
 ])
 def test_segment_ends_stop_where_a_chain_meets_a_state_numbered_apart(gens, probes):
-    # a chain's slices end next to states numbered apart from them: a
-    # segment must stop short of such an end entry, and a read must step,
-    # not jump, across it
+    # a chain's states are numbered in up to three segments of consecutive
+    # numbers when the search reaches its ends before it walks it; a
+    # segment ends next to a state numbered apart from it, and reads must
+    # return the numbers on either side
     aut = SubgroupAutomaton([W(g) for g in gens])
-    _segment_states(aut)
+    _check_chains(aut)
     for p in probes:
         _check_reads(aut, W(p))
+
+
+# ---------------------------------------------------------------------------
+# Folds and reads that cost per syllable, not per letter
+# ---------------------------------------------------------------------------
+
+def _long_pair(n):
+    # <a^n b, b^n a^-3>: the a^-3 folds onto the first a^3, so the core graph
+    # is an a^n chain and a b^n chain from the base to the state after a^3,
+    # with 2n states and rank 2
+    return Word([(A, n), (B, 1)]), Word([(B, n), (A, -3)])
+
+
+@pytest.mark.parametrize("n", [8, 11, 10 ** 9])
+def test_folds_and_reads_scale_with_syllables(n):
+    g1, g2 = _long_pair(n)
+    aut = SubgroupAutomaton([g1, g2])
+    assert (aut.num_states, aut.num_edges, aut.rank) == (2 * n, 2 * n + 1, 2)
+    # depth-first numbers: the base's a, b^-1 and b successors are 1, 2, 3;
+    # the b chain follows (4..n + 1), then the state after a^3 (n + 2), then
+    # the a chain from a^2 on (a^4 is n + 4)
+    traces = {
+        Word([(A, 5)]): n + 5, Word([(A, 4)]): n + 4, Word([(B, n)]): n + 2,
+        Word([(B, n - 1)]): n + 1, W("a^3 b^-2"): n, W("b^-1"): 2,
+        Word([(B, -1), (A, 1 - n)]): 1, Word([(A, n)]): 2,
+        Word([(A, n + 1)]): None, W("a^-1"): None, g1 * g2: 0,
+    }
+    for w, q in traces.items():
+        assert aut.trace(w) == q
+    members = [g1, g2, g1 * g2, g2.inverse() * g1 ** 2, g1 * g2.inverse() * g1]
+    assert str(aut.express(members[-1])) == "g[1] g[2]^-1 g[1]"
+    near = [Word([(A, n + 1), (B, 1)]), Word([(A, n - 1), (B, 1)]), g1 * W("a"),
+            Word([(A, n), (B, n + 2), (A, -3)]), Word([(B, n), (A, -4)])]
+    for w in members:
+        assert aut.contains(w)
+        assert aut.evaluate(aut.express(w)) == w
+    for w in near:
+        assert not aut.contains(w) and aut.try_express(w) is None
+    w = g1 * g2  # a^n b^(n+1) a^-3
+    assert (lambda_value(aut, w), rho_value(aut, w)) == (3, 3)
+    assert [lambda_value(aut, v) for v in near] == [0, 0, 2, 1, 1]
+    assert [rho_value(aut, v) for v in near] == [1, 1, 0, 1, 0]
+    if n < 100:
+        for v in members + near:
+            _check_reads(aut, v)
+    else:
+        assert aut._view is None  # no letter-level row was built
+
+
+def test_loop_reads_go_round_at_once():
+    aut = SubgroupAutomaton([W("a"), Word([(B, 10 ** 9)])])
+    w = Word([(A, 10 ** 12), (B, 10 ** 9), (A, -5)])
+    assert aut.num_states == 10 ** 9 and aut.contains(w)
+    assert str(aut.express(w)) == f"g[1]^{10 ** 12} g[2] g[1]^-5"
+    # the base numbers the b loop's last state 1 and its first 2, and the
+    # walk from the first numbers the rest in order
+    assert aut.trace(Word([(B, 2 * 10 ** 9 + 7)])) == 8
+    assert aut.trace(Word([(B, -1)])) == 1
+    assert aut._view is None
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 0), (12, 8, 1), (10, 10, 2)])
+def test_state_counts_and_views_of_c(shape):
+    # perfbench counts fold states as len(aut.delta), which must not build
+    # the letter rows; the rows, once built, give the same counts
+    aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape)))
+    assert len(aut.delta) == aut.num_states and aut._view is None
+    rows = aut._rows
+    edges = sum(len(row) - row.count(-1) for row in rows.values()) // 2
+    assert all(len(row) == aut.num_states for row in rows.values())
+    assert (aut.num_edges, aut.rank) == (edges, edges - aut.num_states + 1)
+    for q in range(0, aut.num_states, 997):
+        assert aut.delta[q] == dict(aut.successors(q))
+    _check_chains(aut)

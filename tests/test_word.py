@@ -281,7 +281,7 @@ def test_commutator_convention():
 # powers, hashing and pickling
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("text", ["a", "a^2 b^-1", "b a^3 b^-1", "a b a^-1 b^-1", "1"])
+@pytest.mark.parametrize("text", ["a", "b^-3", "a^2 b^-1", "b a^3 b^-1", "a b a^-1 b^-1", "1"])
 def test_pow_equals_repeated_product(text):
     w = W(text)
     for n in range(-6, 7):
