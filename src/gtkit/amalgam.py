@@ -31,6 +31,12 @@ from .word import (
 
 EDGE_TAG = "C"
 
+# A factor's junction table is emptied wholesale when it holds this many entries.
+JUNCTION_TABLE_SIZE = 1 << 16
+
+# The outcomes of _Factor.junction, each paired with a word (see there).
+DISSOLVED, POPPED, MERGED, SETTLED = range(4)
+
 # one block "[tag: word]"; the word may use indexed generators such as a[2]
 _BLOCK = r"\[([^:\[\]]+):((?:[^\[\]]|\[-?\d+\])*)\]"
 _BLOCK_RE = re.compile(_BLOCK)
@@ -38,15 +44,56 @@ _ELEMENT_RE = re.compile(rf"\s*(?:{_BLOCK}\s*)*")
 
 
 class _Factor:
-    """What both factor kinds share: the edge alphabet and its images here."""
+    """What both factor kinds share: the edge alphabet, its images here and
+    the junction step of the normal form."""
 
     def _attach_edge(self, alphabet: Sequence[Generator], images: Sequence[Word]):
         self._edge_alphabet = tuple(alphabet)
         self.edge_images = tuple(self.canonical(w) for w in images)
         self._edge_image = dict(zip(self._edge_alphabet, self.edge_images)).__getitem__
+        # junction outcomes hold for this edge only: a new edge starts new tables
+        self._junctions = {}
+        # few distinct outcomes recur over many junctions: each is stored once
+        self._outcomes = {}
 
     def from_edge(self, ew: Word) -> Word:
         return self.canonical(substitute(ew, self._edge_image))
+
+    def junction(self, y: Word, head: Word, top: Optional[Word]) -> tuple:
+        """Absorb the canonical component y across the edge word head into
+        top, the component of this factor to its right (None if there is none).
+
+        Returns one of four outcomes, each with a word:
+          (DISSOLVED, e)  y head lies in the edge subgroup, as the edge word e
+                          (e is the identity when y head is; top is kept);
+          (POPPED, e)     y head top lies in the edge subgroup as e: top goes;
+          (MERGED, z)     z = y head top lies outside it and replaces top;
+          (SETTLED, z)    z = y head lies outside it and becomes a component.
+        Outcomes are memoized per factor, so each distinct junction is
+        computed (and its edge expression checked) once; the tables are
+        emptied when they reach JUNCTION_TABLE_SIZE junctions.
+        """
+        # keyed by the syllable tuples: they hash and compare in C
+        key = (y.syls, head.syls, None if top is None else top.syls)
+        table = self._junctions
+        out = table.get(key)
+        if out is None:
+            if not head.is_identity:
+                y = self.mul(y, self.from_edge(head))
+            if y.is_identity:  # y is canonical
+                out = (DISSOLVED, y)
+            elif top is not None:
+                z = self.mul(y, top)
+                e = self.to_edge(z)
+                out = (MERGED, z) if e is None else (POPPED, e)
+            else:
+                e = self.to_edge(y)
+                out = (SETTLED, y) if e is None else (DISSOLVED, e)
+            if len(table) >= JUNCTION_TABLE_SIZE:
+                table.clear()
+                self._outcomes.clear()
+            out = table[key] = self._outcomes.setdefault(out, out)
+        return out
 
     def parse(self, text: str) -> Word:
         return self.canonical(parse_word(text, self.alphabet))
@@ -244,6 +291,8 @@ class Amalgam:
         if len(set(names)) != len(names):
             raise PreconditionError("factor names must be distinct")
         self._by_name = {f.name: i for i, f in enumerate(self.factors)}
+        self._edge_gens = frozenset(edge.alphabet)
+        self._factor_gens = tuple(frozenset(f.alphabet) for f in self.factors)
 
     # -- element construction ------------------------------------------------
 
@@ -451,18 +500,28 @@ def normalize(G: Amalgam, raw) -> AmalgamElement:
     Edge entries may be interleaved with the tag EDGE_TAG.  Two raw
     sequences representing the same group element normalize to forms that
     compare equal under AmalgamElement.equals (the head placement itself is
-    not canonical).
+    not canonical).  A word over a generator outside its factor's alphabet
+    (or, for an edge entry, outside the edge alphabet) raises
+    PreconditionError.
     """
     head = Word()
     pending: list = []
     for tag, x in reversed(list(raw)):
         if tag == EDGE_TAG:
+            _check_alphabet(x, G._edge_gens, "the edge alphabet")
             head = x * head
             continue
         fi = G.factor_index(tag)
         f = G.factors[fi]
+        _check_alphabet(x, G._factor_gens[fi], f"the alphabet of factor {f.name}")
         head = _absorb(f, fi, f.canonical(x), head, pending) or Word()
     return AmalgamElement(G, head, tuple(reversed(pending)))
+
+
+def _check_alphabet(x: Word, alphabet: frozenset, where: str) -> None:
+    for g, _e in x.syls:
+        if g not in alphabet:
+            raise PreconditionError(f"generator {g} of {x} is not in {where}")
 
 
 def _absorb(f, fi: int, y: Word, head: Word, pending: list) -> Optional[Word]:
@@ -470,26 +529,21 @@ def _absorb(f, fi: int, y: Word, head: Word, pending: list) -> Optional[Word]:
 
     pending holds the components to the right of y in reverse order (its
     last entry is the leftmost) and head the edge word between y and them.
-    Returns the edge word left over for the next component, or None when a
-    component settled (was inserted, or merged outside the edge subgroup).
+    Applies the outcome of f.junction to pending and returns the edge word
+    left over for the next component, or None when a component settled (was
+    inserted, or merged outside the edge subgroup).
     """
-    if not head.is_identity:
-        y = f.mul(y, f.from_edge(head))
-    if y.is_identity:  # y is canonical
-        return Word()
-    if pending and pending[-1][0] == fi:
-        z = f.mul(y, pending[-1][1])
-        e = f.to_edge(z)
-        if e is not None:
-            pending.pop()
-            return e
-        pending[-1] = (fi, z)
+    top = pending[-1][1] if pending and pending[-1][0] == fi else None
+    outcome, w = f.junction(y, head, top)
+    if outcome == SETTLED:
+        pending.append((fi, w))
         return None
-    e = f.to_edge(y)
-    if e is not None:
-        return e
-    pending.append((fi, y))
-    return None
+    if outcome == MERGED:
+        pending[-1] = (fi, w)
+        return None
+    if outcome == POPPED:
+        pending.pop()
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +555,8 @@ def cancellation_number(g: AmalgamElement, h: AmalgamElement) -> int:
 
     Computed incrementally from the normalized forms, consuming matched
     component pairs at the junction while their product stays in the edge
-    subgroup.  Representative independent (h's head is absorbed into the
+    subgroup, that is while the factor's junction step (_Factor.junction)
+    pops.  Representative independent (h's head is absorbed into the
     running edge element; g's head cannot affect any proper suffix).
     """
     G = g.amalgam
@@ -514,12 +569,9 @@ def cancellation_number(g: AmalgamElement, h: AmalgamElement) -> int:
         fj, y = hs[k]
         if fi != fj:
             break
-        f = G.factors[fi]
-        z = f.mul(f.mul(x, f.from_edge(cur)), y)
-        e = f.to_edge(z)
-        if e is None:
+        outcome, cur = G.factors[fi].junction(x, cur, y)
+        if outcome != POPPED:
             break
-        cur = e
         k += 1
     return k
 

@@ -89,9 +89,13 @@ def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
                nonempty: bool = False) -> Word:
     n = rng.randint(1 if nonempty else 0, max_letters)
     w = Word()
-    while w.letter_len < n:
+    length = 0  # w.letter_len, kept up to date letter by letter
+    while length < n:
         g = alphabet[rng.randrange(len(alphabet))]
-        w = w * Word([(g, rng.choice((1, -1)))])
+        s = rng.choice((1, -1))
+        # the letter cancels into the last syllable or lengthens the word
+        length += -1 if w.syls and w.syls[-1][0] == g and w.syls[-1][1] * s < 0 else 1
+        w = w * Word([(g, s)])
     return w
 
 

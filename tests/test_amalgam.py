@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtkit import gentorsion as gt
+from gtkit import amalgam, gentorsion as gt
 from gtkit.amalgam import (
     EDGE_TAG,
     AbelianFactor,
@@ -157,6 +157,106 @@ def test_power_matches_repeated_normalized_product(name, rx):
         for _ in range(abs(n)):
             expected = normalize(G, expected.raw() + base_raw)
         assert_same_form(x ** n, expected)
+
+
+# ---------------------------------------------------------------------------
+# junction tables
+# ---------------------------------------------------------------------------
+
+def _cold(G):
+    """A copy of G whose factors have empty junction tables."""
+    return Amalgam.from_json(G.to_json())
+
+
+def _assert_like_cold(G, call, *elems):
+    """call(G, *elems) gives what the same call gives on a fresh cold copy."""
+    got = call(G, *elems)
+    cold = _cold(G)
+    want = call(cold, *(AmalgamElement(cold, x.head, x.comps) for x in elems))
+    if isinstance(got, AmalgamElement):
+        assert_same_form(got, want)
+    else:
+        assert got == want
+    return got
+
+
+# each call goes through the junction step of the long-lived group G
+_JUNCTION_CALLS = (
+    lambda G, x, y: x * y,
+    lambda G, x, y: y * x,
+    lambda G, x, y: x.inverse() * y,
+    lambda G, x, y: x.inverse(),
+    lambda G, x, y: x ** 3,
+    lambda G, x, y: y ** -2,
+    lambda G, x, y: normalize(G, x.raw() + y.raw()),
+    lambda G, x, y: cancellation_number(x, y),
+    lambda G, x, y: cancellation_number(x, x.inverse() * y),
+    lambda G, x, y: cancellation_number(y * x, x.inverse()),
+)
+
+
+@given(st.sampled_from(["BS2", "BS3", "F2", "Z2Z"]), _raw_lists, _raw_lists)
+@settings(max_examples=200, deadline=None)
+def test_junction_tables_match_a_cold_copy(name, rx, ry):
+    G = PROPERTY_GROUPS[name]
+    x = _assert_like_cold(G, lambda H: normalize(H, _raw(name, rx)))
+    y = _assert_like_cold(G, lambda H: normalize(H, _raw(name, ry)))
+    for call in _JUNCTION_CALLS:
+        _assert_like_cold(G, call, x, y)
+
+
+def test_amalgams_built_back_to_back_share_no_junctions():
+    # bs_commutator_witness builds a fresh BS(m) per call from equal-looking
+    # factors; a table shared between them would carry a^k across edges
+    a = W("a")
+    for m in (2, 3, 2, 5, 3, 4, 2):
+        G, cert = gt.bs_commutator_witness(m)
+        assert gt.verify_gt_certificate(G, cert)
+        x = normalize(G, [(0, a)])
+        assert [(x ** k).length for k in range(1, 7)] == \
+            [0 if k % m == 0 else 1 for k in range(1, 7)]
+    G2, G3 = gt.bs_amalgam(2), gt.bs_amalgam(3)
+    x2, x3 = normalize(G2, [(0, a)]), normalize(G3, [(0, a)])
+    assert (x2 * x2).length == 0 and (x3 * x3).length == 1
+    for f2, f3 in zip(G2.factors, G3.factors):
+        assert f2._junctions is not f3._junctions
+    # one junction, two outcomes: a a = e in BS(2), a a = a^2 outside in BS(3)
+    assert G2.factors[0].junction(a, Word(), a) == (amalgam.POPPED, W("e"))
+    assert G3.factors[0].junction(a, Word(), a) == (amalgam.MERGED, W("a^2"))
+
+
+def test_reattaching_a_factor_empties_its_junction_table():
+    fa, fb = FreeFactor("A", [gen("a")]), FreeFactor("B", [gen("b")])
+    e = (gen("e"),)
+    G = Amalgam([fa, fb], EdgeIdentification(e, ((W("a^2"),), (W("b^2"),))))
+    assert normalize(G, [(0, W("a")), (0, W("a")), (1, W("b"))]).length == 1
+    assert fa._junctions
+    # over a^3 = b^3 the same raw sequence keeps a^2 outside the edge
+    H = Amalgam([fa, fb], EdgeIdentification(e, ((W("a^3"),), (W("b^3"),))))
+    assert not fa._junctions and not fb._junctions
+    assert normalize(H, [(0, W("a")), (0, W("a")), (1, W("b"))]).length == 2
+
+
+def test_junction_table_is_emptied_at_its_bound(monkeypatch):
+    bound = 8
+    monkeypatch.setattr(amalgam, "JUNCTION_TABLE_SIZE", bound)
+    rng = random.Random(17)
+    for name in ("BS2", "Z2Z"):
+        G = _cold(PROPERTY_GROUPS[name])
+        sizes = []
+        for _ in range(60):
+            rx = [(rng.randrange(3), rng.randrange(99), rng.choice((1, -1)))
+                  for _ in range(rng.randint(1, 6))]
+            ry = [(rng.randrange(3), rng.randrange(99), rng.choice((1, -1)))
+                  for _ in range(rng.randint(1, 6))]
+            x = _assert_like_cold(G, lambda H: normalize(H, _raw(name, rx)))
+            y = _assert_like_cold(G, lambda H: normalize(H, _raw(name, ry)))
+            for call in _JUNCTION_CALLS:
+                _assert_like_cold(G, call, x, y)
+                sizes.append(max(len(f._junctions) for f in G.factors))
+        assert max(sizes) <= bound
+        # a table that reached the bound was emptied and filled again
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_direct_constructors_build_normal_forms():
@@ -336,6 +436,20 @@ def test_unknown_factor_reference_is_a_package_error(z2z):
     for ref in (2, -1):
         with pytest.raises(GtkitError, match=repr(ref)):
             normalize(z2z, [(ref, W("a"))])
+
+
+def test_normalize_rejects_generators_outside_the_factor():
+    G = gt.bs_amalgam(2)
+    # a is a generator of A, not of B, and b one of B, not of A
+    with pytest.raises(PreconditionError, match="generator a of a c is not in "
+                                                "the alphabet of factor B"):
+        normalize(G, [(1, W("a c"))])
+    with pytest.raises(PreconditionError, match="factor A"):
+        normalize(G, [(0, W("b"))])
+    with pytest.raises(PreconditionError, match="edge alphabet"):
+        normalize(G, [(EDGE_TAG, W("e a"))])
+    # the same entries over the right alphabets normalize
+    assert normalize(G, [(1, W("c")), (EDGE_TAG, W("e^-1"))]).is_identity
 
 
 def test_parse_element_reads_indexed_generators():
