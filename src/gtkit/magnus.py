@@ -1,12 +1,15 @@
 """Truncated integer noncommutative power series for the Magnus embedding.
 
 Words over an indexed generator family x_i map to units of Z<<X_i>> via
-x_i -> 1 + X_i, truncated at a degree cap.  Leading terms (lowest nonzero
-homogeneous part) exist for every nontrivial word at degree at most its
-letter length, which makes adaptive truncation exact.  Two relation
-families are supported for annihilation checks: zeroing a set of variables
-and identifying variables along an index map; both are quotient maps, so
-annihilation of words is decided exactly at the letter-length cap.
+x_i -> 1 + X_i, truncated at a degree cap.  Images are built one
+homogeneous degree at a time, each degree from the lower ones over the
+word's syllable prefixes.  Leading terms (lowest nonzero homogeneous part)
+exist for every nontrivial word at degree at most its letter length, so
+raising the degree one step at a time until the part is nonzero is exact.
+Two relation families are supported for annihilation checks: zeroing a set
+of variables and identifying variables along an index map; both are
+quotient maps, so annihilation of words is decided exactly at the
+letter-length cap.
 """
 
 from __future__ import annotations
@@ -110,41 +113,68 @@ def _variable_index(g: Generator) -> int:
 
 @lru_cache(maxsize=1024)
 def _binomials(k: int, d: int) -> tuple:
-    """The coefficients of X^1..X^d in (1 + X)^k, the binomial series for
-    negative k; for positive k they stop at X^k."""
-    if k > 0:
-        return tuple(math.comb(k, j) for j in range(1, min(k, d) + 1))
-    return tuple((-1) ** j * math.comb(j - k - 1, j) for j in range(1, d + 1))
+    """The coefficients of X^1..X^d in (1 + X)^k, k >= 1; they stop at X^k."""
+    return tuple(math.comb(k, j) for j in range(1, min(k, d) + 1))
+
+
+def _syllables(w: Word) -> list:
+    """The (variable index, exponent) pairs of w's syllables."""
+    if len({g.name for g, _ in w.syls}) > 1:
+        raise PreconditionError("the embedding needs one indexed family; "
+                                "relabel mixed alphabets first")
+    return [(_variable_index(g), k) for g, k in w.syls]
+
+
+def _add_row(syls: list, rows: list) -> dict:
+    """Append row D = len(rows) and return its last entry.
+
+    Row D holds the degree-D part of the image of each syllable prefix,
+    prefix p at entry p; rows[0] is all 1.  Prefix p + 1 is prefix p times
+    (1 + X_i)^k, so entry p + 1 is entry p plus C(k, j) rows[D - j][p] X_i^j
+    over j >= 1.  For k < 0 prefix p is prefix p + 1 times (1 + X_i)^-k, so
+    entry p + 1 is entry p minus C(-k, j) rows[D - j][p + 1] X_i^j: a
+    syllable costs |k| terms at most, not the D of the binomial series.
+    """
+    deg = len(rows)
+    level: dict = {}
+    row = [level]
+    for p, (i, k) in enumerate(syls):
+        level = dict(level)
+        if k > 0:
+            src, sign = p, 1
+        else:
+            src, sign, k = p + 1, -1, -k
+        j = 0
+        for c in _binomials(k, deg):
+            j += 1
+            run = (i,) * j
+            c *= sign
+            for m, a in rows[deg - j][src].items():
+                m += run
+                v = level.get(m, 0) + a * c
+                if v:
+                    level[m] = v
+                else:
+                    del level[m]
+        row.append(level)
+    rows.append(row)
+    return level
 
 
 def mu(w: Word, d: int) -> TruncatedSeries:
     """Magnus image of w truncated at degree d: multiplicative on products.
 
     Words must be spelled over a single indexed generator family; the
-    generator index is the variable index.  The image is kept as one dict
-    per degree and multiplied in place by each syllable's (1 + X_i)^k, the
-    binomial series for negative k: degree d first, so that the lower
-    degrees it reads are still those of the product so far.
+    generator index is the variable index.  The image is built one
+    homogeneous degree at a time by `_add_row`; its degree-D part is the
+    last entry of row D.
     """
-    if len({g.name for g, _ in w.syls}) > 1:
-        raise PreconditionError("the embedding needs one indexed family; "
-                                "relabel mixed alphabets first")
+    syls = _syllables(w)
     out = TruncatedSeries(d)
-    levels = [{(): 1}] + [{} for _ in range(d)]
-    for g, k in w.syls:
-        i = _variable_index(g)
-        terms = [(c, (i,) * j) for j, c in enumerate(_binomials(k, d), start=1)]
-        for deg in range(d, 0, -1):
-            level = levels[deg]
-            for j, (c, run) in enumerate(terms[:deg], start=1):
-                for m, a in levels[deg - j].items():
-                    m += run
-                    v = level.get(m, 0) + a * c
-                    if v:
-                        level[m] = v
-                    else:
-                        del level[m]
-    out.coeffs = {m: c for level in levels for m, c in level.items()}
+    rows = [[{(): 1}] * (len(syls) + 1)]
+    for _ in range(d):
+        _add_row(syls, rows)
+    out.coeffs = {m: c for row in rows for m, c in row[-1].items()}
     return out
 
 
@@ -176,34 +206,45 @@ class LeadingTerm:
 def leading_term(w: Word) -> Optional[LeadingTerm]:
     """Leading term of mu(w), or None for the trivial word.
 
-    The truncation degree is raised geometrically; letter length is a
-    sufficient cap because a nontrivial word of letter length L never lies
-    in the (L+1)-st lower central term, so its leading degree is <= L.
+    Rows of degree 1, 2, ... are added until the full word's entry is
+    nonzero, so no degree is built twice.  The letter length L bounds the
+    search: a nontrivial word of letter length L never lies in the (L+1)-st
+    lower central term, so its leading degree is <= L.
     """
-    if w.is_identity:
+    syls = _syllables(w)
+    if not syls:
         return None
+    rows = [[{(): 1}] * (len(syls) + 1)]
     limit = w.letter_len
-    d = 1
-    while True:
-        s = mu(w, d)
-        s.coeffs.pop((), None)
-        md = s.min_positive_degree()
-        if md is not None:
-            return LeadingTerm(md, s.homogeneous_part(md))
-        if d >= limit:
-            break
-        d = min(2 * d, limit)
+    for degree in range(1, limit + 1):
+        top = _add_row(syls, rows)
+        if top:
+            return LeadingTerm(degree, top)
     raise InternalInvariantError(
         f"no leading term for nontrivial word at cap {limit}: {w}"
     )
 
 
+class _Images(dict):
+    """A variable map's images, each computed once, at its first lookup."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        self.image = image
+
+    def __missing__(self, i):
+        v = self[i] = self.image(i)
+        return v
+
+
 def _project(coeffs: dict, image) -> dict:
     """Coefficients with each monomial's variables mapped through image;
     a monomial with a variable sent to None drops, equal images add up."""
+    images = _Images(image).__getitem__
     out: dict = {}
     for m, c in coeffs.items():
-        key = tuple(image(i) for i in m)
+        key = tuple(map(images, m))
         if None in key:
             continue
         v = out.get(key, 0) + c
@@ -311,6 +352,12 @@ def magnus_positive(w: Word) -> bool:
     return lt.coeffs[key] > 0
 
 
+@lru_cache(maxsize=16)
+def _basis_automaton(v0: Word, v1: Word) -> SubgroupAutomaton:
+    """The folded automaton of <v0, v1>, folded once per basis."""
+    return SubgroupAutomaton([v0, v1])
+
+
 def check_c_leading_vars(alpha: Word, v0: Word, v1: Word) -> bool:
     """For weight-zero members of <v0, v1>: X_0, X_1, X_2 all appear in L(alpha).
 
@@ -319,7 +366,7 @@ def check_c_leading_vars(alpha: Word, v0: Word, v1: Word) -> bool:
     value contradicts the quotient-transfer argument and is reported by the
     property suites as a violation.
     """
-    aut = SubgroupAutomaton([v0, v1])
+    aut = _basis_automaton(v0, v1)
     if alpha.is_identity or not aut.contains(alpha):
         raise PreconditionError("alpha must be a nontrivial member of <v0, v1>")
     expr = aut.express(alpha)

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtkit.errors import PreconditionError
+from gtkit import magnus
+from gtkit.errors import InternalInvariantError, PreconditionError
 from gtkit.magnus import (
     Identify,
     LeadingTerm,
@@ -109,6 +110,52 @@ def test_leading_term_trivial_word():
     assert leading_term(W("")) is None
 
 
+def test_leading_terms_of_iterated_commutators():
+    a0, a1 = W("a[0]"), W("a[1]")
+    c3 = commutator(commutator(a0, a1), a1)
+    assert leading_term(c3) == LeadingTerm(3, {(0, 1, 1): 1, (1, 0, 1): -2, (1, 1, 0): 1})
+    c4 = commutator(c3, a1)
+    assert leading_term(c4) == LeadingTerm(4, {(0, 1, 1, 1): 1, (1, 0, 1, 1): -3,
+                                               (1, 1, 0, 1): 3, (1, 1, 1, 0): -1})
+    for w in (c3, c4):
+        assert leading_term(w) == _leading_term_by_series_products(w)
+
+
+@pytest.mark.parametrize("e", [100000, -100000])
+def test_leading_term_of_a_commutator_with_a_large_exponent(e):
+    w = commutator(W(f"a[0]^{e}"), W("a[1]"))
+    assert w.letter_len == 200002
+    assert leading_term(w) == LeadingTerm(2, {(0, 1): e, (1, 0): -e})
+
+
+@given(_indexed_word, st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_mu_at_a_lower_cap_is_the_truncation(w, d, lower):
+    lower = min(lower, d)
+    high = mu(w, d).coeffs
+    assert {m: c for m, c in high.items() if len(m) <= lower} == mu(w, lower).coeffs
+
+
+def test_mixed_and_unindexed_alphabets_are_rejected():
+    for w in (W("a[0] b[0] a[0]^-1 b[0]^-1"), W("a b a^-1 b^-1"), W("a^2")):
+        with pytest.raises(PreconditionError):
+            mu(w, 2)
+        with pytest.raises(PreconditionError):
+            leading_term(w)
+    relabeled = relabel_for_embedding(W("a b a^-1 b^-1"))
+    assert leading_term(relabeled) == LeadingTerm(2, {(0, 1): 1, (1, 0): -1})
+
+
+def test_leading_term_past_the_letter_length_is_an_internal_error(monkeypatch):
+    def zero_row(syls, rows):
+        rows.append([{}] * (len(syls) + 1))
+        return {}
+
+    monkeypatch.setattr(magnus, "_add_row", zero_row)
+    with pytest.raises(InternalInvariantError):
+        leading_term(W("a[0] a[1]"))
+
+
 def test_apply_sigma_identity_and_collapse():
     lt = leading_term(W("a[1] a[2] a[1]^-1 a[2]^-1"))
     assert apply_sigma(lt, {}) == lt
@@ -147,6 +194,33 @@ def test_check_c_leading_vars_commutator():
     v0, v1 = W("a[0]"), W("a[2] a[1]^-1")
     alpha = commutator(v0, v1)
     assert check_c_leading_vars(alpha, v0, v1)
+
+
+def test_check_c_leading_vars_folds_each_basis_once():
+    # the third basis shares its v0 with the first
+    bases = [(W("a[0]"), W("a[2] a[1]^-1")), (W("a[1]"), W("a[2]")),
+             (W("a[0]"), W("a[1]"))]
+    alphas = [[commutator(v0, v1), commutator(commutator(v0, v1), v0 * v1)]
+              for v0, v1 in bases]
+
+    def verdicts():
+        return [[check_c_leading_vars(a, *basis) for a in al]
+                for basis, al in zip(bases, alphas)]
+
+    magnus._basis_automaton.cache_clear()
+    cold = verdicts()
+    assert cold == [[True, True], [False, False], [False, False]]
+    assert magnus._basis_automaton.cache_info().misses == 3
+    assert verdicts() == cold
+    assert magnus._basis_automaton.cache_info().misses == 3
+    # a warm basis still checks membership and weights on every call
+    v0, v1 = bases[0]
+    with pytest.raises(PreconditionError):
+        check_c_leading_vars(v0, v0, v1)
+    with pytest.raises(PreconditionError):
+        check_c_leading_vars(W("a[5]"), v0, v1)
+    magnus._basis_automaton.cache_clear()
+    assert verdicts() == cold
 
 
 def test_check_c_leading_vars_precondition():
@@ -305,5 +379,8 @@ def test_relation_maps_match_the_family_branches(rel, w, conjugates):
         sigma = (dict(rel.sigma) if isinstance(rel, Identify)
                  else {i: 0 for i in rel.indices})
         for s in (lt, mu(word, 3)):
+            for f in (lambda i: sigma.get(i, i), lambda i: i % 2):
+                got, want = apply_sigma(s, f), _substitute(s, f)
+                assert got == want
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
             assert apply_sigma(s, sigma) == _substitute(s, lambda i: sigma.get(i, i))
-            assert apply_sigma(s, lambda i: i % 2) == _substitute(s, lambda i: i % 2)
