@@ -22,6 +22,7 @@ from .word import (
     Generator,
     Word,
     _product_ball,
+    _word,
     gen,
     parse_generator,
     parse_word,
@@ -200,10 +201,10 @@ class AbelianFactor(_Factor):
         sums = {}
         for g, e in syls:
             sums[g] = sums.get(g, 0) + e
-        return Word(sorted(
+        return _word(tuple(sorted(
             ((g, e) for g, e in sums.items() if e),
             key=lambda p: p[0].sort_key(),
-        ), _normalized=True)
+        )))
 
     def mul(self, x: Word, y: Word) -> Word:
         return self._collect(x.syls + y.syls)

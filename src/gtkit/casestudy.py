@@ -31,6 +31,7 @@ from .word import (
     Presentation,
     Syllable,
     Word,
+    _word,
     cancellation_syllables,
     gen,
     substitute,
@@ -521,9 +522,7 @@ class LfpTrace:
                 j += 1
             for p in range(j, len(syls)):
                 cells.append([list(syls[p]), [(t, p + 1)]])
-            self.partials.append(Word(
-                tuple((g, e) for (g, e), _ in cells), _normalized=True
-            ))
+            self.partials.append(_word(tuple((g, e) for (g, e), _ in cells)))
 
 
 def lfp_trace(inputs: Sequence[Word]) -> LfpTrace:

@@ -189,16 +189,17 @@ class NssBall:
         return {x.serialize() for x in self.elements}
 
 
-def _nss_closure(seeds: Sequence, is_identity, level1, mul, bounds: SearchBounds,
+def _nss_closure(seeds: Sequence, is_identity, level1, products, bounds: SearchBounds,
                  max_elements: int):
     """The bounded NSS closure behind every NSS ball.
 
     Level 1 is the lazy iterable ``level1`` (the conjugates of the seeds);
-    levels 2..max_n are each the previous level's new elements times level 1
-    under ``mul``.  Every candidate counts as a node; the node cap and the
-    element cap stop the closure and flag it as capped (a partial but sound
-    inner approximation) rather than failing.  Returns (the elements in
-    order of first appearance, their set, capped).
+    levels 2..max_n are each ``products(frontier, first)``, a lazy iterable
+    of the previous level's new elements times the level-1 elements.  Every
+    candidate counts as a node; the node cap and the element cap stop the
+    closure and flag it as capped (a partial but sound inner approximation)
+    rather than failing.  Returns (the elements in order of first
+    appearance, their set, capped).
     """
     if not seeds or any(is_identity(s) for s in seeds):
         raise PreconditionError("seeds must be nonempty and avoid the identity")
@@ -222,9 +223,15 @@ def _nss_closure(seeds: Sequence, is_identity, level1, mul, bounds: SearchBounds
     for _ in range(bounds.max_n - 1):
         if capped:
             break
-        frontier, capped = grow(mul(x, y) for x in frontier for y in first)
+        frontier, capped = grow(products(frontier, first))
         out.extend(frontier)
     return out, seen, capped
+
+
+def _products(mul):
+    """The level step that multiplies each frontier element by each level-1
+    element under mul."""
+    return lambda frontier, first: (mul(x, y) for x in frontier for y in first)
 
 
 def nss_ball(G: Amalgam, R: Sequence[AmalgamElement], bounds: SearchBounds,
@@ -234,27 +241,60 @@ def nss_ball(G: Amalgam, R: Sequence[AmalgamElement], bounds: SearchBounds,
     conjs = amalgam_conjugator_ball(G, bounds)
     out, _, capped = _nss_closure(
         R, lambda s: s.is_identity, (s.conj(h) for s in R for h in conjs),
-        operator.mul, bounds, max_elements)
+        _products(operator.mul), bounds, max_elements)
     return NssBall(out, capped)
 
 
 def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
                   bounds: SearchBounds,
                   conjugators: Optional[Sequence[Word]] = None,
-                  max_elements: int = 200_000):
+                  max_elements: int = 200_000,
+                  members_of: Optional[SubgroupAutomaton] = None):
     """Free-group NSS ball over Word values; returns (set of Words, capped).
 
     Both the node cap and the element cap flag the result as capped
     (partial) rather than failing; a capped ball is still a sound inner
     approximation of the normal subsemigroup.
+
+    With an automaton ``members_of`` for a subgroup C, returns (set of
+    Words, capped, the set of those Words in C), decided by coset reads
+    (``SubgroupAutomaton.coset``) instead of one read per element: a
+    level-1 element y is in C iff C y^-1 = C, and a product x y iff
+    C x = C y^-1.  So the coset of each level-1 element's inverse is read
+    once, and that of each frontier element once.
     """
     seeds = list(seeds)
     if conjugators is None:
         conjugators = free_ball(alphabet, bounds.radius)
-    _, seen, capped = _nss_closure(
-        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
-        operator.mul, bounds, max_elements)
-    return seen, capped
+    level1 = (s.conj(h) for s in seeds for h in conjugators)
+    if members_of is None:
+        _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, level1,
+                                       _products(operator.mul), bounds, max_elements)
+        return seen, capped
+    coset, home = members_of.coset, (members_of.base, ())
+    inverse_coset = {}  # level-1 candidate -> the coset of its inverse
+    members = set()     # candidates in C, the one a cap stopped at included
+
+    def first_level():
+        for y in level1:
+            c = inverse_coset[y] = coset(y.inverse())
+            if c == home:
+                members.add(y)
+            yield y
+
+    def products(frontier, first):
+        cys = [inverse_coset[y] for y in first]
+        for x in frontier:
+            cx = coset(x)
+            for y, cy in zip(first, cys):
+                z = x * y
+                if cx == cy:
+                    members.add(z)
+                yield z
+
+    _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, first_level(),
+                                   products, bounds, max_elements)
+    return seen, capped, members & seen
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +396,8 @@ def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResu
     return SearchResult(None, False, nodes)
 
 
-def _first_product(start, n_units: int, step, accept, depth: int, budget: int):
+def _first_product(start, n_units: int, step, accept, depth: int, budget: int,
+                   last=None):
     """Depth-first search over unit index sequences i_1 ... i_m, m <= depth.
 
     The products x_m = step(x_{m-1}, i_m), from x_0 = start, are tried in
@@ -364,11 +405,28 @@ def _first_product(start, n_units: int, step, accept, depth: int, budget: int):
     first with accept(x_m, m) ends the search.  Returns (its index tuple,
     x_m, nodes used), or (None, None, nodes used) when none is accepted; a
     search stopped by the budget has used budget + 1 nodes.
+
+    ``last``, when given, maps a product x one unit short of depth to the
+    one unit index i for which accept(step(x, i), depth) can hold, or None.
+    The deepest level is then one call of last per parent, not n_units
+    steps, and the nodes are counted as the unit-by-unit scan counts them:
+    i + 1 for a hit at i, n_units for a miss, and a budget that the scan
+    would exhaust first stops the search the same way.
     """
     stack = [(start, (), 0)]  # (product, its indices, next unit to try)
     nodes = 0
     while stack:
         x, path, i = stack.pop()
+        if last is not None and len(path) == depth - 1:
+            j = last(x)
+            if j is not None and nodes + j < budget:
+                y = step(x, j)
+                if accept(y, depth):
+                    return path + (j,), y, nodes + j + 1
+            if nodes + n_units > budget:
+                return None, None, budget + 1
+            nodes += n_units
+            continue
         if i == n_units:
             continue
         stack.append((x, path, i + 1))
@@ -529,6 +587,12 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     ``radius`` subgroup generators; k <= max_n.  Finding such a product
     refutes relative torsion-freeness; none-found within bounds (possibly
     capped) merely corroborates it.
+
+    The last slot is a lookup: x g h_k = 1 only for h_k = (x g)^-1, so
+    each product x one block short of max_n looks that word up among the
+    h candidates instead of multiplying out every x g h.  Nodes and the cap
+    count every candidate of that slot up to the hit (or all of them), as
+    trying each in turn would (see _first_product).
     """
     aut = SubgroupAutomaton(subgroup_gens)
     gball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
@@ -536,6 +600,7 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     if not gball:
         raise PreconditionError("subgroup contains the whole ball; not proper here")
     hball = subgroup_product_ball(subgroup_gens, bounds.radius)
+    index = {h: i for i, h in enumerate(hball)}
     report = SuiteReport("rtf", 0, params={
         "bounds": bounds.to_json(),
         "g_candidates": len(gball),
@@ -546,7 +611,8 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
         report.trials += 1
         path, _, used = _first_product(
             Word(), len(hball), lambda x, i: x * g * hball[i],
-            lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes)
+            lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes,
+            lambda x: index.get((x * g).inverse()))
         nodes += used
         if path is not None:
             report.violations.append(Violation("rtf-violation", {
@@ -582,6 +648,8 @@ def check_multimalnormal(alphabet: Sequence[Generator],
     cball = sort_words(cball)
     aball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
              if not aut.contains(w)]
+    if not aball:
+        raise PreconditionError("subgroup contains the whole ball; not proper here")
     report = SuiteReport("multimalnormal", 0, capped=capped, params={
         "bounds": bounds.to_json(),
         "c_candidates": len(cball),
@@ -610,7 +678,10 @@ def check_nss_intersection(alphabet: Sequence[Generator],
     """Check NSS_A({alpha}) cap C inside NSS_C({alpha}) on a bounded ball.
 
     The ambient side is the bounded NSS ball of alpha in the free group A.
-    Each member w of it that lies in C is decided over C's free basis (the
+    Which of its elements lie in C is read off cosets as the ball is built
+    (nss_ball_free's ``members_of``): one coset read per level-1 element's
+    inverse and per frontier element, not one read per element.  Each
+    member w of it that lies in C is decided over C's free basis (the
     subgroup generators must be one), where alpha and w read as words A
     and W.  A product of k conjugates of A maps to k ab(A) in C's
     abelianization, which fixes the level k:
@@ -634,8 +705,8 @@ def check_nss_intersection(alphabet: Sequence[Generator],
             f"of C, which has rank {aut.rank}")
     if not aut.contains(alpha) or alpha.is_identity:
         raise PreconditionError("alpha must be a nontrivial element of C")
-    ambient, capped = nss_ball_free(alphabet, [alpha], bounds)
-    members = sort_words(w for w in ambient if aut.contains(w))
+    _, capped, in_c = nss_ball_free(alphabet, [alpha], bounds, members_of=aut)
+    members = sort_words(in_c)
     report = SuiteReport("nss-intersection", len(members), capped=capped,
                          params={"bounds": bounds.to_json(), "alpha": str(alpha)})
     levels = _NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
@@ -741,7 +812,8 @@ def _factor_nss_ball(f, seeds: Sequence[Word], bounds: SearchBounds):
     # abelian: conjugation is trivial, the NSS is the set of sums
     seeds = list(seeds)
     _, ball, capped = _nss_closure(
-        seeds, f.is_identity, (f.canonical(s) for s in seeds), f.mul, bounds, 200_000)
+        seeds, f.is_identity, (f.canonical(s) for s in seeds), _products(f.mul), bounds,
+        200_000)
     return ball, capped
 
 

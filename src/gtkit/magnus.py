@@ -82,10 +82,6 @@ class TruncatedSeries:
     def homogeneous_part(self, d: int) -> dict:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 
-    def min_positive_degree(self) -> Optional[int]:
-        degs = [len(m) for m in self.coeffs if m]
-        return min(degs) if degs else None
-
     def variables(self) -> set:
         out = set()
         for m in self.coeffs:

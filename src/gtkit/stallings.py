@@ -496,42 +496,63 @@ class SubgroupAutomaton:
         """Where w leads from the base: a vertex, a pair (chain, offset) for
         a state inside a chain, or None where an edge is missing.  tags,
         when given, collects the nontrivial tags of the edges taken, in
-        order.  A syllable that ends inside a chain must be w's last, since
-        a state there has edges of one generator only."""
+        order."""
+        at, rest = self._read(w.syls, tags)
+        return None if rest else at
+
+    def coset(self, w: Word) -> tuple:
+        """The right coset C w, as (point, rest): w is read from the base
+        while the graph allows, point is where the read stops (a vertex or a
+        pair (chain, offset)), and rest is the reduced word left unread, as
+        syllables, a partly read syllable's leftover exponent included.
+
+        The coset graph of C is the folded graph with a tree hung at each
+        missing edge (Stallings, *Topology of finite graphs*, Invent. Math.
+        1983), so (point, rest) names C w exactly: x y lies in C iff
+        coset(x) == coset(y^-1), and w lies in C iff coset(w) == (base, ()).
+        """
+        return self._read(w.syls)
+
+    def _read(self, syls: tuple, tags: Optional[list] = None) -> tuple:
+        """Read syls from the base a syllable at a time while the graph
+        allows: (the point reached, the syllables left unread).  A syllable
+        that ends inside a chain stops the read, since a state there has
+        edges of one generator only."""
         at = 0
-        for g, e in w.syls:
+        for i, (g, e) in enumerate(syls):
             if type(at) is not int:
-                return None
-            at = self._syllable(at, g, e, tags)
-            if at is None:
-                return None
-        return at
+                return at, syls[i:]
+            at, left = self._syllable(at, g, e, tags)
+            if left:
+                return at, ((g, left),) + syls[i + 1:]
+        return at, ()
 
     def _syllable(self, x: int, g: Generator, e: int, tags: Optional[list] = None):
-        """Where g^e leads from vertex x, as _walk says, a whole chain at a
-        time."""
+        """Read g^e from vertex x a whole chain at a time: (the point
+        reached, as _walk says, and the signed exponent left where an edge
+        is missing, else 0)."""
         table, k = (self._plus, e) if e > 0 else (self._minus, -e)
         while True:
             end = table[x].get(g)
             if end is None:
-                return None
+                return x, k if e > 0 else -k
             c, n, y, tag = end
             if k < n:
-                return (c, k if e > 0 else n - k)
+                return (c, k if e > 0 else n - k), 0
             if y == x:
                 # a loop: go round it k // n times at once
                 m, k = divmod(k, n)
                 if tags is not None and tag is not None:
                     tags.append(tag ** m)
                 if not k:
-                    return x
+                    return x, 0
                 continue
             if tags is not None and tag is not None:
                 tags.append(tag)
             x = y
             k -= n
             if not k:
-                return x
+                return x, 0
 
     def contains(self, w: Word) -> bool:
         return self.trace(w) == self.base
@@ -633,8 +654,8 @@ class SubgroupAutomaton:
         turns = self._turns
         at = 0
         for i, (g, e) in enumerate(w.syls):
-            at = self._syllable(at, g, e)
-            if at is None or type(at) is not int or not turns[at]:
+            at, left = self._syllable(at, g, e)
+            if left or type(at) is not int or not turns[at]:
                 return i
         return len(w.syls)
 

@@ -93,12 +93,12 @@ class Word:
 
     __slots__ = ("syls", "_hash")
 
-    def __init__(self, syls: Iterable[tuple] = (), _normalized: bool = False):
-        self.syls = tuple(syls) if _normalized else _normalize_syllables(syls)
+    def __init__(self, syls: Iterable[tuple] = ()):
+        self.syls = _normalize_syllables(syls)
         self._hash = None
 
     def __reduce__(self):
-        return (Word, (self.syls, True))
+        return (_word, (self.syls,))
 
     # -- basic structure ---------------------------------------------------
 
@@ -139,15 +139,15 @@ class Word:
 
     def left(self, i: int) -> "Word":
         """L_i: the first i syllables."""
-        return Word(self.syls[:i], _normalized=True)
+        return _word(self.syls[:i])
 
     def right(self, i: int) -> "Word":
         """R_i: the last i syllables."""
-        return Word(self.syls[len(self.syls) - i:], _normalized=True)
+        return _word(self.syls[len(self.syls) - i:])
 
     def segment(self, i: int, j: int) -> "Word":
         """B_[i,j]: syllables i..j inclusive, 1-based."""
-        return Word(self.syls[i - 1:j], _normalized=True)
+        return _word(self.syls[i - 1:j])
 
     # -- group operations --------------------------------------------------
 
@@ -157,26 +157,22 @@ class Word:
             return other
         if not b:
             return self
-        stack = list(a)
-        j = 0
-        nb = len(b)
-        while stack and j < nb:
-            g1, e1 = stack[-1]
-            g2, e2 = b[j]
-            if g1 != g2:
+        # k syllables cancel at the junction, and the next pair may merge
+        n, k, m = len(a), 0, min(len(a), len(b))
+        while k < m:
+            g, e = a[n - 1 - k]
+            h, f = b[k]
+            if g != h:
                 break
-            s = e1 + e2
-            stack.pop()
-            j += 1
-            if s:
-                stack.append((g1, s))
-                break
-        return Word(tuple(stack) + b[j:], _normalized=True)
+            if e + f:
+                return _word(a[:n - 1 - k] + ((g, e + f),) + b[k + 1:])
+            k += 1
+        return _word(a[:n - k] + b[k:])
 
     def inverse(self) -> "Word":
         if not self.syls:
             return self
-        return Word(tuple((g, -e) for g, e in reversed(self.syls)), _normalized=True)
+        return _word(tuple([(g, -e) for g, e in reversed(self.syls)]))
 
     __invert__ = inverse
 
@@ -186,7 +182,7 @@ class Word:
         exponent."""
         if len(self.syls) == 1 and n:
             g, e = self.syls[0]
-            return Word(((g, e * n),), _normalized=True)
+            return _word(((g, e * n),))
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         out = None
@@ -228,6 +224,14 @@ class Word:
 
     def sort_key(self):
         return (self.letter_len, tuple([(g._key, e) for g, e in self.syls]))
+
+
+def _word(syls: tuple) -> Word:
+    """The Word with the given syllables, which must already be reduced."""
+    w = object.__new__(Word)
+    w.syls = syls
+    w._hash = None
+    return w
 
 
 IDENTITY = Word()

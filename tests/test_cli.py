@@ -337,6 +337,20 @@ def test_search_multimal_empty_subgroup_exit_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("what", ["rtf", "multimal"])
+def test_search_with_the_whole_group_as_subgroup_exit_2(tmp_path, capsys, what):
+    # C = F(a, b) leaves no a (or g) outside C in the letter ball, so the
+    # check has nothing to search; it is rejected, not passed vacuously
+    group = write(tmp_path, "f.json", {
+        "kind": "free", "alphabet": ["a", "b"], "subgroup": ["a", "b"],
+    })
+    out = tmp_path / "report.json"
+    assert main(["search", what, "--group", group, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not proper" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_build_w_and_abelianize(tmp_path, capsys):
     out = str(tmp_path / "w.json")
     assert main(["build", "w", "--out", out]) == 0

@@ -24,7 +24,7 @@ from gtkit.errors import GtkitError, InternalInvariantError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton, _witness_gen
 from gtkit.suites import SUITES, run_suite
 from gtkit.tamed import TamedSampler
-from gtkit.word import Word, gen, parse_word as W
+from gtkit.word import Word, gen, parse_word as W, sort_words
 
 AB = [gen("a"), gen("b")]
 
@@ -469,6 +469,14 @@ def test_check_multimalnormal_free_factor_clean(fp2):
     assert rep.ok
 
 
+def test_check_multimalnormal_whole_group_rejected():
+    # C = F(a, b): no a in the letter ball lies outside C, so there is
+    # nothing to search, and the check says so instead of passing
+    with pytest.raises(PreconditionError, match="not proper"):
+        gt.check_multimalnormal(AB, [W("a"), W("b")], [W("a")],
+                                gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2))
+
+
 def test_check_multimalnormal_rejects_identity_in_ball():
     with pytest.raises(PreconditionError):
         gt.check_multimalnormal(AB, [W("a")], [W("a"), W("a^-1")],
@@ -604,6 +612,177 @@ def test_checks_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# oracles for the last-slot lookup and the coset reads
+# ---------------------------------------------------------------------------
+
+def _scan_first_product(start, n_units, step, accept, depth, budget):
+    """_first_product as it tried every unit in every slot, the last included."""
+    stack = [(start, (), 0)]
+    nodes = 0
+    while stack:
+        x, path, i = stack.pop()
+        if i == n_units:
+            continue
+        stack.append((x, path, i + 1))
+        nodes += 1
+        if nodes > budget:
+            break
+        y = step(x, i)
+        p = path + (i,)
+        if accept(y, len(p)):
+            return p, y, nodes
+        if len(p) < depth:
+            stack.append((y, p, 0))
+    return None, None, nodes
+
+
+def _rtf_by_scan(gens, bounds):
+    """check_rtf as it multiplied out x g h for every h of the last slot."""
+    aut = SubgroupAutomaton(gens)
+    gball = [w for w in gt.free_ball(AB, bounds.max_elt_letters) if not aut.contains(w)]
+    if not gball:
+        raise PreconditionError("subgroup contains the whole ball; not proper here")
+    hball = gt.subgroup_product_ball(gens, bounds.radius)
+    report = gt.SuiteReport("rtf", 0, params={
+        "bounds": bounds.to_json(), "g_candidates": len(gball), "h_candidates": len(hball)})
+    nodes = 0
+    for g in gball:
+        report.trials += 1
+        path, _, used = _scan_first_product(
+            Word(), len(hball), lambda x, i: x * g * hball[i],
+            lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes)
+        nodes += used
+        if path is not None:
+            report.violations.append(gt.Violation("rtf-violation", {
+                "g": str(g), "h": [str(hball[i]) for i in path]}))
+            break
+        if nodes > bounds.node_cap:
+            report.capped = True
+            break
+    report.params["nodes"] = nodes
+    return report
+
+
+def _same_rtf_reports(gens, bounds):
+    try:
+        want = _rtf_by_scan(gens, bounds).to_json()
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            gt.check_rtf(AB, gens, bounds)
+        return None
+    assert gt.check_rtf(AB, gens, bounds).to_json() == want
+    return want
+
+
+_small_word = st.lists(st.tuples(st.sampled_from(AB), st.sampled_from([-2, -1, 1, 2, 3])),
+                       min_size=1, max_size=3).map(Word)
+
+
+@given(st.lists(_small_word, min_size=1, max_size=3), st.integers(0, 2), st.integers(1, 4),
+       st.integers(1, 2), st.integers(1, 3000))
+@settings(max_examples=150, deadline=None)
+def test_rtf_last_slot_lookup_matches_the_scan(gens, radius, max_n, letters, cap):
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    bounds = gt.SearchBounds(radius=radius, max_n=max_n, max_elt_letters=letters,
+                             node_cap=cap)
+    want = _same_rtf_reports(gens, bounds)
+    if want is None or not want["violations"]:
+        return
+    # a hit after n nodes: caps one before it, on it and one after it
+    n = want["params"]["nodes"]
+    for c in (n - 1, n, n + 1):
+        if c >= 1:
+            _same_rtf_reports(gens, replace(bounds, node_cap=c))
+
+
+@pytest.mark.parametrize("gens, bounds, g, h, nodes", [
+    # H = <a^2>, g = a: a 1 a a^-2 = 1 (k = 2)
+    (["a^2"], dict(radius=1, max_n=2, max_elt_letters=1), "a", ["1", "a^-2"], 4),
+    # H = <ab, a^-2 b^3>, g = a: only k = 5 reaches 1
+    (["a b", "a^-2 b^3"], dict(radius=2, max_n=5, max_elt_letters=1), "a",
+     ["1", "1", "a^-2 b^2 a^-1", "b^-1 a^-1", "b^-1 a^-1"], 3132),
+])
+def test_rtf_fixed_violations(gens, bounds, g, h, nodes):
+    gens = [W(x) for x in gens]
+    bounds = gt.SearchBounds(**bounds)
+    rep = _same_rtf_reports(gens, bounds)
+    assert rep["violations"] == [{"kind": "rtf-violation", "g": g, "h": h}]
+    assert rep["params"]["nodes"] == nodes and not rep["capped"]
+    prod = Word()
+    for x in h:
+        prod = prod * W(g) * W(x)
+    assert prod.is_identity
+    for cap in (nodes - 1, nodes):
+        rep = _same_rtf_reports(gens, replace(bounds, node_cap=cap))
+        assert bool(rep["violations"]) == (cap == nodes)
+
+
+def test_rtf_k5_violation_is_out_of_reach_at_max_n_4():
+    bounds = gt.SearchBounds(radius=2, max_n=4, max_elt_letters=1)
+    rep = gt.check_rtf(AB, [W("a b"), W("a^-2 b^3")], bounds)
+    assert rep.ok and not rep.capped
+    # each of the 4 letters g tries all 17 + ... + 17^4 products, the
+    # last slot's 17^4 through 17^3 lookups
+    assert rep.params["nodes"] == 4 * sum(17 ** k for k in range(1, 5))
+
+
+def _nss_report_by_contains(gens, alpha, bounds):
+    """check_nss_intersection as it read every ambient element through C's
+    automaton: the nss_ball_free ball filtered by contains."""
+    aut = SubgroupAutomaton(gens)
+    ambient, capped = gt.nss_ball_free(AB, [alpha], bounds)
+    members = sort_words(w for w in ambient if aut.contains(w))
+    report = gt.SuiteReport("nss-intersection", len(members), capped=capped,
+                            params={"bounds": bounds.to_json(), "alpha": str(alpha)})
+    levels = gt._NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
+                           2 * bounds.max_n, bounds.node_cap)
+    for w in members:
+        verdict = levels.decide(aut.express(w))
+        if verdict is False:
+            report.violations.append(
+                gt.Violation("nss-intersection-violation", {"member": str(w)}))
+        elif verdict is None:
+            report.inconclusive += 1
+    report.capped = report.capped or levels.nodes > bounds.node_cap
+    report.params["nodes"] = levels.nodes
+    return report
+
+
+_NSS_BASES = [
+    [W("a^2"), W("b a b^-1")],
+    _ONEREL,
+    [W("a"), W("b^2")],
+    [W("a b"), W("b a")],
+    [W("a^3"), W("b^2 a b^-2")],
+    [W("a b^2"), W("b^-1 a^2")],
+]
+
+
+@given(st.integers(0, len(_NSS_BASES) - 1),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1, 2])),
+                min_size=1, max_size=3),
+       st.integers(1, 2), st.integers(1, 3),
+       st.one_of(st.integers(1, 400), st.just(10 ** 6)))
+@settings(max_examples=120, deadline=None)
+def test_nss_coset_reads_match_the_contains_filter(base, picks, radius, max_n, cap):
+    # caps up to 400 stop the ambient ball inside level 1 or 2 (17 and
+    # ~290 candidates at radius 2) or stop the level searches
+    gens = _NSS_BASES[base]
+    alpha = Word()
+    for k, e in picks:
+        alpha = alpha * gens[k % len(gens)] ** e
+    assume(not alpha.is_identity)
+    bounds = gt.SearchBounds(radius=radius, max_n=max_n, max_elt_letters=2, node_cap=cap)
+    aut = SubgroupAutomaton(gens)
+    ball, capped = gt.nss_ball_free(AB, [alpha], bounds)
+    assert gt.nss_ball_free(AB, [alpha], bounds, members_of=aut) == (
+        ball, capped, {w for w in ball if aut.contains(w)})
+    assert (gt.check_nss_intersection(AB, gens, alpha, bounds).to_json()
+            == _nss_report_by_contains(gens, alpha, bounds).to_json())
 
 
 # ---------------------------------------------------------------------------

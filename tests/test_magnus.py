@@ -51,6 +51,12 @@ _indexed_word = st.lists(
     max_size=8).map(lambda syls: Word((gen("a", i), e) for i, e in syls))
 
 
+def _min_positive_degree(s):
+    """The least degree of a nonconstant monomial of the series s, or None."""
+    degs = [len(m) for m in s.coeffs if m]
+    return min(degs) if degs else None
+
+
 def _leading_term_by_series_products(w):
     """leading_term over _mu_by_series_products, with the same caps 1, 2,
     4, ... up to the letter length."""
@@ -58,7 +64,7 @@ def _leading_term_by_series_products(w):
     while True:
         s = _mu_by_series_products(w, d)
         s.coeffs.pop(())
-        degree = s.min_positive_degree()
+        degree = _min_positive_degree(s)
         if degree is not None:
             return LeadingTerm(degree, s.homogeneous_part(degree))
         d = min(2 * d, w.letter_len)

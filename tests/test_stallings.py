@@ -806,3 +806,107 @@ def test_state_counts_and_views_of_c(shape):
     for q in range(0, aut.num_states, 997):
         assert aut.delta[q] == dict(aut.successors(q))
     _check_chains(aut)
+
+
+# ---------------------------------------------------------------------------
+# Coset reads: where a read leaves the graph, and what is left of the word
+# ---------------------------------------------------------------------------
+
+def _letterwise_coset(aut, w):
+    """coset, one row step per letter, with the point as a state number."""
+    cur = aut.base
+    letters = list(w.letters())
+    for i, (g, s) in enumerate(letters):
+        row = aut._rows.get((g, s))
+        if row is None or row[cur] < 0:
+            return cur, Word(letters[i:]).syls
+        cur = row[cur]
+    return cur, ()
+
+
+def _state_of(aut, point):
+    return aut._vnum[point] if type(point) is int else aut._state(*point)
+
+
+def _check_cosets(aut, x, y, letterwise=True):
+    """The coset reads of x and y^-1 decide x y, and read as the letterwise
+    read does."""
+    cx, cy = aut.coset(x), aut.coset(y.inverse())
+    assert aut.contains(x * y) == (cx == cy)
+    for w, (point, rest) in ((x, cx), (y.inverse(), cy)):
+        assert aut.contains(w) == ((point, rest) == (aut.base, ()))
+        assert type(rest) is tuple and Word(rest).syls == rest
+        if letterwise:
+            assert (_state_of(aut, point), rest) == _letterwise_coset(aut, w)
+
+
+@given(st.lists(_chain_word, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 2])), max_size=3),
+       _chain_word, st.integers(0, 3), st.sampled_from([0, -1, 1, 5]), _chain_word)
+@settings(max_examples=200, deadline=None)
+def test_coset_reads_decide_products(gens, picks, tail, cut, delta, other):
+    # x = member * tail and y = tail^-1 * member lie in one coset pair;
+    # changing one exponent of y, or cutting tail short, breaks the pair
+    # mid-chain, at a vertex or not at all
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    x = member * tail
+    y = Word(tail.inverse().syls[cut:]) * member
+    syls = list(y.syls)
+    if syls and delta:
+        g, e = syls[cut % len(syls)]
+        syls[cut % len(syls)] = (g, e + delta)
+    for u, v in ((x, y), (x, Word(syls)), (x, other), (other, x.inverse()), (Word(), x)):
+        _check_cosets(aut, u, v)
+
+
+@given(st.sampled_from(["onerelator", (10, 8, 0)]),
+       st.lists(st.tuples(st.integers(0, 8), st.sampled_from([1, -1])), max_size=3),
+       st.lists(_letter, max_size=4), st.integers(0, 4), st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_coset_reads_decide_products_in_c(shape, picks, tail, cut, delta):
+    aut = (SubgroupAutomaton(cs.onerelator_c_generators()) if shape == "onerelator"
+           else _c_fold(*shape))
+    gens = aut.generators
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    tail = Word(tail)
+    x = member * tail
+    y = tail.inverse() * member
+    syls = list(y.syls) or [(A, 1)]
+    g, e = syls[cut % len(syls)]
+    syls[cut % len(syls)] = (g, e + delta)
+    for v in (y, Word(syls), Word(tail.inverse().syls[cut:])):
+        # C(10, 8)'s exponents run to thousands of letters; compare with the
+        # letterwise read on the one-relator C only
+        _check_cosets(aut, x, v, letterwise=shape == "onerelator")
+
+
+def test_coset_reads_around_loops_chains_and_large_exponents():
+    # a^5 is a loop at the base through one interior chain state per letter
+    loop = SubgroupAutomaton([W("a^5")])
+    point, rest = loop.coset(W("a^7"))
+    assert type(point) is tuple and rest == ()
+    assert loop.coset(W("a^-3")) == loop.coset(W("a^2")) == (point, ())
+    assert loop.coset(W("a^7 b a")) == (point, ((B, 1), (A, 1)))
+    assert loop.coset(W("a^10")) == (loop.base, ())
+    assert loop.contains(W("a^7") * W("a^-2"))
+    # a^3 b: a read of a^5 stops at the end of the a-chain with a^2 left,
+    # and one of a^2 b stops inside the chain with b left
+    mid = SubgroupAutomaton([W("a^3 b")])
+    end, rest = mid.coset(W("a^5"))
+    assert type(end) is int and end != mid.base and rest == ((A, 2),)
+    point, rest = mid.coset(W("a^2 b"))
+    assert type(point) is tuple and rest == ((B, 1),)
+    assert mid.coset(W("a^2 b")) == mid.coset(W("a^3 b a^2 b"))
+    assert mid.coset(W("a^2 b")) != mid.coset(W("b^-1 a^3 b a^2 b"))
+    big = SubgroupAutomaton([W("a"), Word([(B, 10 ** 9)])])
+    x = Word([(A, 10 ** 12), (B, 10 ** 9 + 3), (A, 2)])
+    assert big.coset(x) == big.coset(W("b^3 a^2"))
+    assert big.contains(x * W("a^-2 b^-3"))
+    assert big.coset(Word([(B, -(10 ** 12) - 1)])) == big.coset(W("b^-1"))

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +76,36 @@ def test_reduce_involution(pairs):
 @settings(max_examples=200, deadline=None)
 def test_product_associates_with_reduction(p1, p2):
     assert Word(list(p1) + list(p2)) == Word(p1) * Word(p2)
+
+
+def _letterwise_product(x, y):
+    """x * y reduced one letter at a time on a stack."""
+    out = []
+    for g, s in list(x.letters()) + list(y.letters()):
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple((g, sum(s for _h, s in run)) for g, run in groupby(out, key=lambda gs: gs[0]))
+
+
+_syllables = st.lists(st.tuples(st.sampled_from([A, B, X]), st.integers(-3, 3)), max_size=6)
+
+
+@given(_syllables, st.integers(0, 6), st.integers(-2, 2), _syllables)
+@settings(max_examples=400, deadline=None)
+def test_product_matches_letterwise_reduction(p, k, merge, q):
+    # y starts with the inverse of x's last k syllables (a full cancellation
+    # when k covers x), then possibly with x's last generator again (a merge
+    # at the junction), then anything
+    x = Word(p)
+    head = list(x.inverse().syls[:k])
+    if merge and x.syls[k:]:
+        head.append((x.syls[-1 - k][0], merge))
+    y = Word(head + q)
+    for u, v in ((x, y), (y, x), (x, x.inverse()), (x, Word()), (Word(), y)):
+        assert (u * v).syls == _letterwise_product(u, v)
+    assert (x * x.inverse()).is_identity
 
 
 def _conjugate_by_rotations(u, v):
@@ -392,7 +424,7 @@ def test_sort_words_orders_generators_by_key_not_by_string():
 def test_equal_words_have_equal_hashes_whether_or_not_hashed_first():
     w1 = W("a b^-2 a[3]")
     h = hash(w1)
-    w2 = Word(w1.syls, _normalized=True)        # nothing hashed yet
+    w2 = Word(w1.syls)                           # nothing hashed yet
     w3 = W("a b^-1") * W("b^-1 a[3]")
     assert w1 == w2 == w3
     assert hash(w2) == h and hash(w3) == h
@@ -413,6 +445,7 @@ def test_pickled_words_and_generators_hash_in_another_process():
         "import pickle, sys\n"
         "from gtkit.word import gen, parse_word as W\n"
         "ws = [W('a b^-2'), W('a[3]^2 b'), W('1')]\n"
+        "ws += [ws[0] * W('b^2 a'), ws[1].inverse(), ws[1].left(1), W('b') ** 3]\n"
         "data = (set(ws), {w: i for i, w in enumerate(ws)}, {gen('a'): 1, gen('a', 3): 2}, ws)\n"
         "sys.stdout.buffer.write(pickle.dumps(data))\n"
     )
@@ -420,9 +453,10 @@ def test_pickled_words_and_generators_hash_in_another_process():
         "import pickle, sys\n"
         "from gtkit.word import gen, parse_word as W\n"
         "s, d, g, ws = pickle.loads(sys.stdin.buffer.read())\n"
-        "fresh = [W('a b^-2'), W('a[3]^2 b'), W('1')]\n"
+        "fresh = [W('a b^-2'), W('a[3]^2 b'), W('1'), W('a^2'), W('b^-1 a[3]^-2'),\n"
+        "         W('a[3]^2'), W('b^3')]\n"
         "assert all(w in s for w in fresh)\n"
-        "assert [d[w] for w in fresh] == [0, 1, 2]\n"
+        "assert [d[w] for w in fresh] == list(range(7))\n"
         "assert g[gen('a')] == 1 and g[gen('a', 3)] == 2\n"
         "assert [hash(w) for w in ws] == [hash(w) for w in fresh]\n"
         "assert pickle.loads(pickle.dumps(gen('a'))) is gen('a')\n"
