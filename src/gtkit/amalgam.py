@@ -49,6 +49,9 @@ class _Factor:
     the junction step of the normal form."""
 
     def _attach_edge(self, alphabet: Sequence[Generator], images: Sequence[Word]):
+        gens = frozenset(self.alphabet)
+        for w in images:
+            _check_alphabet(w, gens, f"the alphabet of factor {self.name}")
         self._edge_alphabet = tuple(alphabet)
         self.edge_images = tuple(self.canonical(w) for w in images)
         self._edge_image = dict(zip(self._edge_alphabet, self.edge_images)).__getitem__
@@ -177,9 +180,13 @@ class AbelianFactor(_Factor):
                 "free-abelian factors support a rank-one edge subgroup only"
             )
         super()._attach_edge(alphabet, images)
-        if alphabet and self.edge_images[0].is_identity:
+        if not alphabet:
+            return
+        if self.edge_images[0].is_identity:
             raise PreconditionError("edge image in abelian factor must be nontrivial")
-        self._edge_vec = self._vec(self.edge_images[0]) if alphabet else None
+        # a nontrivial word over the alphabet: its vector is nonzero
+        self._edge_vec = u = self._vec(self.edge_images[0])
+        self._edge_lead = next(i for i, b in enumerate(u) if b)
 
     def canonical(self, x: Word) -> Word:
         """x with its exponents summed per generator, in alphabet order.
@@ -235,23 +242,9 @@ class AbelianFactor(_Factor):
         if not self.edge_images:
             return None
         v = self._vec(x)
-        u = self._edge_vec
-        k = None
-        for a, b in zip(v, u):
-            if b == 0:
-                if a != 0:
-                    return None
-            else:
-                if a % b:
-                    return None
-                q = a // b
-                if k is None:
-                    k = q
-                elif k != q:
-                    return None
-        if k is None:
-            return None
-        if tuple(b * k for b in u) != v:
+        u, i = self._edge_vec, self._edge_lead
+        k, r = divmod(v[i], u[i])
+        if r or tuple(b * k for b in u) != v:
             return None
         return Word([(self._edge_alphabet[0], k)])
 
@@ -427,18 +420,26 @@ class AmalgamElement:
     # -- group operations --------------------------------------------------------
 
     def __mul__(self, other: "AmalgamElement") -> "AmalgamElement":
-        # normalize(self.raw() + other.raw()) would rebuild other's normal
-        # form unchanged and then absorb self's components from the right;
-        # once one of them settles, the rest of self is copied as it stands.
+        # self's components are absorbed from the right into other's, of
+        # which the first k have fallen into the edge word head; once one
+        # settles or merges, the rest of self is copied as it stands.  The
+        # junction step dissolves a word in the edge subgroup, so normalize
+        # may pass a one-component self with just a canonical component.
         G = self.amalgam
-        head, pending = other.head, list(reversed(other.comps))
-        for j in range(len(self.comps) - 1, -1, -1):
-            fi, x = self.comps[j]
-            head = _absorb(G.factors[fi], fi, x, head, pending)
-            if head is None:
-                return AmalgamElement(G, self.head,
-                                      self.comps[:j] + tuple(reversed(pending)))
-        return AmalgamElement(G, self.head * head, tuple(reversed(pending)))
+        a, b = self.comps, other.comps
+        head, k = other.head, 0
+        for j in range(len(a) - 1, -1, -1):
+            fi, x = a[j]
+            top = b[k][1] if k < len(b) and b[k][0] == fi else None
+            outcome, w = G.factors[fi].junction(x, head, top)
+            if outcome == SETTLED:
+                return AmalgamElement(G, self.head, a[:j] + ((fi, w),) + b[k:])
+            if outcome == MERGED:
+                return AmalgamElement(G, self.head, a[:j] + ((fi, w),) + b[k + 1:])
+            if outcome == POPPED:
+                k += 1
+            head = w
+        return AmalgamElement(G, self.head * head, b[k:])
 
     def inverse(self) -> "AmalgamElement":
         G = self.amalgam
@@ -498,53 +499,31 @@ class AmalgamElement:
 def normalize(G: Amalgam, raw) -> AmalgamElement:
     """Alternating normal form of a raw (factor, element) sequence.
 
-    Edge entries may be interleaved with the tag EDGE_TAG.  Two raw
-    sequences representing the same group element normalize to forms that
-    compare equal under AmalgamElement.equals (the head placement itself is
-    not canonical).  A word over a generator outside its factor's alphabet
-    (or, for an edge entry, outside the edge alphabet) raises
-    PreconditionError.
+    Edge entries may be interleaved with the tag EDGE_TAG.  The form is the
+    right fold of the product over the entries, each taken as an edge head
+    or as one canonical component.  Two raw sequences representing the same
+    group element normalize to forms that compare equal under
+    AmalgamElement.equals (the head placement itself is not canonical).  A
+    word over a generator outside its factor's alphabet (or, for an edge
+    entry, outside the edge alphabet) raises PreconditionError.
     """
-    head = Word()
-    pending: list = []
+    out = G.identity()
     for tag, x in reversed(list(raw)):
         if tag == EDGE_TAG:
             _check_alphabet(x, G._edge_gens, "the edge alphabet")
-            head = x * head
+            out = AmalgamElement(G, x, ()) * out
             continue
         fi = G.factor_index(tag)
         f = G.factors[fi]
         _check_alphabet(x, G._factor_gens[fi], f"the alphabet of factor {f.name}")
-        head = _absorb(f, fi, f.canonical(x), head, pending) or Word()
-    return AmalgamElement(G, head, tuple(reversed(pending)))
+        out = AmalgamElement(G, Word(), ((fi, f.canonical(x)),)) * out
+    return out
 
 
 def _check_alphabet(x: Word, alphabet: frozenset, where: str) -> None:
     for g, _e in x.syls:
         if g not in alphabet:
             raise PreconditionError(f"generator {g} of {x} is not in {where}")
-
-
-def _absorb(f, fi: int, y: Word, head: Word, pending: list) -> Optional[Word]:
-    """Absorb the canonical word y of factor f (index fi) from the left.
-
-    pending holds the components to the right of y in reverse order (its
-    last entry is the leftmost) and head the edge word between y and them.
-    Applies the outcome of f.junction to pending and returns the edge word
-    left over for the next component, or None when a component settled (was
-    inserted, or merged outside the edge subgroup).
-    """
-    top = pending[-1][1] if pending and pending[-1][0] == fi else None
-    outcome, w = f.junction(y, head, top)
-    if outcome == SETTLED:
-        pending.append((fi, w))
-        return None
-    if outcome == MERGED:
-        pending[-1] = (fi, w)
-        return None
-    if outcome == POPPED:
-        pending.pop()
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -409,12 +409,13 @@ def _check_standard_form(csub: CSubgroup, c: Word, g: Word, d: StandardFormDecom
     s = csub.s
     lg = d.gamma.syllable_len
     conj = g.inverse() * c * g
-    if d.conjugate() != conj:
+    prod = d.conjugate()
+    if prod != conj:
         raise InternalInvariantError("standard form does not multiply back")
     if not (
         _reduced_pair(d.lam, d.mu)
         and _reduced_pair(d.mu, d.rho)
-        and (d.lam * d.mu * d.rho).syllable_len
+        and prod.syllable_len
         == d.lam.syllable_len + d.mu.syllable_len + d.rho.syllable_len
     ):
         raise InternalInvariantError("standard form is not a reduced product")

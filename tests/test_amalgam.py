@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,58 @@ def test_power_matches_repeated_normalized_product(name, rx):
         for _ in range(abs(n)):
             expected = normalize(G, expected.raw() + base_raw)
         assert_same_form(x ** n, expected)
+
+
+def _pending_normalize(G, raw):
+    """normalize by absorbing each entry into a reversed list of components.
+
+    An implementation independent of AmalgamElement.__mul__ (it shares only
+    the factors' junction step), kept as the oracle for normal forms.
+    """
+    head, pending = Word(), []
+    for tag, x in reversed(list(raw)):
+        if tag == EDGE_TAG:
+            head = x * head
+            continue
+        fi = G.factor_index(tag)
+        f = G.factors[fi]
+        head = _pending_absorb(f, fi, f.canonical(x), head, pending) or Word()
+    return AmalgamElement(G, head, tuple(reversed(pending)))
+
+
+def _pending_absorb(f, fi, y, head, pending):
+    """Apply f.junction for y to pending (leftmost component last); return
+    the edge word left over, or None when a component settled or merged."""
+    top = pending[-1][1] if pending and pending[-1][0] == fi else None
+    outcome, w = f.junction(y, head, top)
+    if outcome == amalgam.SETTLED:
+        pending.append((fi, w))
+        return None
+    if outcome == amalgam.MERGED:
+        pending[-1] = (fi, w)
+        return None
+    if outcome == amalgam.POPPED:
+        pending.pop()
+    return w
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists, _raw_lists,
+       st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_normal_forms_match_a_pending_list_oracle(name, rx, ry, n):
+    G = PROPERTY_GROUPS[name]
+    raw_x, raw_y = _raw(name, rx), _raw(name, ry)
+    x, y = normalize(G, raw_x), normalize(G, raw_y)
+    assert_same_form(x, _pending_normalize(G, raw_x))
+    assert_same_form(y, _pending_normalize(G, raw_y))
+    assert_same_form(x * y, _pending_normalize(G, x.raw() + y.raw()))
+    inv = x.inverse()
+    assert_same_form(inv * y, _pending_normalize(G, inv.raw() + y.raw()))
+    base_raw = x.raw() if n >= 0 else inv.raw()
+    expected = G.identity()
+    for _ in range(abs(n)):
+        expected = _pending_normalize(G, expected.raw() + base_raw)
+    assert_same_form(x ** n, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +571,63 @@ def test_abelian_exponent_vector_matches_per_letter_sums(pairs):
     fb = AbelianFactor("B", [gen("c"), gen("b")])
     w = Word(pairs)
     assert fb._vec(w) == tuple(w.exponent_sum(g) for g in fb.alphabet)
+
+
+@pytest.mark.parametrize("kind", [FreeFactor, AbelianFactor])
+def test_edge_images_outside_the_factor_alphabet_are_rejected(kind):
+    # d is no generator of B: the image would put components over d into B
+    for image in (W("d^2"), W("d"), W("b d")):
+        msg = f"generator d of {image} is not in the alphabet of factor B"
+        with pytest.raises(PreconditionError, match=re.escape(msg)):
+            Amalgam([FreeFactor("A", [gen("a")]), kind("B", [gen("b"), gen("c")])],
+                    EdgeIdentification((gen("e"),), ((W("a^2"),), (image,))))
+
+
+def _to_edge_by_coordinates(f, x):
+    """AbelianFactor.to_edge with one quotient per coordinate, as the oracle."""
+    x = f.canonical(x)
+    if x.is_identity:
+        return Word()
+    v, u = f._vec(x), f._edge_vec
+    k = None
+    for a, b in zip(v, u):
+        if b == 0:
+            if a != 0:
+                return None
+        else:
+            if a % b:
+                return None
+            q = a // b
+            if k is None:
+                k = q
+            elif k != q:
+                return None
+    if k is None or tuple(b * k for b in u) != v:
+        return None
+    return Word([(gen("e"), k)])
+
+
+_ABELIAN_GENS = [gen("b"), gen("c"), gen("d")]
+_exponents = st.integers(-6, 6)
+
+
+@given(st.integers(1, 3), st.lists(_exponents, min_size=3, max_size=3),
+       st.lists(st.lists(_exponents, min_size=3, max_size=3), max_size=10),
+       st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_abelian_to_edge_matches_the_coordinate_loop(rank, image, xs, k):
+    gens = _ABELIAN_GENS[:rank]
+    image = image[:rank]
+    if not any(image):
+        image[rank - 1] = 1
+    fb = AbelianFactor("B", gens)
+    Amalgam([FreeFactor("A", [gen("a")]), fb],
+            EdgeIdentification((gen("e"),), ((W("a"),), (Word(zip(gens, image)),))))
+    # random vectors, and multiples of the image so that members come up
+    words = [Word(zip(gens, v)) for v in xs]
+    words.append(Word([(g, k * e) for g, e in zip(gens, image)]))
+    for x in words:
+        assert fb.to_edge(x) == _to_edge_by_coordinates(fb, x)
 
 
 def test_edge_rank_validation():
