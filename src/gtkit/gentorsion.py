@@ -248,53 +248,87 @@ def nss_ball(G: Amalgam, R: Sequence[AmalgamElement], bounds: SearchBounds,
 def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
                   bounds: SearchBounds,
                   conjugators: Optional[Sequence[Word]] = None,
-                  max_elements: int = 200_000,
-                  members_of: Optional[SubgroupAutomaton] = None):
+                  max_elements: int = 200_000):
     """Free-group NSS ball over Word values; returns (set of Words, capped).
 
     Both the node cap and the element cap flag the result as capped
     (partial) rather than failing; a capped ball is still a sound inner
     approximation of the normal subsemigroup.
-
-    With an automaton ``members_of`` for a subgroup C, returns (set of
-    Words, capped, the set of those Words in C), decided by coset reads
-    (``SubgroupAutomaton.coset``) instead of one read per element: a
-    level-1 element y is in C iff C y^-1 = C, and a product x y iff
-    C x = C y^-1.  So the coset of each level-1 element's inverse is read
-    once, and that of each frontier element once.
     """
     seeds = list(seeds)
     if conjugators is None:
         conjugators = free_ball(alphabet, bounds.radius)
-    level1 = (s.conj(h) for s in seeds for h in conjugators)
-    if members_of is None:
-        _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, level1,
-                                       _products(operator.mul), bounds, max_elements)
-        return seen, capped
-    coset, home = members_of.coset, (members_of.base, ())
-    inverse_coset = {}  # level-1 candidate -> the coset of its inverse
-    members = set()     # candidates in C, the one a cap stopped at included
+    _, seen, capped = _nss_closure(
+        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
+        _products(operator.mul), bounds, max_elements)
+    return seen, capped
+
+
+def _nss_members(aut: SubgroupAutomaton, alphabet: Sequence[Generator], alpha: Word,
+                 bounds: SearchBounds, max_elements: int = 200_000):
+    """Which elements of nss_ball_free(alphabet, [alpha], bounds,
+    max_elements=max_elements) lie in C = <aut.generators>, and their
+    expressions over C's generators: ({member: expression}, capped).
+
+    Both are read off cosets (see ``SubgroupAutomaton.coset``): a level-1
+    y lies in C iff C y^-1 = C and is spelled by the inverse of the tags of
+    y^-1's read; a product x y lies in C iff C x = C y^-1 and is spelled by
+    the tags of x's read times that.  So each level-1 element's inverse and
+    each frontier element is read once.  Each member's expression is
+    checked by evaluation.
+
+    At the last level a product is formed only if it lies in C; the others
+    are yielded as None, which counts each as a node and adds at most one
+    element (None) to the closure's set.  That leaves nodes, capped and the
+    members exact only while the element cap cannot fire during the level,
+    i.e. while the nodes before it plus its candidates stay below
+    max_elements; otherwise every product is formed.
+    """
+    home = (aut.base, ())
+    level1 = (alpha.conj(h) for h in free_ball(alphabet, bounds.radius))
+    inverse_reads = {}   # level-1 candidate y -> (coset of y^-1, inverse of its tag word)
+    exprs = {}           # candidates in C -> expression; the one a cap stopped at included
+    nodes, level = 0, 1  # candidates before the current level; its number
 
     def first_level():
+        nonlocal nodes
         for y in level1:
-            c = inverse_coset[y] = coset(y.inverse())
+            nodes += 1
+            tags = []
+            c = aut.coset(y.inverse(), tags)
+            right = aut._tag_word(tags).inverse()
+            inverse_reads[y] = c, right
             if c == home:
-                members.add(y)
+                exprs.setdefault(y, right)
             yield y
 
     def products(frontier, first):
-        cys = [inverse_coset[y] for y in first]
+        nonlocal nodes, level
+        level += 1
+        count = len(frontier) * len(first)
+        form_all = level < bounds.max_n or nodes + count >= max_elements
+        nodes += count
+        reads = [inverse_reads[y] for y in first]
         for x in frontier:
-            cx = coset(x)
-            for y, cy in zip(first, cys):
-                z = x * y
+            tags = []
+            cx = aut.coset(x, tags)
+            left = aut._tag_word(tags)
+            for y, (cy, right) in zip(first, reads):
                 if cx == cy:
-                    members.add(z)
-                yield z
+                    z = x * y
+                    if z not in exprs:
+                        exprs[z] = left * right
+                    yield z
+                else:
+                    yield x * y if form_all else None
 
-    _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, first_level(),
+    _, seen, capped = _nss_closure([alpha], lambda w: w.is_identity, first_level(),
                                    products, bounds, max_elements)
-    return seen, capped, members & seen
+    members = {z: e for z, e in exprs.items() if z in seen}
+    for z, e in members.items():
+        if aut.evaluate(e) != z:
+            raise InternalInvariantError(f"expression of NSS member {z} failed evaluation check")
+    return members, capped
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +711,13 @@ def check_nss_intersection(alphabet: Sequence[Generator],
                            bounds: SearchBounds) -> SuiteReport:
     """Check NSS_A({alpha}) cap C inside NSS_C({alpha}) on a bounded ball.
 
-    The ambient side is the bounded NSS ball of alpha in the free group A.
-    Which of its elements lie in C is read off cosets as the ball is built
-    (nss_ball_free's ``members_of``): one coset read per level-1 element's
-    inverse and per frontier element, not one read per element.  Each
-    member w of it that lies in C is decided over C's free basis (the
-    subgroup generators must be one), where alpha and w read as words A
-    and W.  A product of k conjugates of A maps to k ab(A) in C's
+    The ambient side is the bounded NSS ball of alpha in the free group A
+    (nss_ball_free).  Which of its elements lie in C, and their expressions
+    over C's free basis (the subgroup generators must be one), are read off
+    cosets as the ball is built (_nss_members): one coset read per level-1
+    element's inverse and per frontier element, not one read per element.
+    Each member w is decided over that basis, where alpha and w read as
+    words A and W.  A product of k conjugates of A maps to k ab(A) in C's
     abelianization, which fixes the level k:
     - exact refutation by abelianization: if ab(W) is no positive multiple
       k ab(A) (when ab(A) = 0: if ab(W) != 0), w lies outside
@@ -705,14 +739,14 @@ def check_nss_intersection(alphabet: Sequence[Generator],
             f"of C, which has rank {aut.rank}")
     if not aut.contains(alpha) or alpha.is_identity:
         raise PreconditionError("alpha must be a nontrivial element of C")
-    _, capped, in_c = nss_ball_free(alphabet, [alpha], bounds, members_of=aut)
-    members = sort_words(in_c)
+    exprs, capped = _nss_members(aut, alphabet, alpha, bounds)
+    members = sort_words(exprs)
     report = SuiteReport("nss-intersection", len(members), capped=capped,
                          params={"bounds": bounds.to_json(), "alpha": str(alpha)})
     levels = _NssLevels(aut.express(alpha), aut.rank, 2 * bounds.radius,
                         2 * bounds.max_n, bounds.node_cap)
     for w in members:
-        verdict = levels.decide(aut.express(w))
+        verdict = levels.decide(exprs[w])
         if verdict is False:
             report.violations.append(
                 Violation("nss-intersection-violation", {"member": str(w)}))

@@ -357,12 +357,15 @@ def _basis_automaton(v0: Word, v1: Word) -> SubgroupAutomaton:
 def check_c_leading_vars(alpha: Word, v0: Word, v1: Word) -> bool:
     """For weight-zero members of <v0, v1>: X_0, X_1, X_2 all appear in L(alpha).
 
-    alpha must lie in the subgroup generated by v0 and v1 with both basis
-    weights zero (checked; PreconditionError otherwise).  A False return
-    value contradicts the quotient-transfer argument and is reported by the
-    property suites as a violation.
+    v0 and v1 must be a free basis of the subgroup they generate, and alpha
+    must lie in it with both basis weights zero (checked; PreconditionError
+    otherwise).  A False return value contradicts the quotient-transfer
+    argument and is reported by the property suites as a violation.
     """
     aut = _basis_automaton(v0, v1)
+    if aut.rank != 2:
+        raise PreconditionError(
+            f"v0 and v1 must be a free basis of <v0, v1>, which has rank {aut.rank}")
     if alpha.is_identity or not aut.contains(alpha):
         raise PreconditionError("alpha must be a nontrivial member of <v0, v1>")
     expr = aut.express(alpha)

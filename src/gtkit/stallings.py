@@ -500,7 +500,7 @@ class SubgroupAutomaton:
         at, rest = self._read(w.syls, tags)
         return None if rest else at
 
-    def coset(self, w: Word) -> tuple:
+    def coset(self, w: Word, tags: Optional[list] = None) -> tuple:
         """The right coset C w, as (point, rest): w is read from the base
         while the graph allows, point is where the read stops (a vertex or a
         pair (chain, offset)), and rest is the reduced word left unread, as
@@ -510,8 +510,15 @@ class SubgroupAutomaton:
         missing edge (Stallings, *Topology of finite graphs*, Invent. Math.
         1983), so (point, rest) names C w exactly: x y lies in C iff
         coset(x) == coset(y^-1), and w lies in C iff coset(w) == (base, ()).
+
+        tags, when given, collects the nontrivial tags of the edges read, as
+        _walk says.  A read that stops at point p after the prefix u of w
+        collects tags that evaluate to u P(p)^-1, for a word P(p) fixed by p
+        (see _build; only one-letter chains carry tags, so no read stops
+        inside a tagged chain).  So when coset(x) == coset(y^-1), the tags of
+        x's read times the inverse of those of y^-1's spell x y.
         """
-        return self._read(w.syls)
+        return self._read(w.syls, tags)
 
     def _read(self, syls: tuple, tags: Optional[list] = None) -> tuple:
         """Read syls from the base a syllable at a time while the graph
@@ -608,10 +615,15 @@ class SubgroupAutomaton:
         tags = []
         if self._walk(w, tags) != 0:
             return None
-        out = Word([s for tag in tags for s in tag.syls])
+        out = self._tag_word(tags)
         if self.evaluate(out) != w:
             raise InternalInvariantError("expression failed evaluation check")
         return out
+
+    @staticmethod
+    def _tag_word(tags: list) -> Word:
+        """The witness word spelled by the tags a read collected, in order."""
+        return Word([s for tag in tags for s in tag.syls])
 
     def evaluate(self, expr: Word) -> Word:
         """Evaluate a witness-alphabet word through the generator images."""

@@ -419,9 +419,10 @@ def weight(w: Word, t: Generator, basis: Optional[HomSpec] = None) -> int:
 
     With no basis (or an identity basis) this is the plain exponent sum.
     Otherwise ``basis`` maps a basis alphabet to words of the ambient group;
-    w must lie in the subgroup those images generate, and is rewritten over
-    the basis before summing exponents of t.  A homomorphism to the integers
-    in either case.
+    the images must be a free basis of the subgroup they generate
+    (PreconditionError otherwise), and w must lie in that subgroup; w is
+    rewritten over the basis before summing exponents of t.  A homomorphism
+    to the integers in either case.
     """
     if basis is None:
         return w.exponent_sum(t)
@@ -434,6 +435,10 @@ def weight(w: Word, t: Generator, basis: Optional[HomSpec] = None) -> int:
 
     basis_gens = [g for g, _ in items]
     aut = SubgroupAutomaton([img for _, img in items])
+    if aut.rank != len(basis_gens):
+        raise PreconditionError(
+            f"the {len(basis_gens)} basis images must be a free basis of the "
+            f"subgroup they generate, which has rank {aut.rank}")
     try:
         expr = aut.express(w)
     except NotMemberError:

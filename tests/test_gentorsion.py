@@ -6,7 +6,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gtkit import casestudy as cs
 from gtkit import gentorsion as gt
@@ -766,11 +766,16 @@ _NSS_BASES = [
        st.lists(st.tuples(st.integers(0, 1), st.sampled_from([1, -1, 2])),
                 min_size=1, max_size=3),
        st.integers(1, 2), st.integers(1, 3),
-       st.one_of(st.integers(1, 400), st.just(10 ** 6)))
+       st.one_of(st.integers(1, 400), st.just(10 ** 6)),
+       st.one_of(st.just(200_000), st.integers(1, 400)))
+@example(0, [(0, 1)], 2, 2, 10 ** 6, 50)
 @settings(max_examples=120, deadline=None)
-def test_nss_coset_reads_match_the_contains_filter(base, picks, radius, max_n, cap):
+def test_nss_coset_reads_match_the_contains_filter(base, picks, radius, max_n, cap,
+                                                   max_elements):
     # caps up to 400 stop the ambient ball inside level 1 or 2 (17 and
-    # ~290 candidates at radius 2) or stop the level searches
+    # ~290 candidates at radius 2) or stop the level searches; element
+    # caps up to 400 can make the last level form every product, and the
+    # example's cap of 50 fires inside it
     gens = _NSS_BASES[base]
     alpha = Word()
     for k, e in picks:
@@ -778,11 +783,24 @@ def test_nss_coset_reads_match_the_contains_filter(base, picks, radius, max_n, c
     assume(not alpha.is_identity)
     bounds = gt.SearchBounds(radius=radius, max_n=max_n, max_elt_letters=2, node_cap=cap)
     aut = SubgroupAutomaton(gens)
-    ball, capped = gt.nss_ball_free(AB, [alpha], bounds)
-    assert gt.nss_ball_free(AB, [alpha], bounds, members_of=aut) == (
-        ball, capped, {w for w in ball if aut.contains(w)})
+    ball, capped = gt.nss_ball_free(AB, [alpha], bounds, max_elements=max_elements)
+    members, got_capped = gt._nss_members(aut, AB, alpha, bounds, max_elements)
+    assert set(members) == {w for w in ball if aut.contains(w)}
+    assert got_capped == capped
+    assert all(e == aut.express(w) for w, e in members.items())
     assert (gt.check_nss_intersection(AB, gens, alpha, bounds).to_json()
             == _nss_report_by_contains(gens, alpha, bounds).to_json())
+
+
+def test_nss_member_expressions_are_checked_by_evaluation(monkeypatch):
+    # a tags-to-word step that loses a tag must stop the check loudly, at
+    # the members' own evaluation check, before any level search reads them
+    tag_word = SubgroupAutomaton._tag_word
+    monkeypatch.setattr(SubgroupAutomaton, "_tag_word",
+                        staticmethod(lambda tags: tag_word(tags[:-1])))
+    bounds = gt.SearchBounds(radius=2, max_n=2, max_elt_letters=2)
+    with pytest.raises(InternalInvariantError, match="NSS member"):
+        gt.check_nss_intersection(AB, _ONEREL, W("a b^-2 a b a^-1 b a"), bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,14 @@ def test_check_c_leading_vars_precondition():
         check_c_leading_vars(W("a[5]"), v0, v1)  # not a member
 
 
+def test_check_c_leading_vars_rejects_a_dependent_basis():
+    # <v0, v1> is cyclic, so a member's weights over (v0, v1) are not unique
+    v0 = W("a[0] a[1]")
+    for v1 in (v0 ** 2, v0):
+        with pytest.raises(PreconditionError, match="free basis"):
+            check_c_leading_vars(v0 ** 2, v0, v1)
+
+
 def test_magnus_positive_defines_an_order():
     assert magnus_positive(W("a[0]"))
     assert not magnus_positive(W("a[0]^-1"))

@@ -3,7 +3,7 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtkit.errors import NotMemberError, UnknownGeneratorError
+from gtkit.errors import NotMemberError, PreconditionError, UnknownGeneratorError
 from gtkit.word import (
     AbelianInvariants,
     _SyllableOrder,
@@ -223,6 +223,15 @@ def test_weight_not_expressible_is_reported():
     basis = HomSpec({gen("v", 0): W("a[0]^2")})
     with pytest.raises(NotMemberError):
         weight(W("a[0]"), gen("v", 0), basis)
+
+
+def test_weight_rejects_a_dependent_basis():
+    # abab = x^2 = y, so its x- and y-weights would depend on the fold
+    x, y = gen("x"), gen("y")
+    basis = HomSpec({x: W("a b"), y: W("a b a b")})
+    for t in (x, y):
+        with pytest.raises(PreconditionError, match="free basis"):
+            weight(W("a b a b"), t, basis)
 
 
 @given(letters, letters)
