@@ -420,26 +420,11 @@ class AmalgamElement:
     # -- group operations --------------------------------------------------------
 
     def __mul__(self, other: "AmalgamElement") -> "AmalgamElement":
-        # self's components are absorbed from the right into other's, of
-        # which the first k have fallen into the edge word head; once one
-        # settles or merges, the rest of self is copied as it stands.  The
-        # junction step dissolves a word in the edge subgroup, so normalize
-        # may pass a one-component self with just a canonical component.
-        G = self.amalgam
-        a, b = self.comps, other.comps
-        head, k = other.head, 0
-        for j in range(len(a) - 1, -1, -1):
-            fi, x = a[j]
-            top = b[k][1] if k < len(b) and b[k][0] == fi else None
-            outcome, w = G.factors[fi].junction(x, head, top)
-            if outcome == SETTLED:
-                return AmalgamElement(G, self.head, a[:j] + ((fi, w),) + b[k:])
-            if outcome == MERGED:
-                return AmalgamElement(G, self.head, a[:j] + ((fi, w),) + b[k + 1:])
-            if outcome == POPPED:
-                k += 1
-            head = w
-        return AmalgamElement(G, self.head * head, b[k:])
+        G, a, b = self.amalgam, self.comps, other.comps
+        j, fi, w, k = _junction_walk(G.factors, a, other.head, b)
+        if fi is None:
+            return AmalgamElement(G, self.head * w, b[k:])
+        return AmalgamElement(G, self.head, a[:j] + ((fi, w),) + b[k:])
 
     def inverse(self) -> "AmalgamElement":
         G = self.amalgam
@@ -455,11 +440,27 @@ class AmalgamElement:
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "AmalgamElement":
-        out = self.amalgam.identity()
+        """The |n|-fold left product (((1 * b) * b) ... ) * b, b = self or its
+        inverse.
+
+        No squaring: normal forms are not canonical, and another association
+        order may place the heads differently.  The components are built in
+        one list whose tail each step replaces, so the time is linear in
+        |n| times the length of self.
+        """
+        G = self.amalgam
         base = self if n > 0 else self.inverse()
+        b = base.comps
+        head, comps = Word(), []
         for _ in range(abs(n)):
-            out = out * base
-        return out
+            j, fi, w, k = _junction_walk(G.factors, comps, base.head, b)
+            del comps[j:]
+            if fi is None:
+                head = head * w
+            else:
+                comps.append((fi, w))
+            comps += b[k:]
+        return AmalgamElement(G, head, tuple(comps))
 
     def conj(self, h: "AmalgamElement") -> "AmalgamElement":
         return h.inverse() * self * h
@@ -501,23 +502,61 @@ def normalize(G: Amalgam, raw) -> AmalgamElement:
 
     Edge entries may be interleaved with the tag EDGE_TAG.  The form is the
     right fold of the product over the entries, each taken as an edge head
-    or as one canonical component.  Two raw sequences representing the same
+    or as one canonical component; it is built in one list, in time linear
+    in the number of entries.  Two raw sequences representing the same
     group element normalize to forms that compare equal under
     AmalgamElement.equals (the head placement itself is not canonical).  A
     word over a generator outside its factor's alphabet (or, for an edge
     entry, outside the edge alphabet) raises PreconditionError.
     """
-    out = G.identity()
+    # the fold's junction is at the front of its accumulator, so the
+    # components are held reversed (front last); each entry is a
+    # one-component left operand, whose walk reads only that front
+    head, comps = Word(), []
     for tag, x in reversed(list(raw)):
         if tag == EDGE_TAG:
             _check_alphabet(x, G._edge_gens, "the edge alphabet")
-            out = AmalgamElement(G, x, ()) * out
+            head = x * head
             continue
         fi = G.factor_index(tag)
         f = G.factors[fi]
         _check_alphabet(x, G._factor_gens[fi], f"the alphabet of factor {f.name}")
-        out = AmalgamElement(G, Word(), ((fi, f.canonical(x)),)) * out
-    return out
+        _, fi, w, k = _junction_walk(G.factors, ((fi, f.canonical(x)),), head, comps[-1:])
+        del comps[len(comps) - k:]
+        if fi is None:
+            head = w
+        else:  # head went into the new component
+            comps.append((fi, w))
+            head = Word()
+    return AmalgamElement(G, head, tuple(reversed(comps)))
+
+
+def _junction_walk(factors: tuple, a, head: Word, b) -> tuple:
+    """The junction of a product (head_a, a) * (head, b) of normal forms.
+
+    a's components are absorbed from the right across the edge word head
+    into b's, read from the left, by the factors' junction step.  Returns
+    (j, fi, w, k): the product's components are a[:j], then (fi, w), then
+    b[k:].  When every component of a is absorbed, fi is None, j is 0 and w
+    is the edge word that head_a multiplies on its right.  The callers own
+    their containers: the product slices tuples, and the power and
+    normalize update one list each.  The junction step dissolves a word in
+    the edge subgroup, so a one-component a needs only a canonical
+    component.
+    """
+    k = 0
+    for j in range(len(a) - 1, -1, -1):
+        fi, x = a[j]
+        top = b[k][1] if k < len(b) and b[k][0] == fi else None
+        outcome, w = factors[fi].junction(x, head, top)
+        if outcome == SETTLED:
+            return j, fi, w, k
+        if outcome == MERGED:
+            return j, fi, w, k + 1
+        if outcome == POPPED:
+            k += 1
+        head = w
+    return 0, None, head, k
 
 
 def _check_alphabet(x: Word, alphabet: frozenset, where: str) -> None:
@@ -715,8 +754,10 @@ def element_from_free_word(G: Amalgam, w: Word) -> AmalgamElement:
     for i, f in enumerate(G.factors):
         for a in f.alphabet:
             by_gen[a] = i
-    raw = [(by_gen[g], Word([(g, e)])) for g, e in w.syls]
-    return normalize(G, raw)
+    for g, _e in w.syls:
+        if g not in by_gen:
+            raise PreconditionError(f"generator {g} of {w} is not in the alphabet of any factor")
+    return normalize(G, [(by_gen[g], Word([(g, e)])) for g, e in w.syls])
 
 
 def free_word_from_element(g: AmalgamElement) -> Word:

@@ -1,9 +1,10 @@
 import json
 import random
 import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtkit import amalgam, gentorsion as gt
 from gtkit.amalgam import (
@@ -64,6 +65,33 @@ def test_normalize_worked_example(fp2):
 def test_normalize_empty(fp2):
     assert normalize(fp2, []).is_identity
     assert fp2.identity().length == 0
+
+
+def test_long_power_is_linear():
+    # budget 10x the measured 0.37 s; a power that copies its components at
+    # every step is quadratic: 0.53 s at n = 8,000 already
+    G = free_as_free_product(["a", "b"])
+    x = G.parse_element("[A: a][B: b]")
+    n = 10 ** 5
+    t0 = time.perf_counter()
+    p, q = x ** n, x ** -n
+    assert p.length == q.length == 2 * n
+    assert p.comps[:2] == x.comps and q.comps[:2] == x.inverse().comps
+    assert (p * q).is_identity and (q * p).is_identity
+    assert time.perf_counter() - t0 < 4.0
+
+
+def test_element_from_a_long_free_word_is_linear():
+    # budget 10x the measured 0.5 s; a fold that copies its components at
+    # every step is quadratic: 0.45 s at 16,000 letters already
+    G = free_as_free_product(["a", "b"])
+    w = Word([(gen("a"), 1), (gen("b"), -2)] * (5 * 10 ** 4))
+    t0 = time.perf_counter()
+    x = element_from_free_word(G, w)
+    assert x.length == 10 ** 5
+    assert x.head.is_identity
+    assert free_word_from_element(x) == w
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_normalize_transport_across_edge(z2z):
@@ -210,6 +238,44 @@ def test_normal_forms_match_a_pending_list_oracle(name, rx, ry, n):
     for _ in range(abs(n)):
         expected = _pending_normalize(G, expected.raw() + base_raw)
     assert_same_form(x ** n, expected)
+
+
+def _fold_normalize(G, raw):
+    """normalize as the right fold of immutable products, each copying the
+    components gathered so far; kept as the oracle for the list-built fold."""
+    out = G.identity()
+    for tag, x in reversed(list(raw)):
+        if tag == EDGE_TAG:
+            out = AmalgamElement(G, x, ()) * out
+            continue
+        fi = G.factor_index(tag)
+        f = G.factors[fi]
+        out = AmalgamElement(G, Word(), ((fi, f.canonical(x)),)) * out
+    return out
+
+
+def _product_power(x, n):
+    """x ** n as |n| immutable left products; the oracle for the list-built
+    power."""
+    out = x.amalgam.identity()
+    base = x if n > 0 else x.inverse()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists,
+       st.integers(-7, 7) | st.sampled_from([-60, 60]))
+@settings(max_examples=300, deadline=None)
+# [C: e[2]^-1][A': a' b'^2] squared falls into the edge behind its head:
+# the power must multiply the new edge word on the head's right
+@example("doubled", [(2, 9465, -1), (1, 944, 2), (1, 972, 2)], 2)
+def test_list_builders_match_the_product_folds(name, rx, n):
+    G = PROPERTY_GROUPS[name]
+    raw = _raw(name, rx)
+    x = normalize(G, raw)
+    assert_same_form(x, _fold_normalize(G, raw))
+    assert_same_form(x ** n, _product_power(x, n))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +543,29 @@ def test_element_text_roundtrip(z2z):
     assert z2z.parse_element("1").is_identity
 
 
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _raw_lists, _raw_lists,
+       st.integers(-5, 5))
+@settings(max_examples=300, deadline=None)
+def test_serialized_forms_parse_back_to_the_same_form(name, rx, ry, n):
+    G = PROPERTY_GROUPS[name]
+    x, y = normalize(G, _raw(name, rx)), normalize(G, _raw(name, ry))
+    for z in (x, x * y, x.inverse(), x ** n):
+        back = G.parse_element(z.serialize())
+        assert back.head == z.head
+        assert back.comps == z.comps
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gt_certificate_json_roundtrip(m):
+    G, cert = gt.bs_commutator_witness(m)
+    back = gt.GtCertificate.from_json(G, json.loads(json.dumps(cert.to_json())))
+    assert len(back.conjugators) == len(cert.conjugators) == m
+    for z, z0 in zip([back.base, *back.conjugators], [cert.base, *cert.conjugators]):
+        assert_same_form(z, z0)
+    assert back.to_json() == cert.to_json()
+    assert gt.verify_gt_certificate(G, back)
+
+
 @pytest.mark.parametrize("text", ["[A: a][B b]", "[A: a] junk [B: b]", "x", "[A: a]]"])
 def test_parse_element_rejects_text_outside_blocks(z2z, text):
     with pytest.raises(PreconditionError):
@@ -503,6 +592,14 @@ def test_normalize_rejects_generators_outside_the_factor():
         normalize(G, [(EDGE_TAG, W("e a"))])
     # the same entries over the right alphabets normalize
     assert normalize(G, [(1, W("c")), (EDGE_TAG, W("e^-1"))]).is_identity
+
+
+def test_element_from_free_word_rejects_generators_outside_the_factors():
+    G = free_as_free_product(["a", "b"])
+    with pytest.raises(PreconditionError, match="generator c of a c is not in "
+                                                "the alphabet of any factor"):
+        element_from_free_word(G, W("a c"))
+    assert element_from_free_word(G, W("a b^-1")).serialize() == "[A: a][B: b^-1]"
 
 
 def test_parse_element_reads_indexed_generators():
