@@ -92,11 +92,15 @@ def _spread_magnitudes(signs: Sequence[int]) -> list:
 def validate_exponent_matrix(e: ExponentMatrix) -> None:
     """Re-verify the distinctness and sign conditions by exhaustive count."""
     s, m = e.s, e.m
+    if type(s) is not int or type(m) is not int:
+        raise PreconditionError(f"s and m must be ints, got s={s!r}, m={m!r}")
     if s < 10 or m < 8:
         raise PreconditionError(f"need s >= 10 and m >= 8, got s={s}, m={m}")
     for grid, col in ((e.a_exp, 0), (e.b_exp, s - 1)):
         if len(grid) != m or any(len(row) != s for row in grid):
             raise PreconditionError("exponent grid has wrong shape")
+        if any(type(v) is not int for row in grid for v in row):
+            raise PreconditionError("exponents must be ints")
         if any(v == 0 for row in grid for v in row):
             raise PreconditionError("exponents must be nonzero")
         values = {abs(v) for row in grid for v in row}

@@ -122,10 +122,14 @@ class NclWitness:
 
     @classmethod
     def from_json(cls, data) -> "NclWitness":
-        return cls(
-            parse_word(data["target"]),
-            [(i, s, parse_word(c)) for i, s, c in data["terms"]],
-        )
+        terms = []
+        for i, s, c in data["terms"]:
+            # a bool is an int to Python, and a float sign would build x^1.0
+            if type(i) is not int or type(s) is not int or s not in (1, -1):
+                raise PreconditionError(
+                    f"an ncl term needs an int relator index and a sign 1 or -1: {[i, s, c]!r}")
+            terms.append((i, s, parse_word(c)))
+        return cls(parse_word(data["target"]), terms)
 
 
 def verify_ncl_witness(relators: Sequence[Word], w: NclWitness) -> bool:

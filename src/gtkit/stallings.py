@@ -17,6 +17,7 @@ per letter.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
@@ -37,7 +38,9 @@ class SubgroupAutomaton:
     use these numbers.  Internally the graph is a set of vertices joined by
     chains (u, v, g, n, tag): n edges u --g--> ... --g--> v through states of
     degree 2, untagged unless n = 1.  A letter state is a vertex or a
-    (chain, offset) pair.
+    (chain, offset) pair.  A fold builds only the chain tables that the
+    reads use; the numbering and the turn table of prefix acceptance are
+    built on first use.
     """
 
     def __init__(self, generators: Iterable[Word]):
@@ -83,9 +86,10 @@ class SubgroupAutomaton:
         and the result (classes, offsets, hence tags) is the letter fold's.
 
         Afterwards letters with a nontrivial effective tag are split off
-        into chains of their own, chains are joined through the degree-2
-        vertices the fold left, and the states are numbered (see
-        _number).  Letter-level rows are built only on request (_letters).
+        into chains of their own, and chains are joined through the degree-2
+        vertices the fold left.  The state numbers (_numbering), the turn
+        table (_turns) and the letter-level rows (_letters) are built on
+        first use.
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
@@ -336,38 +340,42 @@ class SubgroupAutomaton:
         self._finish(alphabet, *_joined(edges, len(vid)))
 
     def _finish(self, alphabet: list, nv: int, edges: list):
-        """Read tables and state numbers of the graph with nv vertices and
-        the given chains [u, v, k, n, tag]."""
+        """The read tables of the graph with nv vertices and the given
+        chains [u, v, k, n, tag].  Only the chain tables are built here;
+        state numbers and turns wait for their first use."""
         self._alphabet = alphabet
         self._chains = edges
         plus = [{} for _ in range(nv)]   # vertex -> {g: (chain, n, far, tag)}
         minus = [{} for _ in range(nv)]
-        gens = [set() for _ in range(nv)]
         for c, (u, v, k, n, tag) in enumerate(edges):
             g = alphabet[k]
             plus[u][g] = (c, n, v, tag)
             minus[v][g] = (c, n, u, None if tag is None else tag.inverse())
-            gens[u].add(g)
-            gens[v].add(g)
         self._plus, self._minus = plus, minus
-        # a syllable may end at the base or at a vertex with two generators
-        self._turns = [x == 0 or len(s) > 1 for x, s in enumerate(gens)]
         self.base = 0
         self.num_edges = sum(n for _u, _v, _k, n, _t in edges)  # undirected
         self.num_states = nv + self.num_edges - len(edges)
-        self._number(nv)
 
-    def _number(self, nv: int):
-        """Number the letter states depth-first from the base, as a
+    @cached_property
+    def _turns(self) -> list:
+        """Per vertex, whether a syllable may end there: at the base, or at
+        a vertex with edges of two generators.  Built on first use."""
+        return [x == 0 or len(p.keys() | m.keys()) > 1
+                for x, (p, m) in enumerate(zip(self._plus, self._minus))]
+
+    @cached_property
+    def _numbering(self) -> tuple:
+        """The letter states numbered depth-first from the base, as a
         letter-at-a-time search with a stack does: pop a state, and number
         and push each unnumbered successor in label order.  Popped inside a
         chain, the search numbers the rest of it consecutively, up to a
         state already numbered or the far vertex, which it pushes.  So a
         chain's interior numbers form at most three segments of consecutive
         numbers: its two end states when a vertex reached them, and the
-        walk from one end.
+        walk from one end.  Built on first use: (_vnum, _segs).
         """
         edges = self._chains
+        nv = len(self._plus)
         outs = [[] for _ in range(nv)]  # vertex -> [(label, chain, forward)]
         for c, (u, v, k, _n, _t) in enumerate(edges):
             outs[u].append((2 * k + 1, c, True))
@@ -419,8 +427,18 @@ class SubgroupAutomaton:
                 vnum[t] = n_next
                 n_next += 1
                 stack.append((t, -1))
-        self._vnum = vnum
-        self._segs = segs
+        return vnum, segs
+
+    @property
+    def _vnum(self) -> list:
+        """The state number of each vertex."""
+        return self._numbering[0]
+
+    @property
+    def _segs(self) -> list:
+        """Per chain, its interior's numbered segments (first offset, count,
+        first number, step)."""
+        return self._numbering[1]
 
     def _state(self, c: int, j: int) -> int:
         """The number of the state j letters into chain c."""
@@ -562,7 +580,8 @@ class SubgroupAutomaton:
                 return x, 0
 
     def contains(self, w: Word) -> bool:
-        return self.trace(w) == self.base
+        # the base is vertex 0 and state 0; a chain point or None is not 0
+        return self._walk(w) == 0
 
     # -- canonical form (for isomorphism/confluence checks) ------------------
 

@@ -71,7 +71,8 @@ class Syllable(NamedTuple):
 def _normalize_syllables(pairs) -> tuple:
     out = []
     for g, e in pairs:
-        e = int(e)
+        if type(e) is not int:
+            raise PreconditionError(f"exponent of {g} must be an int: {e!r}")
         if e == 0:
             continue
         if out and out[-1][0] == g:
@@ -180,6 +181,8 @@ class Word:
         """Repeated squaring; reduced words are canonical, so the result
         equals the |n|-fold product.  A one-syllable word multiplies its
         exponent."""
+        if type(n) is not int:
+            raise PreconditionError(f"a word's power must be an int: {n!r}")
         if len(self.syls) == 1 and n:
             g, e = self.syls[0]
             return _word(((g, e * n),))
@@ -312,7 +315,9 @@ def conjugacy_key(w: Word) -> tuple:
         core[0] = (g, core[0][1] + e)
     if len(core) < 2:
         return tuple(core)
-    return min(tuple(core[k:] + core[:k]) for k in range(len(core)))
+    # the least rotation starts at a least syllable
+    least = min(core)
+    return min(tuple(core[k:] + core[:k]) for k, syl in enumerate(core) if syl == least)
 
 
 def _product_ball(units: Sequence[Word], radius: int,

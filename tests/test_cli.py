@@ -51,6 +51,20 @@ def test_verify_ncl(tmp_path):
     assert main(["verify", "--ncl", ncl]) == 0
 
 
+@pytest.mark.parametrize("index, sign", [
+    (0, 0.5), (0, "1"), (0, True), (0, -1.0), (0, 2), (0, 0), (0.5, 1), (True, 1), ("0", 1),
+])
+def test_verify_ncl_rejects_terms_without_an_int_index_and_a_unit_sign(
+        tmp_path, capsys, index, sign):
+    # x is not in ncl(x^2), yet (x^2) ** 0.5 read as a float power is x^1.0 == x
+    for pres in ({"alphabet": ["x"], "relators": ["x^2"]},
+                 {"alphabet": ["x", "y"], "relators": ["x^2 y"]}):
+        free = write(tmp_path, "pres.json", pres)
+        ncl = write(tmp_path, "w.json", {"target": "x", "terms": [[index, sign, "1"]]})
+        assert main(["verify", "--ncl", ncl, "--free", free]) == 2
+        assert "sign 1 or -1" in capsys.readouterr().err
+
+
 def test_verify_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -397,6 +411,26 @@ def test_nonlo_group_file_validates_before_any_search(tmp_path, capsys):
     group = write(tmp_path, "bad.json", data)
     assert main(["search", "rtf", "--group", group]) == 2
     assert "exponents must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, row, col, value", [
+    ("a_exp", 0, 1, 0.5), ("b_exp", 3, 2, 0.0), ("a_exp", 7, 9, True),
+    ("s", None, None, 10.0), ("m", None, None, "8"),
+])
+def test_nonlo_group_file_rejects_non_int_exponents(tmp_path, capsys, key, row, col, value):
+    # int() would truncate 175.5 to 175 and search the truncated file
+    from gtkit import casestudy as cs
+
+    e = cs.nonlo_json(cs.sample_exponents(10, 8, 0))["exponents"]
+    if row is None:
+        e[key] = value
+    elif type(value) is float:
+        e[key][row][col] += value
+    else:
+        e[key][row][col] = value
+    group = write(tmp_path, "bad.json", {"kind": "nonlo", "exponents": e})
+    assert main(["search", "rtf", "--group", group]) == 2
+    assert "must be ints" in capsys.readouterr().err
 
 
 def test_build_nonlo_small_s_rejected(capsys):

@@ -266,6 +266,32 @@ def test_pinned_fold_of_c_10_8():
     assert str(aut.express(c[2].inverse() * c[5] * c[1] * c[2])) == "g[3]^-1 g[6] g[2] g[3]"
 
 
+def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
+    # a fold builds the chain tables only: membership, coset and express
+    # reads number no state and build no turn table, prefix reads build
+    # only the turn table, and the numbering built afterwards is the one
+    # test_pinned_fold_of_c_10_8 pins
+    c = cs.generator_words(cs.sample_exponents(10, 8, 5))
+    aut = SubgroupAutomaton(c)
+    member = c[0] * c[3].inverse() * c[7]
+    g, e = member.syls[0]
+    probes = [member, Word([(g, e - 1)]), Word([(g, e)]), member * W("a"),
+              member.left(5), member.left(5) * W("a^-1 b")]
+    assert [aut.contains(w) for w in probes] == [True] + [False] * 5
+    assert [aut.coset(w)[0] for w in probes] == [0, (1, 13), 3, 1, 7, (5, 201)]
+    assert str(aut.try_express(member)) == "g[1] g[4]^-1 g[8]"
+    assert aut.try_express(member * W("a")) is None
+    assert not {"_numbering", "_turns"} & vars(aut).keys() and aut._view is None
+    assert [lambda_value(aut, w) for w in probes] == [58, 0, 1, 59, 5, 4]
+    assert "_turns" in vars(aut) and "_numbering" not in vars(aut) and aut._view is None
+    assert [aut.trace(w) for w in probes] == [0, 2878, 2877, 1, 3474, None]
+    assert "_numbering" in vars(aut) and aut._view is None
+    assert _digest(aut.to_json()) == \
+        "e9212d58398276c824689d64381b9c8fd9d663bdb72ec62f1e311bcadfcf5886"
+    assert _digest(aut.canonical_form()) == \
+        "9f28a3aa64d348f0c7ddd59a0bc19c14f30a08c78e8b766653aa6f3be3ca49e0"
+
+
 def test_trace_stops_at_a_missing_label_mid_syllable():
     # the core graph of <a^3 b> is one cycle of three a-edges and a b-edge
     aut = SubgroupAutomaton([W("a^3 b")])
@@ -663,6 +689,25 @@ def test_chain_reads_match_letterwise_reads(gens, picks, pos, delta, tail):
     # mid-syllable or overshoots one), and a member with a random tail
     for w in gens + [member, Word(syls), member * tail]:
         _check_reads(aut, w)
+
+
+@given(st.lists(_chain_word, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 2])), max_size=3),
+       _chain_word, st.integers(0, 3), st.sampled_from([-1, 1, 5]))
+@settings(max_examples=200, deadline=None)
+def test_contains_is_a_trace_to_the_base(gens, picks, tail, pos, delta):
+    # contains reads without numbering states; it must agree with trace
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    syls = list(member.syls or gens[0].syls)
+    g, e = syls[pos % len(syls)]
+    syls[pos % len(syls)] = (g, e + delta)
+    for w in (member, Word(syls), member * tail, tail, Word(tail.syls[:-1]) * member):
+        assert aut.contains(w) == (aut.trace(w) == aut.base)
 
 
 @functools.lru_cache(maxsize=None)

@@ -137,6 +137,33 @@ def test_conjugacy_key_matches_rotations(p, q, c, mode):
         assert conjugacy_key(u) == conjugacy_key(v)
 
 
+def _least_of_all_rotations(w):
+    """conjugacy_key with its least rotation taken over every rotation of
+    the cyclically reduced core."""
+    s = w.syls
+    i, j = 0, len(s) - 1
+    while i < j and s[i][0] == s[j][0] and s[i][1] + s[j][1] == 0:
+        i += 1
+        j -= 1
+    core = list(s[i:j + 1])
+    if len(core) > 1 and core[0][0] == core[-1][0]:
+        g, e = core.pop()
+        core[0] = (g, core[0][1] + e)
+    if len(core) < 2:
+        return tuple(core)
+    return min(tuple(core[k:] + core[:k]) for k in range(len(core)))
+
+
+@given(_syllables, _syllables, st.integers(1, 3))
+@settings(max_examples=500, deadline=None)
+def test_conjugacy_key_is_the_least_of_all_rotations(p, q, n):
+    # powers and p q p repeat p's least syllable, so several rotations
+    # start with it and the key must pick the least of those
+    u, v = Word(p), Word(q)
+    for w in (u, u ** n, u * v * u, (u * v) ** n, u.conj(v), (u ** n).conj(v)):
+        assert conjugacy_key(w) == _least_of_all_rotations(w)
+
+
 @pytest.mark.parametrize("u, v, conjugate", [
     ("a^2 b a^-1", "a b", True),
     ("a b a^-1", "b", True),
@@ -330,6 +357,18 @@ def test_pow_equals_repeated_product(text):
         for _ in range(abs(n)):
             expected = expected * (w if n > 0 else w.inverse())
         assert w ** n == expected
+
+
+@pytest.mark.parametrize("e", [1.0, 175.5, True, "2", None])
+def test_non_int_exponents_are_rejected(e):
+    # int(e) would truncate 175.5 to 175 and read True as 1
+    with pytest.raises(PreconditionError):
+        Word([(A, e)])
+    with pytest.raises(PreconditionError):
+        Word([(A, 1), (B, e)])
+    for w in (W("a"), W("a b^2"), Word()):
+        with pytest.raises(PreconditionError):
+            w ** e
 
 
 def test_pow_large_exponent_is_fast_and_exact():
