@@ -14,7 +14,9 @@ exits 2.  An amalgam factor's kind is exactly `free` or `free-abelian`.
 Generator tokens in group and presentation files (alphabets, generator
 lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
 exits 2.  `search --max-n` and `--max-k` name one bound; giving both
-with different values exits 2.  `suite --trials` must be non-negative.
+with different values exits 2.  `verify` takes `--group` and `--cert`, or
+`--ncl` with an optional `--free`; anything less, or `--free` without
+`--ncl`, exits 2.  `suite --trials` must be non-negative.
 Of the suites, only lemma_small_cancellation and nonlo_witnesses read --s
 and --m; giving either to another single suite exits 2, and `suite all`
 passes them to those two.
@@ -141,6 +143,10 @@ def cmd_verify(args) -> int:
         ok = gentorsion.verify_ncl_witness(relators, witness)
         _dump({"verified": ok, "type": "ncl"}, args.out)
         return EXIT_OK if ok else EXIT_FOUND
+    if args.free is not None:
+        raise GtkitError("verify --free needs --ncl")
+    if args.group is None or args.cert is None:
+        raise GtkitError("verify needs --group and --cert, or --ncl")
     group = GroupFile(_load_json(args.group))
     G = group.require_amalgam("gt certificates require an amalgam group file")
     cert_data = _load_json(args.cert)

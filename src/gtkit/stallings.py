@@ -17,7 +17,9 @@ per letter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
@@ -33,21 +35,20 @@ def _witness_gen(i: int) -> Generator:
 class SubgroupAutomaton:
     """Folded labeled graph deciding membership in <generators>.
 
-    Letter states are numbered depth-first from the base (state 0), taking
-    each state's edges in label order; ``trace`` and every letter-level view
-    use these numbers.  Internally the graph is a set of vertices joined by
-    chains (u, v, g, n, tag): n edges u --g--> ... --g--> v through states of
-    degree 2, untagged unless n = 1.  A letter state is a vertex or a
-    (chain, offset) pair.  A fold builds only the chain tables that the
-    reads use; the numbering and the turn table of prefix acceptance are
-    built on first use.
+    The graph is a set of vertices joined by chains (u, v, g, n, tag): n
+    edges u --g--> ... --g--> v through states of degree 2, untagged unless
+    n = 1.  A letter state, or point, is a vertex or a (chain, offset) pair.
+    Vertex x is state x (the base is 0), and each chain's n - 1 interior
+    states follow the vertices in chain order; ``trace``, ``successors`` and
+    ``step`` use these numbers, the reads run on points.  A fold builds only
+    the chain tables; the chains' first numbers and the turn table of
+    prefix acceptance are built on first use.
     """
 
     def __init__(self, generators: Iterable[Word]):
         self.generators = tuple(generators)
         if not self.generators:
             raise PreconditionError("subgroup needs at least one generator")
-        self._view = None
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -87,9 +88,7 @@ class SubgroupAutomaton:
 
         Afterwards letters with a nontrivial effective tag are split off
         into chains of their own, and chains are joined through the degree-2
-        vertices the fold left.  The state numbers (_numbering), the turn
-        table (_turns) and the letter-level rows (_letters) are built on
-        first use.
+        vertices the fold left.
         """
         alphabet = sorted({g for w in self.generators for g, _ in w.syls},
                           key=Generator.sort_key)
@@ -341,8 +340,8 @@ class SubgroupAutomaton:
 
     def _finish(self, alphabet: list, nv: int, edges: list):
         """The read tables of the graph with nv vertices and the given
-        chains [u, v, k, n, tag].  Only the chain tables are built here;
-        state numbers and turns wait for their first use."""
+        chains [u, v, k, n, tag]: per vertex and sign, the chain that
+        leaves it with each generator."""
         self._alphabet = alphabet
         self._chains = edges
         plus = [{} for _ in range(nv)]   # vertex -> {g: (chain, n, far, tag)}
@@ -364,128 +363,46 @@ class SubgroupAutomaton:
                 for x, (p, m) in enumerate(zip(self._plus, self._minus))]
 
     @cached_property
-    def _numbering(self) -> tuple:
-        """The letter states numbered depth-first from the base, as a
-        letter-at-a-time search with a stack does: pop a state, and number
-        and push each unnumbered successor in label order.  Popped inside a
-        chain, the search numbers the rest of it consecutively, up to a
-        state already numbered or the far vertex, which it pushes.  So a
-        chain's interior numbers form at most three segments of consecutive
-        numbers: its two end states when a vertex reached them, and the
-        walk from one end.  Built on first use: (_vnum, _segs).
-        """
-        edges = self._chains
-        nv = len(self._plus)
-        outs = [[] for _ in range(nv)]  # vertex -> [(label, chain, forward)]
-        for c, (u, v, k, _n, _t) in enumerate(edges):
-            outs[u].append((2 * k + 1, c, True))
-            outs[v].append((2 * k, c, False))
-        vnum = [-1] * nv
-        lo = [0] * len(edges)   # interior states numbered from the u end
-        hi = [0] * len(edges)   # ... and from the v end
-        segs = [[] for _ in edges]  # (first offset, count, first number, step)
-        vnum[0] = 0
-        n_next = 1
-        stack = [(0, -1)]
-        while stack:
-            s, side = stack.pop()
-            if side < 0:
-                for _lab, c, fwd in sorted(outs[s]):
-                    u, v, _k, n, _t = edges[c]
-                    if n == 1:
-                        t = v if fwd else u
-                        if vnum[t] < 0:
-                            vnum[t] = n_next
-                            n_next += 1
-                            stack.append((t, -1))
-                    elif lo[c] + hi[c] < n - 1 and (lo[c] if fwd else hi[c]) == 0:
-                        if fwd:
-                            lo[c] = 1
-                            segs[c].append((1, 1, n_next, 1))
-                        else:
-                            hi[c] = 1
-                            segs[c].append((n - 1, 1, n_next, 1))
-                        n_next += 1
-                        stack.append((c, 0 if fwd else 1))
-                continue
-            c = s
-            u, v, _k, n, _t = edges[c]
-            m = n - 1 - lo[c] - hi[c]
-            if side == 0:
-                if m:
-                    segs[c].append((lo[c] + 1, m, n_next, 1))
-                    n_next += m
-                    lo[c] += m
-                t = v if lo[c] == n - 1 else -1
-            else:
-                if m:
-                    segs[c].append((n - 1 - hi[c], m, n_next, -1))
-                    n_next += m
-                    hi[c] += m
-                t = u if hi[c] == n - 1 else -1
-            if t >= 0 and vnum[t] < 0:
-                vnum[t] = n_next
-                n_next += 1
-                stack.append((t, -1))
-        return vnum, segs
+    def _first(self) -> list:
+        """Per chain, the number of its first interior state: the vertices
+        come first, then each chain's n - 1 interior states in chain order.
+        Built on first use."""
+        sizes = [n - 1 for _u, _v, _k, n, _t in self._chains]
+        return list(accumulate(sizes, initial=len(self._plus)))[:-1]
 
-    @property
-    def _vnum(self) -> list:
-        """The state number of each vertex."""
-        return self._numbering[0]
+    def _number(self, at) -> int:
+        """The state number of a point: vertex x is state x, and the state j
+        letters into chain c is _first[c] + j - 1."""
+        return at if type(at) is int else self._first[at[0]] + at[1] - 1
 
-    @property
-    def _segs(self) -> list:
-        """Per chain, its interior's numbered segments (first offset, count,
-        first number, step)."""
-        return self._numbering[1]
+    def _point(self, state: int):
+        """The point numbered state: a vertex or a pair (chain, offset)."""
+        if not 0 <= state < self.num_states:
+            raise IndexError(f"no state {state}")
+        if state < len(self._plus):
+            return state
+        c = bisect_right(self._first, state) - 1
+        return c, state - self._first[c] + 1
 
-    def _state(self, c: int, j: int) -> int:
-        """The number of the state j letters into chain c."""
-        for o, m, first, step in self._segs[c]:
-            t = (j - o) * step
-            if 0 <= t < m:
-                return first + t
-        raise InternalInvariantError(f"unnumbered state {j} of chain {c}")
-
-    # -- letter-level views ----------------------------------------------------
-
-    def _letters(self) -> tuple:
-        """Per (generator, sign) label, the successor row of every state (-1
-        where missing) and the nontrivial tags {state: tag} of the edges
-        leaving it.  Built on first use, a slot per state and label; the
-        fold and the reads never need it."""
-        if self._view is None:
-            labels = [(g, s) for g in self._alphabet for s in (-1, 1)]
-            rows = [[-1] * self.num_states for _ in labels]
-            marks = [{} for _ in labels]
-            vnum = self._vnum
-            for c, (u, v, k, n, tag) in enumerate(self._chains):
-                path = [vnum[u]] + [self._state(c, j) for j in range(1, n)] + [vnum[v]]
-                fwd, back = rows[2 * k + 1], rows[2 * k]
-                for p, q in zip(path, path[1:]):
-                    fwd[p] = q
-                    back[q] = p
-                if tag is not None:
-                    marks[2 * k + 1][path[0]] = tag
-                    marks[2 * k][path[1]] = tag.inverse()
-            self._view = (dict(zip(labels, rows)), dict(zip(labels, marks)))
-        return self._view
-
-    @property
-    def _rows(self) -> dict:
-        return self._letters()[0]
-
-    @property
-    def _marks(self) -> dict:
-        return self._letters()[1]
+    def _moves(self, at) -> list:
+        """The (label, point) pairs one letter away from point at, in label
+        order: alphabet order, -1 before +1."""
+        if type(at) is not int:
+            c, j = at
+            u, v, k, n, _t = self._chains[c]
+            g = self._alphabet[k]
+            return [((g, -1), (c, j - 1) if j > 1 else u),
+                    ((g, 1), (c, j + 1) if j + 1 < n else v)]
+        steps = [((g, s), self._syllable(at, g, s)) for g in self._alphabet for s in (-1, 1)]
+        return [(lab, t) for lab, (t, left) in steps if not left]
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def delta(self) -> "_StateView":
-        """Read-only view: delta[q] is dict(successors(q)).  Only perfbench's
-        tracer reads it, for len(aut.delta)."""
+        """Read-only view: delta[q] is dict(successors(q)), computed on
+        access.  It remains for the benchmark tracer's fold-state count,
+        len(aut.delta), which is num_states."""
         return _StateView(self)
 
     @property
@@ -495,20 +412,15 @@ class SubgroupAutomaton:
 
     def successors(self, state: int) -> list:
         """The (label, successor) pairs leaving a state, in label order."""
-        return [(lab, row[state]) for lab, row in self._rows.items() if row[state] >= 0]
+        return [(lab, self._number(t)) for lab, t in self._moves(self._point(state))]
 
     def step(self, state: int, g: Generator, sign: int) -> Optional[int]:
-        row = self._rows.get((g, sign))
-        if row is None or row[state] < 0:
-            return None
-        return row[state]
+        return dict(self.successors(state)).get((g, sign))
 
     def trace(self, w: Word) -> Optional[int]:
         """Read w from the base; None if some transition is missing."""
         at = self._walk(w)
-        if at is None:
-            return None
-        return self._vnum[at] if type(at) is int else self._state(*at)
+        return None if at is None else self._number(at)
 
     def _walk(self, w: Word, tags: Optional[list] = None):
         """Where w leads from the base: a vertex, a pair (chain, offset) for
@@ -586,31 +498,39 @@ class SubgroupAutomaton:
     # -- canonical form (for isomorphism/confluence checks) ------------------
 
     def canonical_form(self):
-        """BFS-renumbered transition table; equal iff automata are isomorphic."""
-        rows = [(str(g), sign, row) for (g, sign), row in self._rows.items()]
-        order = {self.base: 0}
-        queue = [self.base]
-        i = 0
-        while i < len(queue):
-            s = queue[i]
-            i += 1
-            for _name, _sign, row in rows:
-                t = row[s]
-                if t >= 0 and t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        return tuple(
-            tuple(sorted((name, sign, order[row[s]])
-                         for name, sign, row in rows if row[s] >= 0))
-            for s in queue)
+        """BFS-renumbered transition table; equal iff automata are isomorphic.
 
-    def to_json(self) -> dict:
-        edges = []
-        for (g, sign), row in self._rows.items():
-            if sign > 0:
-                name = str(g)
-                edges.extend([s, name, t] for s, t in enumerate(row) if t >= 0)
-        return {"states": self.num_states, "base": self.base, "edges": sorted(edges)}
+        The search runs on points keyed by state number.  Interior state q
+        of chain c moves by -1 to q - 1 or c's start, by +1 to q + 1 or its
+        end, and makes the point of a state only when it first reaches it."""
+        names = [str(g) for g in self._alphabet]
+        at_vertex = [sorted((str(g), s, self._number(t), t) for (g, s), t in self._moves(x))
+                     for x in range(len(self._plus))]
+        order = {self.base: 0}
+        queue, rows = [self.base], []
+        for at in queue:
+            if type(at) is int:
+                rows.append(at_vertex[at])
+                for _g, _s, q, t in at_vertex[at]:
+                    if q not in order:
+                        order[q] = len(order)
+                        queue.append(t)
+                continue
+            c, j = at
+            u, v, k, n, _t = self._chains[c]
+            q = self._first[c] + j - 1
+            back, on = q - 1 if j > 1 else u, q + 1 if j + 1 < n else v
+            rows.append((names[k], back, on))
+            if back not in order:
+                order[back] = len(order)
+                queue.append((c, j - 1) if j > 1 else u)
+            if on not in order:
+                order[on] = len(order)
+                queue.append((c, j + 1) if j + 1 < n else v)
+        return tuple(
+            ((row[0], -1, order[row[1]]), (row[0], 1, order[row[2]])) if type(row) is tuple
+            else tuple([(g, s, order[q]) for g, s, q, _t in row])
+            for row in rows)
 
     # -- expression over the original generators -----------------------------
 
@@ -733,7 +653,7 @@ def _joined(edges: list, nv: int) -> tuple:
 
 
 class _StateView:
-    """Per-state successor dicts computed on access from an automaton's rows."""
+    """Per-state successor dicts computed on access from an automaton's chains."""
 
     __slots__ = ("_aut",)
 

@@ -65,6 +65,22 @@ def test_verify_ncl_rejects_terms_without_an_int_index_and_a_unit_sign(
         assert "sign 1 or -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", "--group", "bs2"],
+    ["verify", "--cert", "cert"],
+    ["verify", "--group", "bs2", "--cert", "cert", "--free", "bs2"],
+], ids=["no-arguments", "group-without-cert", "cert-without-group", "free-without-ncl"])
+def test_verify_without_its_files_exits_2(bs2_files, capsys, argv):
+    # a missing --group or --cert is malformed input, not an internal error,
+    # and --free means nothing without --ncl
+    files = {"bs2": bs2_files[0], "cert": bs2_files[1]}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error: verify" in captured.err
+
+
 def test_verify_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

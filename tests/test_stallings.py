@@ -1,4 +1,5 @@
 import functools
+import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gtkit import casestudy as cs
 from gtkit.errors import NotMemberError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton, lambda_value, rho_value
-from gtkit.suites import run_suite
+from gtkit.suites import _prefix_witness, run_suite
 from gtkit.word import Word, gen, parse_word as W
 
 A, B = gen("a"), gen("b")
@@ -72,10 +73,14 @@ def test_fold_deterministic_in_generator_order():
 
 
 def test_automaton_json_shape():
+    # one state, the base, with the a-loop read both ways; the canonical
+    # form is plain data that survives a JSON round trip
     aut = SubgroupAutomaton([W("a")])
-    data = aut.to_json()
-    assert data["states"] == 1 and data["base"] == 0
-    assert data["edges"] == [[0, "a", 0]]
+    assert aut.num_states == 1 and aut.base == 0
+    assert aut.successors(0) == [((A, -1), 0), ((A, 1), 0)]
+    form = aut.canonical_form()
+    assert form == ((("a", -1, 0), ("a", 1, 0)),)
+    assert json.loads(json.dumps(form)) == [[["a", -1, 0], ["a", 1, 0]]]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +220,57 @@ def _digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _state_number(aut, point):
+    """The number of a point by definition: vertex x is state x, and the
+    vertices are followed by each chain's n - 1 interior states in chain
+    order."""
+    if type(point) is int:
+        return point
+    c, j = point
+    return len(aut._plus) + sum(n - 1 for _u, _v, _k, n, _t in aut._chains[:c]) + j - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _letter_rows(aut):
+    """Per (generator, sign) label in label order, the successor row of
+    every state (-1 where missing) and the nontrivial tags {state: tag} of
+    the edges leaving it, built a letter at a time from the chains."""
+    labels = [(g, s) for g in aut._alphabet for s in (-1, 1)]
+    rows = {lab: [-1] * aut.num_states for lab in labels}
+    marks = {lab: {} for lab in labels}
+    q = len(aut._plus)
+    for u, v, k, n, tag in aut._chains:
+        g = aut._alphabet[k]
+        path = [u] + list(range(q, q + n - 1)) + [v]
+        q += n - 1
+        for p, t in zip(path, path[1:]):
+            rows[g, 1][p] = t
+            rows[g, -1][t] = p
+        if tag is not None:
+            marks[g, 1][u] = tag
+            marks[g, -1][v] = tag.inverse()
+    return rows, marks
+
+
+def _bfs_order(aut):
+    """The states in breadth-first order from the base, labels in label
+    order, as canonical_form numbers them."""
+    rows = _letter_rows(aut)[0]
+    order, seen = [aut.base], {aut.base}
+    for q in order:
+        for row in rows.values():
+            if row[q] >= 0 and row[q] not in seen:
+                seen.add(row[q])
+                order.append(row[q])
+    return order
+
+
 def _tag_table(aut):
-    return [sorted([str(g), s, str(aut._marks[g, s].get(q, "1"))]
-                   for (g, s), _ in aut.successors(q))
-            for q in range(aut.num_states)]
+    """Per state in breadth-first order, the tag of each edge leaving it."""
+    rows, marks = _letter_rows(aut)
+    return [sorted([str(g), s, str(marks[g, s].get(q, "1"))]
+                   for (g, s), row in rows.items() if row[q] >= 0)
+            for q in _bfs_order(aut)]
 
 
 def test_pinned_fold_of_a_dependent_generating_set():
@@ -226,8 +278,10 @@ def test_pinned_fold_of_a_dependent_generating_set():
     gens = [W("a b a^-1"), W("a^2"), W("b^-1 a b"), W("a b^2 a^-1"), W("b a^-2 b")]
     aut = SubgroupAutomaton(gens)
     assert (aut.num_states, aut.rank) == (3, 4)
-    assert aut.to_json() == {"states": 3, "base": 0, "edges": [
-        [0, "a", 1], [0, "b", 2], [1, "a", 0], [1, "b", 1], [2, "a", 2], [2, "b", 0]]}
+    # every state is a vertex here, so state x is vertex x
+    assert sorted([q, str(g), t] for q in range(3)
+                  for (g, s), t in aut.successors(q) if s > 0) == [
+        [0, "a", 1], [0, "b", 2], [1, "a", 0], [1, "b", 1], [2, "a", 2], [2, "b", 0]]
     assert aut.canonical_form() == (
         (("a", -1, 1), ("a", 1, 1), ("b", -1, 2), ("b", 1, 2)),
         (("a", -1, 0), ("a", 1, 0), ("b", -1, 1), ("b", 1, 1)),
@@ -256,12 +310,10 @@ def test_pinned_fold_of_c_10_8():
     c = cs.generator_words(cs.sample_exponents(10, 8, 5))
     aut = SubgroupAutomaton(c)
     assert aut.num_states == 21646
-    assert _digest(aut.to_json()) == \
-        "e9212d58398276c824689d64381b9c8fd9d663bdb72ec62f1e311bcadfcf5886"
     assert _digest(aut.canonical_form()) == \
         "9f28a3aa64d348f0c7ddd59a0bc19c14f30a08c78e8b766653aa6f3be3ca49e0"
     assert _digest(_tag_table(aut)) == \
-        "ee3083f51b4a94e4ed2b8f213fcebf96d01ca25831c2490325832aae5ddeb11a"
+        "7d0c03e620dc82876ffb6c75ef810b7bd5575826c45ca6592c2b129aad071cc9"
     assert str(aut.express(c[0] * c[3].inverse() * c[7] * c[7])) == "g[1] g[4]^-1 g[8]^2"
     assert str(aut.express(c[2].inverse() * c[5] * c[1] * c[2])) == "g[3]^-1 g[6] g[2] g[3]"
 
@@ -269,8 +321,7 @@ def test_pinned_fold_of_c_10_8():
 def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
     # a fold builds the chain tables only: membership, coset and express
     # reads number no state and build no turn table, prefix reads build
-    # only the turn table, and the numbering built afterwards is the one
-    # test_pinned_fold_of_c_10_8 pins
+    # only the turn table, and trace builds only the chains' first numbers
     c = cs.generator_words(cs.sample_exponents(10, 8, 5))
     aut = SubgroupAutomaton(c)
     member = c[0] * c[3].inverse() * c[7]
@@ -281,13 +332,14 @@ def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
     assert [aut.coset(w)[0] for w in probes] == [0, (1, 13), 3, 1, 7, (5, 201)]
     assert str(aut.try_express(member)) == "g[1] g[4]^-1 g[8]"
     assert aut.try_express(member * W("a")) is None
-    assert not {"_numbering", "_turns"} & vars(aut).keys() and aut._view is None
+    assert not {"_first", "_turns"} & vars(aut).keys()
     assert [lambda_value(aut, w) for w in probes] == [58, 0, 1, 59, 5, 4]
-    assert "_turns" in vars(aut) and "_numbering" not in vars(aut) and aut._view is None
-    assert [aut.trace(w) for w in probes] == [0, 2878, 2877, 1, 3474, None]
-    assert "_numbering" in vars(aut) and aut._view is None
-    assert _digest(aut.to_json()) == \
-        "e9212d58398276c824689d64381b9c8fd9d663bdb72ec62f1e311bcadfcf5886"
+    assert "_turns" in vars(aut) and "_first" not in vars(aut)
+    # vertices keep their numbers; (1, 13) is state 172: the 160 vertices,
+    # no interior state of the one-letter chain 0, then 13 - 1
+    assert (len(aut._plus), aut._chains[0][3]) == (160, 1)
+    assert [aut.trace(w) for w in probes] == [0, 172, 3, 1, 7, None]
+    assert len(aut._first) == len(aut._chains)
     assert _digest(aut.canonical_form()) == \
         "9f28a3aa64d348f0c7ddd59a0bc19c14f30a08c78e8b766653aa6f3be3ca49e0"
 
@@ -492,7 +544,7 @@ def test_prefix_values_and_simplified_on_perturbed_c_products(picks, pos, delta,
 
 
 # ---------------------------------------------------------------------------
-# Chain runs: petals added a syllable run at a time and numbered by slices
+# Chain runs: petals added a syllable run at a time
 # ---------------------------------------------------------------------------
 
 _C = gen("c")
@@ -530,23 +582,18 @@ def test_chain_heavy_folds_match_reference_fold(u, xs, v, deps, bare, picks):
         assert aut.evaluate(aut.express(w)) == w
 
 
-def _rows_and_marks_digest(aut):
-    rows = {f"{g}{s:+d}": row for (g, s), row in aut._rows.items()}
-    marks = {f"{g}{s:+d}": sorted([q, str(t)] for q, t in m.items())
-             for (g, s), m in aut._marks.items()}
-    return _digest([rows, marks])[:16]
-
-
-@pytest.mark.parametrize("shape, states, digest", [
-    ((12, 8), 27838, "d2ec2fc3f3930230"),
-    ((10, 10), 37913, "cffcf973fec85c79"),
-])
-def test_pinned_rows_and_marks_of_large_c_folds(shape, states, digest):
-    # the state numbering, successor rows and tag marks of the letter-at-a-time
-    # fold; they do not depend on PYTHONHASHSEED
+@pytest.mark.parametrize("shape, states, form, tags", [
+    ((12, 8), 27838, "ef54be7f2a371aa2", "29c4dee513b7f7ad"),
+    ((10, 10), 37913, "0a89d38901596d62", "6c8eb69364131f66"),
+], ids=["c12_8", "c10_10"])
+def test_pinned_forms_and_tag_tables_of_large_c_folds(shape, states, form, tags):
+    # the transition table and the expression tags of the letter-at-a-time
+    # fold, both in breadth-first order, so that they name no state number;
+    # they do not depend on PYTHONHASHSEED
     aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape, 0)))
     assert aut.num_states == states
-    assert _rows_and_marks_digest(aut) == digest
+    assert _digest(aut.canonical_form())[:16] == form
+    assert _digest(_tag_table(aut))[:16] == tags
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +602,10 @@ def test_pinned_rows_and_marks_of_large_c_folds(shape, states, digest):
 
 def _letterwise_trace(aut, w):
     """trace, one row step per letter."""
+    rows = _letter_rows(aut)[0]
     cur = aut.base
     for g, e in w.syls:
-        row = aut._rows.get((g, 1) if e > 0 else (g, -1))
+        row = rows.get((g, 1) if e > 0 else (g, -1))
         if row is None:
             return None
         for _ in range(abs(e)):
@@ -569,14 +617,15 @@ def _letterwise_trace(aut, w):
 
 def _letterwise_express(aut, w):
     """express, one row step per letter, multiplying the tags out as it goes."""
+    rows, tags = _letter_rows(aut)
     cur = aut.base
     out = Word()
     for g, e in w.syls:
         lab = (g, 1) if e > 0 else (g, -1)
-        row = aut._rows.get(lab)
+        row = rows.get(lab)
         if row is None:
             raise NotMemberError(f"not a member: {w}")
-        marks = aut._marks[lab]
+        marks = tags[lab]
         for _ in range(abs(e)):
             nxt = row[cur]
             if nxt < 0:
@@ -591,7 +640,7 @@ def _letterwise_express(aut, w):
 
 def _letterwise_acceptable_run(aut, w):
     """_acceptable_run, one row step per letter."""
-    rows = aut._rows
+    rows = _letter_rows(aut)[0]
     cur = aut.base
     for i, (g, e) in enumerate(w.syls):
         row = rows.get((g, 1) if e > 0 else (g, -1))
@@ -645,29 +694,25 @@ def _check_reads(aut, w, every=1):
 
 
 def _check_chains(aut):
-    """The chains agree with the materialized rows: each chain's letters
-    run along one row through states of degree 2, every edge lies on
-    exactly one chain, and a tagged edge is a chain of its own."""
-    rows, marks = aut._rows, aut._marks
-    degree = [0] * aut.num_states
-    for row in rows.values():
-        for q, t in enumerate(row):
-            if t >= 0:
-                degree[q] += 1
-    taken = 0
+    """The chains make a folded graph of aut's size: they join vertices,
+    no two of them leave or enter a vertex with one label, a tagged edge is
+    a chain of its own, and no vertex but the base just passes one untagged
+    chain on to another of its generator."""
+    nv = len(aut._plus)
+    ends = [[] for _ in range(nv)]  # vertex -> [(generator code, sign, chain)]
     for c, (u, v, k, n, tag) in enumerate(aut._chains):
-        g = aut._alphabet[k]
-        path = ([aut._vnum[u]] + [aut._state(c, j) for j in range(1, n)]
-                + [aut._vnum[v]])
-        assert [rows[g, 1][p] for p in path[:-1]] == path[1:]
-        assert [rows[g, -1][p] for p in path[1:]] == path[:-1]
-        assert all(degree[p] == 2 for p in path[1:-1])
-        if tag is None:
-            assert not any(p in marks[g, 1] for p in path[:-1])
-        else:
-            assert n == 1 and marks[g, 1][path[0]] == tag
-        taken += n
-    assert taken == aut.num_edges == sum(len(row) - row.count(-1) for row in rows.values()) // 2
+        assert 0 <= u < nv and 0 <= v < nv and n >= 1
+        assert tag is None or n == 1
+        ends[u].append((k, 1, c))
+        ends[v].append((k, -1, c))
+    for x, here in enumerate(ends):
+        assert len({(k, s) for k, s, _c in here}) == len(here)
+        if x and len(here) == 2:
+            (k, _s, c), (k2, _s2, d) = here
+            assert (k != k2 or c == d or aut._chains[c][4] is not None
+                    or aut._chains[d][4] is not None)
+    assert aut.num_edges == sum(n for _u, _v, _k, n, _t in aut._chains)
+    assert aut.num_states == nv + aut.num_edges - len(aut._chains)
 
 
 @given(st.lists(_chain_word, min_size=1, max_size=4),
@@ -740,7 +785,7 @@ def test_chains_of_c_10_8():
     aut = _c_fold(10, 8, 0)
     _check_chains(aut)
     assert (aut.num_states, aut.num_edges) == (21646, 21653)
-    assert (len(aut._vnum), len(aut._chains)) == (160, 167)
+    assert (len(aut._plus), len(aut._chains)) == (160, 167)
 
 
 def test_read_down_a_chain_stops_at_the_base_without_an_edge():
@@ -749,8 +794,10 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
     aut = SubgroupAutomaton([W("a^40 b")])
     assert aut.step(aut.base, A, -1) is None
     assert sorted(n for _u, _v, _k, n, _t in aut._chains) == [1, 40]
+    # the vertices are the base and the end of a^40; the b edge has no
+    # interior state, so the a chain's first interior state is state 2
     for w, q in ((W("b^-1 a^-40"), aut.base), (W("b^-1 a^-41"), None),
-                 (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 1)):
+                 (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 2)):
         assert aut.trace(w) == _letterwise_trace(aut, w) == q
         _check_reads(aut, w)
     with pytest.raises(NotMemberError):
@@ -759,8 +806,7 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
 
 
 @pytest.mark.parametrize("gens, probes", [
-    # the petal's first and last letters fold together, and its chain's
-    # segments end next to a state numbered before them
+    # the petal's first and last letters fold together
     (["a^-10 b^4 a"], ["a^-10 b^4 a", "a^-10 b^4 a^-9 b^4", "a b^-4 a^10"]),
     (["a^-20 b^9 a"], ["a^-20 b^9 a", "a b^-9 a^20", "a^-10"]),
     # the second petal folds along the first and leaves it mid-chain
@@ -768,15 +814,56 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
      ["a^10 b^10 c^10", "a^10 b^10 c^10 a^10 b^5 c", "c^-10 b^-4", "c^-10 b^-5 c"]),
     (["a^20 b^20", "a^20 c^20"], ["a^20 c^20 b^-20", "c^-20 a^-20", "a^20 c^7"]),
 ])
-def test_segment_ends_stop_where_a_chain_meets_a_state_numbered_apart(gens, probes):
-    # a chain's states are numbered in up to three segments of consecutive
-    # numbers when the search reaches its ends before it walks it; a
-    # segment ends next to a state numbered apart from it, and reads must
-    # return the numbers on either side
+def test_reads_where_petals_fold_back_or_leave_a_chain(gens, probes):
+    # reads that end next to, or just past, where two chains meet
     aut = SubgroupAutomaton([W(g) for g in gens])
     _check_chains(aut)
     for p in probes:
         _check_reads(aut, W(p))
+
+
+def _oracle_prefix_witness(aut, p):
+    """suites._prefix_witness on the chain-built rows: from the state p
+    leads to, leave on another generator than p's last and search (state,
+    last label) pairs breadth first for a reduced path to the base."""
+    rows = _letter_rows(aut)[0]
+    q = _letterwise_trace(aut, p)
+    if q is None or q == aut.base:
+        return None if q is None else p
+    for (g, s), row in rows.items():
+        if g == p.syls[-1][0] or row[q] < 0:
+            continue
+        start = (row[q], (g, s))
+        seen, queue = {start}, [(start, Word([(g, s)]))]
+        for (cur, (h, r)), w in queue:
+            if cur == aut.base:
+                return p * w
+            for lab, nxt in rows.items():
+                key = (nxt[cur], lab)
+                if nxt[cur] >= 0 and lab != (h, -r) and key not in seen:
+                    seen.add(key)
+                    queue.append((key, w * Word([lab])))
+    return None
+
+
+@given(st.lists(_chain_word, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=3),
+       _chain_word)
+@settings(max_examples=150, deadline=None)
+def test_prefix_witnesses_match_a_search_on_the_rows(gens, picks, probe):
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    member = Word()
+    for k, e in picks:
+        member = member * gens[k % len(gens)] ** e
+    for w in (member, probe, member * probe):
+        for i in range(1, w.syllable_len + 1):
+            p = w.left(i)
+            witness = _prefix_witness(aut, p, i)
+            assert str(witness) == str(_oracle_prefix_witness(aut, p))
+            if witness is not None:
+                assert aut.contains(witness) and witness.left(i) == p
 
 
 # ---------------------------------------------------------------------------
@@ -795,17 +882,21 @@ def test_folds_and_reads_scale_with_syllables(n):
     g1, g2 = _long_pair(n)
     aut = SubgroupAutomaton([g1, g2])
     assert (aut.num_states, aut.num_edges, aut.rank) == (2 * n, 2 * n + 1, 2)
-    # depth-first numbers: the base's a, b^-1 and b successors are 1, 2, 3;
-    # the b chain follows (4..n + 1), then the state after a^3 (n + 2), then
-    # the a chain from a^2 on (a^4 is n + 4)
-    traces = {
-        Word([(A, 5)]): n + 5, Word([(A, 4)]): n + 4, Word([(B, n)]): n + 2,
-        Word([(B, n - 1)]): n + 1, W("a^3 b^-2"): n, W("b^-1"): 2,
-        Word([(B, -1), (A, 1 - n)]): 1, Word([(A, n)]): 2,
-        Word([(A, n + 1)]): None, W("a^-1"): None, g1 * g2: 0,
-    }
-    for w, q in traces.items():
-        assert aut.trace(w) == q
+    # reads that end at one state: a^3 and b^n reach the state after a^3,
+    # a^n and b^-1 the state before g1's b edge, and so on
+    same = [(Word([(B, n)]), W("a^3")), (Word([(A, n)]), W("b^-1")),
+            (Word([(B, -1), (A, 1 - n)]), W("a")), (W("a^3 b^-2"), Word([(B, n - 2)])),
+            (Word([(B, n - 1)]), W("a^3 b^-1")), (g1 * g2, Word())]
+    for v, w in same:
+        assert aut.trace(v) == aut.trace(w)
+    states = [aut.trace(w) for w in (W("a"), W("a^2"), W("a^3"), W("a^4"), W("a^5"),
+                                     W("b^-1"), Word([(B, n - 1)]), Word([(B, n - 2)]))]
+    assert len(set(states)) == len(states) and 0 < min(states) and max(states) < 2 * n
+    assert aut.trace(Word()) == 0
+    assert aut.trace(Word([(A, n + 1)])) is None and aut.trace(W("a^-1")) is None
+    # a^n is two chains, a^3 and a^(n-3), and b^n is n - 1 letters and a
+    # tagged one; the b of g1 is another tagged letter
+    assert sorted(m for _u, _v, _k, m, _t in aut._chains) == [1, 1, 3, n - 3, n - 1]
     members = [g1, g2, g1 * g2, g2.inverse() * g1 ** 2, g1 * g2.inverse() * g1]
     assert str(aut.express(members[-1])) == "g[1] g[2]^-1 g[1]"
     near = [Word([(A, n + 1), (B, 1)]), Word([(A, n - 1), (B, 1)]), g1 * W("a"),
@@ -820,10 +911,8 @@ def test_folds_and_reads_scale_with_syllables(n):
     assert [lambda_value(aut, v) for v in near] == [0, 0, 2, 1, 1]
     assert [rho_value(aut, v) for v in near] == [1, 1, 0, 1, 0]
     if n < 100:
-        for v in members + near:
+        for v in members + near + [v for pair in same for v in pair]:
             _check_reads(aut, v)
-    else:
-        assert aut._view is None  # no letter-level row was built
 
 
 def test_loop_reads_go_round_at_once():
@@ -831,26 +920,61 @@ def test_loop_reads_go_round_at_once():
     w = Word([(A, 10 ** 12), (B, 10 ** 9), (A, -5)])
     assert aut.num_states == 10 ** 9 and aut.contains(w)
     assert str(aut.express(w)) == f"g[1]^{10 ** 12} g[2] g[1]^-5"
-    # the base numbers the b loop's last state 1 and its first 2, and the
-    # walk from the first numbers the rest in order
+    # the b loop's last letter carries the tag g[2], so the vertices are the
+    # base and the state before it (state 1); the a loop has no interior
+    # state, so the state j letters into the b loop is state j + 1
     assert aut.trace(Word([(B, 2 * 10 ** 9 + 7)])) == 8
     assert aut.trace(Word([(B, -1)])) == 1
-    assert aut._view is None
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 0), (12, 8, 1), (10, 10, 2)])
 def test_state_counts_and_views_of_c(shape):
-    # perfbench counts fold states as len(aut.delta), which must not build
-    # the letter rows; the rows, once built, give the same counts
+    # perfbench counts fold states as len(aut.delta); the chain-built rows
+    # give the same counts, and the numbering holds on the vertices, on
+    # each chain's first and last interior states and on a sample between
     aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape)))
-    assert len(aut.delta) == aut.num_states and aut._view is None
-    rows = aut._rows
+    assert len(aut.delta) == aut.num_states
+    rows = _letter_rows(aut)[0]
     edges = sum(len(row) - row.count(-1) for row in rows.values()) // 2
     assert all(len(row) == aut.num_states for row in rows.values())
     assert (aut.num_edges, aut.rank) == (edges, edges - aut.num_states + 1)
-    for q in range(0, aut.num_states, 997):
-        assert aut.delta[q] == dict(aut.successors(q))
+    ends = {q for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) if n > 1
+            for q in (_state_number(aut, (c, 1)), _state_number(aut, (c, n - 1)))}
+    _check_numbering(aut, sorted(ends | set(range(len(aut._plus)))
+                                 | set(range(0, aut.num_states, 997))))
     _check_chains(aut)
+
+
+def _check_numbering(aut, states):
+    """On the given states: _point and _number are inverse maps that number
+    points by definition, successors is involutive and agrees with the
+    chain-built rows, and delta[q] is dict(successors(q))."""
+    rows = _letter_rows(aut)[0]
+    for q in states:
+        point = aut._point(q)
+        assert aut._number(point) == q == _state_number(aut, point)
+        succ = aut.successors(q)
+        assert succ == [(lab, row[q]) for lab, row in rows.items() if row[q] >= 0]
+        assert aut.delta[q] == dict(succ)
+        for (g, s), t in succ:
+            assert aut.step(q, g, s) == t and aut.step(t, g, -s) == q
+            for (h, r), x in aut.successors(t):
+                assert x != q or aut.step(q, h, -r) == t
+
+
+@given(st.lists(_chain_word, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_numbering_is_a_bijection_with_involutive_successors(gens):
+    gens = [w for w in gens if not w.is_identity]
+    assume(gens)
+    aut = SubgroupAutomaton(gens)
+    points = list(range(len(aut._plus))) + [
+        (c, j) for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) for j in range(1, n)]
+    assert sorted(map(aut._number, points)) == list(range(aut.num_states))
+    _check_numbering(aut, range(aut.num_states))
+    for q in (-1, aut.num_states):
+        with pytest.raises(IndexError):
+            aut._point(q)
 
 
 # ---------------------------------------------------------------------------
@@ -859,18 +983,15 @@ def test_state_counts_and_views_of_c(shape):
 
 def _letterwise_coset(aut, w):
     """coset, one row step per letter, with the point as a state number."""
+    rows = _letter_rows(aut)[0]
     cur = aut.base
     letters = list(w.letters())
     for i, (g, s) in enumerate(letters):
-        row = aut._rows.get((g, s))
+        row = rows.get((g, s))
         if row is None or row[cur] < 0:
             return cur, Word(letters[i:]).syls
         cur = row[cur]
     return cur, ()
-
-
-def _state_of(aut, point):
-    return aut._vnum[point] if type(point) is int else aut._state(*point)
 
 
 def _check_cosets(aut, x, y, letterwise=True):
@@ -882,7 +1003,7 @@ def _check_cosets(aut, x, y, letterwise=True):
         assert aut.contains(w) == ((point, rest) == (aut.base, ()))
         assert type(rest) is tuple and Word(rest).syls == rest
         if letterwise:
-            assert (_state_of(aut, point), rest) == _letterwise_coset(aut, w)
+            assert (_state_number(aut, point), rest) == _letterwise_coset(aut, w)
 
 
 @given(st.lists(_chain_word, min_size=1, max_size=3),
