@@ -636,27 +636,23 @@ def factors(g: AmalgamElement, side: str = "left"):
     representative per splitting position is returned; edge-subgroup
     translates of a factor behave identically in every membership test.
     """
-    G = g.amalgam
-    out = []
-    n = g.length
-    for j in range(n + 1):
-        left = AmalgamElement(G, g.head, g.comps[:j])
-        right = AmalgamElement(G, Word(), g.comps[j:])
-        if side == "left":
-            out.append((left, right))
-        elif side == "right":
-            out.append((right, left))
-        else:
-            raise PreconditionError(f"side must be left or right: {side!r}")
-    return out
+    if side == "left":
+        return list(zip(left_factors(g), right_factors(g)))
+    if side == "right":
+        return list(zip(right_factors(g), left_factors(g)))
+    raise PreconditionError(f"side must be left or right: {side!r}")
 
 
 def left_factors(g: AmalgamElement):
-    return [lf for lf, _ in factors(g, "left")]
+    """The left parts g' of the splittings, of lengths 0, ..., l(g)."""
+    G = g.amalgam
+    return [AmalgamElement(G, g.head, g.comps[:j]) for j in range(g.length + 1)]
 
 
 def right_factors(g: AmalgamElement):
-    return [rf for rf, _ in factors(g, "right")]
+    """The right parts g'' of the splittings, of lengths l(g), ..., 0."""
+    G = g.amalgam
+    return [AmalgamElement(G, Word(), g.comps[j:]) for j in range(g.length + 1)]
 
 
 # ---------------------------------------------------------------------------

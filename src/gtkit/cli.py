@@ -15,8 +15,9 @@ Generator tokens in group and presentation files (alphabets, generator
 lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
 exits 2.  `search --max-n` and `--max-k` name one bound; giving both
 with different values exits 2.  `verify` takes `--group` and `--cert`, or
-`--ncl` with an optional `--free`; anything less, or `--free` without
-`--ncl`, exits 2.  `suite --trials` must be non-negative.
+`--ncl` with an optional `--free`; anything less, `--free` without
+`--ncl`, or `--group` or `--cert` with `--ncl`, exits 2.  `suite --trials`
+must be non-negative.
 Of the suites, only lemma_small_cancellation and nonlo_witnesses read --s
 and --m; giving either to another single suite exits 2, and `suite all`
 passes them to those two.
@@ -129,6 +130,8 @@ def _bounds(args) -> SearchBounds:
 
 def cmd_verify(args) -> int:
     if args.ncl:
+        if args.group is not None or args.cert is not None:
+            raise GtkitError("verify --ncl takes no --group or --cert")
         data = _load_json(args.ncl)
         if args.free:
             free_data = _load_json(args.free)

@@ -11,13 +11,13 @@ conjugates collapsing to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .amalgam import (
     Amalgam,
     AmalgamElement,
     _outside_edge_balls,
-    is_reduced,
     left_factors,
     right_factors,
 )
@@ -25,16 +25,22 @@ from .errors import NotTamedError, PreconditionError
 from .word import Word
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConjTuple:
-    """Entries (t_i, g_i); the associated product is prod of t_i^{g_i}."""
+    """Entries (t_i, g_i); the associated product is prod of t_i^{g_i}.
+
+    Immutable: entries is stored as a tuple, and the inverses g_i^{-1}, the
+    conjugates t_i^{g_i} and the tamedness verdict are formed once, on first
+    use, and kept on the tuple.
+    """
 
     amalgam: Amalgam
-    entries: list
+    entries: tuple
 
     def __post_init__(self):
         if not self.entries:
             raise PreconditionError("conjugate tuple needs n >= 1 entries")
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def n(self) -> int:
@@ -51,14 +57,36 @@ class ConjTuple:
             return self.entries[i - 1][1]
         return self.amalgam.identity()
 
+    @cached_property
+    def _g_invs(self) -> tuple:
+        return tuple(g.inverse() for _, g in self.entries)
+
+    @cached_property
+    def _conjugates(self) -> tuple:
+        # the left-associated product AmalgamElement.conj forms
+        return tuple(
+            g_inv * t * g for (t, g), g_inv in zip(self.entries, self._g_invs)
+        )
+
+    @cached_property
+    def _verdict(self) -> "TamedReport":
+        return _tamedness(self)
+
+    def _at(self, values: tuple, i: int) -> AmalgamElement:
+        return values[i - 1] if 1 <= i <= self.n else self.amalgam.identity()
+
+    def g_inv(self, i: int) -> AmalgamElement:
+        """g_i^{-1}, with g_0^{-1} = g_{n+1}^{-1} = 1."""
+        return self._at(self._g_invs, i)
+
     def conjugate(self, i: int) -> AmalgamElement:
         """C_i = t_i^{g_i}."""
-        return self.t(i).conj(self.g(i))
+        return self._at(self._conjugates, i)
 
     def product(self) -> AmalgamElement:
         out = self.amalgam.identity()
-        for i in range(1, self.n + 1):
-            out = out * self.conjugate(i)
+        for c in self._conjugates:
+            out = out * c
         return out
 
     def to_json(self) -> dict:
@@ -90,30 +118,34 @@ class Cancellability:
 def cancellability(v: ConjTuple, i: int) -> Cancellability:
     """Classify whether t_i is cancellable, with witnessing factors.
 
-    Enumerates the canonical right factors R of g_{i-1} and left factors L
-    of g_{i+1}^{-1} and tests the three membership conditions
-    R g_i^{-1} t_i in C,  t_i g_i L in C,  R t_i^{g_i} L in C.
+    Tests the three membership conditions R g_i^{-1} t_i in C,
+    t_i g_i L in C and R t_i^{g_i} L in C over the canonical right factors R
+    of g_{i-1} and left factors L of g_{i+1}^{-1}.  The factors of g hold
+    one element of each length 0, ..., l(g), and l(xy) >= |l(x) - l(y)|, so
+    xy lies in C only if l(x) = l(y): each test forms only the product with
+    the factor of its other operand's length.  The witness is the one a scan
+    over all factors, and all pairs of them, would find first.
     """
     if not 1 <= i <= v.n:
         raise PreconditionError(f"index out of range: {i}")
     t_i, g_i = v.t(i), v.g(i)
-    g_prev, g_next = v.g(i - 1), v.g(i + 1)
-    rights = right_factors(g_prev)
-    lefts = left_factors(g_next.inverse())
-    gi_inv_ti = g_i.inverse() * t_i
-    for r in rights:
-        if (r * gi_inv_ti).length == 0:
-            return Cancellability("LHS", (r, None))
+    rights = right_factors(v.g(i - 1))  # lengths l(g_{i-1}), ..., 0
+    lefts = left_factors(v.g_inv(i + 1))  # lengths 0, ..., l(g_{i+1})
+    nr = len(rights) - 1
+    gi_inv_ti = v.g_inv(i) * t_i
+    k = gi_inv_ti.length
+    if k <= nr and (rights[nr - k] * gi_inv_ti).length == 0:
+        return Cancellability("LHS", (rights[nr - k], None))
     ti_gi = t_i * g_i
-    for lf in lefts:
-        if (ti_gi * lf).length == 0:
-            return Cancellability("RHS", (None, lf))
-    ci = t_i.conj(g_i)
+    k = ti_gi.length
+    if k < len(lefts) and (ti_gi * lefts[k]).length == 0:
+        return Cancellability("RHS", (None, lefts[k]))
+    ci = v.conjugate(i)
     for r in rights:
         rci = r * ci
-        for lf in lefts:
-            if (rci * lf).length == 0:
-                return Cancellability("two-sided", (r, lf))
+        k = rci.length
+        if k < len(lefts) and (rci * lefts[k]).length == 0:
+            return Cancellability("two-sided", (r, lefts[k]))
     return Cancellability("none")
 
 
@@ -133,15 +165,22 @@ def is_tamed(v: ConjTuple) -> TamedReport:
     (1) every l(t_i) = 1 with g_i^{-1} t_i g_i reduced as a 3-term product;
     (2) l(g_i g_{i+1}^{-1}) = 0 implies l(t_i t_{i+1}) = 2;
     (3) no t_i is cancellable.
+
+    The verdict is computed on the first call for a tuple and kept on it.
     """
+    return v._verdict
+
+
+def _tamedness(v: ConjTuple) -> TamedReport:
     for i in range(1, v.n + 1):
         t_i, g_i = v.t(i), v.g(i)
         if t_i.length != 1:
             return TamedReport(False, 1, f"l(t_{i}) = {t_i.length} != 1")
-        if not is_reduced([g_i.inverse(), t_i, g_i]):
+        # with l(t_i) = 1 this is exactly is_reduced([g_i^-1, t_i, g_i])
+        if v.conjugate(i).length != 2 * g_i.length + 1:
             return TamedReport(False, 1, f"t_{i}^g_{i} is not reduced")
     for i in range(1, v.n):
-        if (v.g(i) * v.g(i + 1).inverse()).length == 0:
+        if (v.g(i) * v.g_inv(i + 1)).length == 0:
             if (v.t(i) * v.t(i + 1)).length != 2:
                 return TamedReport(
                     False, 2, f"g_{i} g_{i+1}^-1 in C but l(t_{i} t_{i+1}) != 2"
@@ -188,23 +227,22 @@ def delta_factorize(v: ConjTuple) -> DeltaFactorization:
     prev_T = G.identity()
     for i in range(1, v.n + 1):
         g_prev, g_i, t_i = v.g(i - 1), v.g(i), v.t(i)
-        diff = g_prev * g_i.inverse()
+        g_prev_inv, g_i_inv = v.g_inv(i - 1), v.g_inv(i)
+        diff = g_prev * g_i_inv
         delta = G.identity()
         if diff.length >= 1:
             e1 = _first_component(diff)
             if (v.t(i - 1) * e1).length == 1:
                 delta = e1
-        a = prev_T * g_prev.inverse() * delta
-        b = delta.inverse() * g_prev * g_i.inverse() * t_i
-        triple = (a, b, g_i)
-        if not is_reduced(list(triple)):
-            raise NotTamedError(f"triple at index {i} failed to be reduced")
+        a = prev_T * g_prev_inv * delta
+        b = delta.inverse() * g_prev * g_i_inv * t_i
         T_i = a * b * g_i
-        check = prev_T * t_i.conj(g_i)
-        if not T_i.equals(check):
+        if T_i.length != a.length + b.length + g_i.length:
+            raise NotTamedError(f"triple at index {i} failed to be reduced")
+        if not T_i.equals(prev_T * v.conjugate(i)):
             raise NotTamedError(f"triple at index {i} does not telescope")
         deltas.append(delta)
-        triples.append(triple)
+        triples.append((a, b, g_i))
         partials.append(T_i)
         prev_T = T_i
     return DeltaFactorization(deltas, triples, partials)

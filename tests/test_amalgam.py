@@ -491,6 +491,24 @@ def test_right_factors_multiply_back(z2z):
         assert (cof * rf).equals(g)
 
 
+def test_left_and_right_factors_split_at_each_position(z2z):
+    # the j-th left and right factors are the two parts of the splitting
+    # after j components; the left part keeps the head, the right has none
+    g = normalize(z2z, [(EDGE_TAG, W("e")), (0, W("a")), (1, W("b")), (0, W("a^3"))])
+    assert not g.head.is_identity
+    for h in (g, g.inverse(), z2z.identity()):
+        lefts, rights = left_factors(h), right_factors(h)
+        assert [x.length for x in lefts] == list(range(h.length + 1))
+        assert [x.length for x in rights] == list(range(h.length, -1, -1))
+        for lf, rf in zip(lefts, rights):
+            assert lf.head == h.head and lf.comps + rf.comps == h.comps
+            assert rf.head.is_identity
+        assert [(x.comps, y.comps) for x, y in factors(h, "right")] == [
+            (y.comps, x.comps) for x, y in factors(h, "left")]
+    with pytest.raises(PreconditionError):
+        factors(g, "middle")
+
+
 # ---------------------------------------------------------------------------
 # sandwich condition
 # ---------------------------------------------------------------------------

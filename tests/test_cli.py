@@ -70,11 +70,19 @@ def test_verify_ncl_rejects_terms_without_an_int_index_and_a_unit_sign(
     ["verify", "--group", "bs2"],
     ["verify", "--cert", "cert"],
     ["verify", "--group", "bs2", "--cert", "cert", "--free", "bs2"],
-], ids=["no-arguments", "group-without-cert", "cert-without-group", "free-without-ncl"])
-def test_verify_without_its_files_exits_2(bs2_files, capsys, argv):
+    ["verify", "--ncl", "ncl", "--group", "missing", "--cert", "missing"],
+    ["verify", "--ncl", "ncl", "--group", "bs2"],
+    ["verify", "--ncl", "ncl", "--cert", "cert"],
+], ids=["no-arguments", "group-without-cert", "cert-without-group", "free-without-ncl",
+        "ncl-with-group-and-cert", "ncl-with-group", "ncl-with-cert"])
+def test_verify_without_its_files_exits_2(bs2_files, tmp_path, capsys, argv):
     # a missing --group or --cert is malformed input, not an internal error,
-    # and --free means nothing without --ncl
-    files = {"bs2": bs2_files[0], "cert": bs2_files[1]}
+    # --free means nothing without --ncl, and --group and --cert mean nothing
+    # with it (the witness says x is in ncl(x) and verifies on its own)
+    ncl = write(tmp_path, "ncl.json",
+                {"target": "x", "terms": [[0, 1, "1"]], "relators": ["x"]})
+    files = {"bs2": bs2_files[0], "cert": bs2_files[1], "ncl": ncl,
+             "missing": str(tmp_path / "missing.json")}
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
