@@ -21,6 +21,7 @@ from .stallings import SubgroupAutomaton
 from .word import (
     Generator,
     Word,
+    _concat,
     _product_ball,
     _word,
     gen,
@@ -759,4 +760,4 @@ def element_from_free_word(G: Amalgam, w: Word) -> AmalgamElement:
 def free_word_from_element(g: AmalgamElement) -> Word:
     if not g.head.is_identity:
         raise PreconditionError("nontrivial head has no free-word image")
-    return Word([s for _, x in g.comps for s in x.syls])
+    return _concat(x.syls for _, x in g.comps)

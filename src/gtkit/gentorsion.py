@@ -31,7 +31,9 @@ from .word import (
     Generator,
     HomSpec,
     Word,
+    _concat,
     _product_ball,
+    cancelled_letters,
     conjugacy_key,
     gen,
     parse_word,
@@ -137,8 +139,8 @@ def verify_ncl_witness(relators: Sequence[Word], w: NclWitness) -> bool:
     for idx, _, _ in w.terms:
         if not 0 <= idx < len(relators):
             raise PreconditionError(f"relator index out of range: {idx}")
-    return w.target == Word([s for idx, sign, conj in w.terms
-                             for s in (relators[idx] ** sign).conj(conj).syls])
+    return w.target == _concat((relators[idx] ** sign).conj(conj).syls
+                               for idx, sign, conj in w.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +255,43 @@ def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
                   bounds: SearchBounds,
                   conjugators: Optional[Sequence[Word]] = None,
                   max_elements: int = 200_000):
-    """Free-group NSS ball over Word values; returns (set of Words, capped).
+    """Free-group NSS ball over Word values; returns ({word: letter length},
+    capped), the words in order of first appearance.
 
-    Both the node cap and the element cap flag the result as capped
-    (partial) rather than failing; a capped ball is still a sound inner
-    approximation of the normal subsemigroup.
+    Each length is found as its word is formed: a level-1 conjugate is
+    measured, and a product x y has |x| + |y| - 2 cancelled_letters(x, y),
+    which costs only the syllables that cancel at the junction.  Both the
+    node cap and the element cap flag the result as capped (partial) rather
+    than failing; a capped ball is still a sound inner approximation of the
+    normal subsemigroup.
     """
     seeds = list(seeds)
     if conjugators is None:
         conjugators = free_ball(alphabet, bounds.radius)
-    _, seen, capped = _nss_closure(
-        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
-        _products(operator.mul), bounds, max_elements)
-    return seen, capped
+    lengths = {}   # every candidate formed -> its letter length
+
+    def level1():
+        for s in seeds:
+            for h in conjugators:
+                z = s.conj(h)
+                lengths[z] = z.letter_len
+                yield z
+
+    def products(frontier, first):
+        for x in frontier:
+            lx = lengths[x]
+            for y in first:
+                z = x * y
+                lengths[z] = lx + lengths[y] - 2 * cancelled_letters(x, y)
+                yield z
+
+    _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, level1(), products,
+                                   bounds, max_elements)
+    if len(lengths) > len(seen):
+        # a cap stops the closure after forming at most one candidate that
+        # it does not keep, and such a candidate is new, so stored last
+        lengths.popitem()
+    return lengths, capped
 
 
 def _nss_members(aut: SubgroupAutomaton, alphabet: Sequence[Generator], alpha: Word,
@@ -683,7 +709,7 @@ def check_multimalnormal(alphabet: Sequence[Generator],
                                   max_elements=20_000)
     if any(w.is_identity for w in cball):
         raise PreconditionError("the identity lies in the seed ball; invalid C'")
-    cball = sort_words(cball)
+    cball = sort_words(cball, lengths=cball)
     aball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
              if not aut.contains(w)]
     if not aball:

@@ -366,9 +366,9 @@ def check_c_leading_vars(alpha: Word, v0: Word, v1: Word) -> bool:
     if aut.rank != 2:
         raise PreconditionError(
             f"v0 and v1 must be a free basis of <v0, v1>, which has rank {aut.rank}")
-    if alpha.is_identity or not aut.contains(alpha):
+    expr = None if alpha.is_identity else aut.try_express(alpha)
+    if expr is None:
         raise PreconditionError("alpha must be a nontrivial member of <v0, v1>")
-    expr = aut.express(alpha)
     w0 = expr.exponent_sum(_witness_gen(0))
     w1 = expr.exponent_sum(_witness_gen(1))
     if (w0, w1) != (0, 0):

@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
-from .word import IDENTITY, Generator, Word, gen, substitute
+from .word import IDENTITY, Generator, Word, _concat, gen, substitute
 
 WITNESS_NAME = "g"
 
@@ -562,7 +562,7 @@ class SubgroupAutomaton:
     @staticmethod
     def _tag_word(tags: list) -> Word:
         """The witness word spelled by the tags a read collected, in order."""
-        return Word([s for tag in tags for s in tag.syls])
+        return _concat(tag.syls for tag in tags)
 
     def evaluate(self, expr: Word) -> Word:
         """Evaluate a witness-alphabet word through the generator images."""

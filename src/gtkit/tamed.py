@@ -30,8 +30,8 @@ class ConjTuple:
     """Entries (t_i, g_i); the associated product is prod of t_i^{g_i}.
 
     Immutable: entries is stored as a tuple, and the inverses g_i^{-1}, the
-    conjugates t_i^{g_i} and the tamedness verdict are formed once, on first
-    use, and kept on the tuple.
+    conjugates t_i^{g_i}, the differences g_i g_{i+1}^{-1} and the
+    tamedness verdict are formed once, on first use, and kept on the tuple.
     """
 
     amalgam: Amalgam
@@ -67,6 +67,11 @@ class ConjTuple:
         return tuple(
             g_inv * t * g for (t, g), g_inv in zip(self.entries, self._g_invs)
         )
+
+    @cached_property
+    def _differences(self) -> tuple:
+        # g_i g_{i+1}^{-1} for i = 1, ..., n - 1
+        return tuple(g * g_inv for (_, g), g_inv in zip(self.entries, self._g_invs[1:]))
 
     @cached_property
     def _verdict(self) -> "TamedReport":
@@ -180,7 +185,7 @@ def _tamedness(v: ConjTuple) -> TamedReport:
         if v.conjugate(i).length != 2 * g_i.length + 1:
             return TamedReport(False, 1, f"t_{i}^g_{i} is not reduced")
     for i in range(1, v.n):
-        if (v.g(i) * v.g_inv(i + 1)).length == 0:
+        if v._differences[i - 1].length == 0:
             if (v.t(i) * v.t(i + 1)).length != 2:
                 return TamedReport(
                     False, 2, f"g_{i} g_{i+1}^-1 in C but l(t_{i} t_{i+1}) != 2"
@@ -228,7 +233,7 @@ def delta_factorize(v: ConjTuple) -> DeltaFactorization:
     for i in range(1, v.n + 1):
         g_prev, g_i, t_i = v.g(i - 1), v.g(i), v.t(i)
         g_prev_inv, g_i_inv = v.g_inv(i - 1), v.g_inv(i)
-        diff = g_prev * g_i_inv
+        diff = v._differences[i - 2] if i > 1 else g_prev * g_i_inv
         delta = G.identity()
         if diff.length >= 1:
             e1 = _first_component(diff)

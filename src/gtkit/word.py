@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NotMemberError, PreconditionError, UnknownGeneratorError
 
@@ -260,13 +260,20 @@ class _SyllableOrder:
         return len(a) < len(b)
 
 
-def sort_words(words: Iterable[Word]) -> list:
+def sort_words(words: Iterable[Word],
+               lengths: Optional[Mapping[Word, int]] = None) -> list:
     """The words in ``Word.sort_key`` order, without building a key per syllable.
 
     Letter length decides most comparisons; only words of equal letter
     length compare syllables, and only up to their first difference.
+    ``lengths`` maps each word to its letter length when the caller already
+    has them (``nss_ball_free`` returns its ball that way); without it each
+    length is summed over the word's syllables.
     """
-    decorated = sorted([(w.letter_len, _SyllableOrder(w.syls), w) for w in words])
+    if lengths is None:
+        decorated = sorted([(w.letter_len, _SyllableOrder(w.syls), w) for w in words])
+    else:
+        decorated = sorted([(lengths[w], _SyllableOrder(w.syls), w) for w in words])
     return [w for _, _, w in decorated]
 
 
@@ -292,6 +299,54 @@ def cancellation_syllables(g: Word, h: Word) -> int:
         else:
             break
     return k
+
+
+def cancelled_letters(g: Word, h: Word) -> int:
+    """Number of letters of g that cancel in g*h, so that
+    |g h| = |g| + |h| - 2 cancelled_letters(g, h) in letter lengths.
+
+    Costs one step per syllable that cancels whole, plus the partial
+    cancellation of the next pair of syllables when their signs differ.
+    """
+    gs, hs = g.syls, h.syls
+    i, m, out = len(gs) - 1, min(len(gs), len(hs)), 0
+    for k in range(m):
+        g1, e1 = gs[i - k]
+        g2, e2 = hs[k]
+        if g1 != g2:
+            break
+        if e1 + e2:
+            if (e1 > 0) != (e2 > 0):
+                out += min(abs(e1), abs(e2))
+            break
+        out += abs(e1)
+    return out
+
+
+def _concat(blocks: Iterable[tuple]) -> Word:
+    """The reduced word of the concatenated syllable tuples ``blocks``, each
+    already reduced.
+
+    Blocks can only cancel or merge where they meet, so each block is
+    reduced against the output's tail until its first syllable that does
+    neither, and the rest of the block is copied at once.  A block may
+    cancel whole earlier blocks.
+    """
+    out = []
+    for b in blocks:
+        i, n = 0, len(b)
+        while i < n and out:
+            g, e = b[i]
+            h, f = out[-1]
+            if g != h:
+                break
+            out.pop()
+            i += 1
+            if e + f:
+                out.append((g, e + f))
+                break
+        out.extend(b[i:])
+    return _word(tuple(out))
 
 
 def conjugacy_key(w: Word) -> tuple:
@@ -387,13 +442,14 @@ def parse_generator(token: str) -> Generator:
 def substitute(w: Word, image: Callable[[Generator], Word]) -> Word:
     """The image of w under the homomorphism sending each generator g to image(g).
 
-    The powers image(g)**e are concatenated and freely reduced in one pass.
+    The powers image(g)**e, each a reduced word, are concatenated in order
+    of w's syllables and reduced only where two of them meet (``_concat``).
     """
     syls = w.syls
     if len(syls) == 1:
         g, e = syls[0]
         return image(g) ** e
-    return Word([s for g, e in syls for s in (image(g) ** e).syls])
+    return _concat((image(g) ** e).syls for g, e in syls)
 
 
 class HomSpec:

@@ -968,6 +968,68 @@ def test_pinned_nss_ball_free(seeds, bounds, max_elements, size, capped, digest)
     assert _digest(sorted(str(w) for w in ball)) == digest
 
 
+_seed_words = st.lists(st.tuples(st.sampled_from(AB), st.integers(-2, 2).filter(bool)),
+                      min_size=1, max_size=4).map(Word).filter(lambda w: not w.is_identity)
+
+
+@given(st.lists(_seed_words, min_size=1, max_size=2), st.integers(0, 2), st.integers(1, 3),
+       st.one_of(st.integers(1, 600), st.just(10 ** 6)),
+       st.one_of(st.just(200_000), st.integers(1, 300)))
+@example([W("a b")], 2, 2, 10 ** 6, 200_000)
+@example([W("a^2"), W("b a b^-1")], 1, 3, 500, 200_000)
+@example([W("a b^-1")], 2, 3, 10 ** 6, 300)
+@settings(max_examples=80, deadline=None)
+def test_nss_ball_free_lengths_are_letter_lengths(seeds, radius, max_n, cap, max_elements):
+    bounds = gt.SearchBounds(radius=radius, max_n=max_n, node_cap=cap)
+    ball, capped = gt.nss_ball_free(AB, seeds, bounds, max_elements=max_elements)
+    assert all(n == w.letter_len for w, n in ball.items())
+    # the same ball, in the same order, as the closure over plain products
+    conjugators = gt.free_ball(AB, radius)
+    out, _, plain_capped = gt._nss_closure(
+        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
+        gt._products(Word.__mul__), bounds, max_elements)
+    assert list(ball) == out and capped == plain_capped
+    assert sort_words(ball, ball) == sort_words(ball)
+
+
+# check_multimalnormal on a C(12, 8) at freesearch's bounds: the report, and
+# the order of the sorted c ball it searches (498 words of up to thousands
+# of letters), each as a digest
+_LONG_MULTIMAL = """
+import hashlib, json
+from gtkit import casestudy as cs, gentorsion as gt
+from gtkit.word import gen, sort_words
+AB = [gen("a"), gen("b")]
+gens = cs.generator_words(cs.sample_exponents(12, 8, 7))
+bounds = gt.SearchBounds(radius=1, max_n=3, max_elt_letters=2, node_cap=500)
+rep = gt.check_multimalnormal(AB, gens, [gens[0]], bounds)
+print(json.dumps(rep.to_json(), sort_keys=True))
+ball, _ = gt.nss_ball_free(AB, [gens[0]], bounds, max_elements=20_000,
+                           conjugators=gt.subgroup_product_ball(gens, bounds.radius))
+order = "\\n".join(str(w) for w in sort_words(ball, ball))
+print(len(ball), hashlib.sha256(order.encode()).hexdigest()[:16])
+"""
+
+
+def test_pinned_long_word_multimal_report_under_two_hash_seeds():
+    import os
+    import subprocess
+    import sys
+
+    import gtkit
+
+    src = os.path.dirname(os.path.dirname(gtkit.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", _LONG_MULTIMAL], env=env,
+                                   capture_output=True, check=True, timeout=120).stdout)
+    assert outs[0] == outs[1]
+    report, ball = outs[0].decode().splitlines()
+    assert _digest(json.loads(report)) == "b035376bf55cda0b"
+    assert ball == "498 5b14e08d5c793c37"
+
+
 def _assert_no_bounds_seed(rep):
     # no search reads a seed, so neither the report nor its bounds carry one
     data = rep.to_json()

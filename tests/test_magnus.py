@@ -233,8 +233,27 @@ def test_check_c_leading_vars_precondition():
     v0, v1 = W("a[0]"), W("a[2] a[1]^-1")
     with pytest.raises(PreconditionError):
         check_c_leading_vars(v0, v0, v1)  # weight 1, not 0
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="nontrivial member"):
         check_c_leading_vars(W("a[5]"), v0, v1)  # not a member
+    with pytest.raises(PreconditionError, match="nontrivial member"):
+        check_c_leading_vars(Word(), v0, v1)
+
+
+def test_check_c_leading_vars_reads_alpha_once(monkeypatch):
+    from gtkit.stallings import SubgroupAutomaton
+
+    v0, v1 = W("a[0]"), W("a[2] a[1]^-1")
+    alpha = commutator(v0, v1)
+    walked = []
+    walk = SubgroupAutomaton._walk
+
+    def counting(self, w, *args):
+        walked.append(w)
+        return walk(self, w, *args)
+
+    monkeypatch.setattr(SubgroupAutomaton, "_walk", counting)
+    assert check_c_leading_vars(alpha, v0, v1)
+    assert walked.count(alpha) == 1
 
 
 def test_check_c_leading_vars_rejects_a_dependent_basis():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtkit import tamed
-from gtkit.amalgam import element_from_free_word, factors, free_as_free_product, is_reduced
+from gtkit.amalgam import AmalgamElement, element_from_free_word, factors, free_as_free_product, is_reduced
 from gtkit.errors import NotTamedError, PreconditionError
 from gtkit.gentorsion import bs_amalgam
 from gtkit.suites import _groups, run_suite
@@ -396,6 +396,27 @@ def test_tamed_verdict_is_computed_once_per_tuple(fp2, monkeypatch):
         with pytest.raises(NotTamedError):
             check(untamed)
     assert sum(x is untamed for x in seen) == 1
+
+
+def test_tamed_differences_are_formed_once_per_tuple(monkeypatch):
+    # clause 2 of the verdict and delta_factorize both read g_i g_{i+1}^-1
+    products = []
+    mul = AmalgamElement.__mul__
+
+    def counting(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(AmalgamElement, "__mul__", counting)
+    sampler = TamedSampler(_GROUPS[2], random.Random(5))
+    for _ in range(10):
+        products.clear()
+        v = sampler.sample(3)
+        assert is_tamed(v)
+        delta_factorize(v)
+        for i in range(1, v.n):
+            pair = (v.g(i), v.g_inv(i + 1))
+            assert sum(x is pair[0] and y is pair[1] for x, y in products) == 1
 
 
 def test_delta_factorize_checks_each_triple_for_reducedness(fp2):

@@ -13,7 +13,9 @@ from gtkit.word import (
     abelianize_snf,
     Generator,
     Syllable,
+    _concat,
     cancellation_syllables,
+    cancelled_letters,
     commutator,
     conjugacy_key,
     gen,
@@ -106,6 +108,63 @@ def test_product_matches_letterwise_reduction(p, k, merge, q):
     for u, v in ((x, y), (y, x), (x, x.inverse()), (x, Word()), (Word(), y)):
         assert (u * v).syls == _letterwise_product(u, v)
     assert (x * x.inverse()).is_identity
+
+
+@given(_syllables, st.integers(0, 6), st.integers(-2, 2), _syllables)
+@settings(max_examples=200, deadline=None)
+def test_cancelled_letters_give_the_product_letter_length(p, k, merge, q):
+    # the junctions of test_product_matches_letterwise_reduction: whole
+    # cancellations, a partial one or a merge next to them, and none
+    x = Word(p)
+    head = list(x.inverse().syls[:k])
+    if merge and x.syls[k:]:
+        head.append((x.syls[-1 - k][0], merge))
+    y = Word(head + q)
+    for u, v in ((x, y), (y, x), (x, x.inverse()), (x, Word()), (Word(), y)):
+        assert (u * v).letter_len == u.letter_len + v.letter_len - 2 * cancelled_letters(u, v)
+
+
+_ab_syllable = st.tuples(st.sampled_from([A, B]), st.integers(-3, 3).filter(bool))
+
+
+@st.composite
+def concat_blocks(draw):
+    """Reduced syllable tuples over {a, b}: random ones, empty ones, ones that
+    start on the generator the output so far ends with (a merge or a partial
+    cancellation), and ones that begin with the inverse of the last few
+    blocks, so that cancellation cascades back across all of them."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from("rmec"), max_size=10)):
+        tail = draw(st.lists(_ab_syllable, max_size=5))
+        if kind == "e":
+            blocks.append(())
+            continue
+        head = []
+        if kind == "c" and blocks:
+            j = draw(st.integers(0, len(blocks) - 1))
+            head = list(Word([s for b in blocks[j:] for s in b]).inverse().syls)
+        elif kind == "m" and blocks and blocks[-1]:
+            head = [(blocks[-1][-1][0], draw(st.integers(-3, 3).filter(bool)))]
+        blocks.append(Word(head + tail).syls)
+    return blocks
+
+
+@given(concat_blocks())
+@settings(max_examples=200, deadline=None)
+def test_concat_matches_reduction_of_all_syllables(blocks):
+    expected = Word([s for b in blocks for s in b])
+    got = _concat(blocks)
+    assert got == expected and got.syls == expected.syls
+    assert _concat(iter(blocks)) == expected
+
+
+def test_concat_cascades_across_whole_blocks():
+    blocks = [W("a b^2").syls, W("a^-1").syls, (), W("a b^-2").syls, W("a^-1 b").syls]
+    # a b^2 | a^-1 | a b^-2 | a^-1 b: the third block cancels the second
+    # whole and the first down to a, and the last cancels that a
+    assert _concat(blocks) == W("b")
+    assert _concat([]) == Word() and _concat([(), ()]) == Word()
+    assert _concat([W("a^2").syls, W("a^-5 b").syls]) == W("a^-3 b")
 
 
 def _conjugate_by_rotations(u, v):
@@ -452,6 +511,15 @@ def tied_words(draw):
 def test_sort_words_matches_sort_key_order(free, tied):
     for ws in (free + tied, tied + free, tied[::-1]):
         assert sort_words(ws) == sorted(ws, key=Word.sort_key)
+
+
+@given(st.lists(st.lists(sort_syllable, max_size=30).map(Word), max_size=40), tied_words())
+@settings(max_examples=50, deadline=None)
+def test_sort_words_with_lengths_given_matches_sort_words(free, tied):
+    ws = free + tied
+    lengths = {w: sum(abs(e) for _, e in w.syls) for w in ws}
+    assert sort_words(ws, lengths) == sort_words(ws)
+    assert sort_words(lengths, lengths) == sort_words(lengths)
 
 
 def test_sort_words_orders_generators_by_key_not_by_string():
