@@ -248,10 +248,8 @@ def cmd_abelianize(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .suites import SUITES, run_suite
+    from .suites import SUITE_PARAMS, SUITES, run_suite
 
-    # the suites that read --s and --m; `all` forwards them to these only
-    shaped = ("lemma_small_cancellation", "nonlo_witnesses")
     params = {}
     if args.s is not None:
         params["s"] = args.s
@@ -262,11 +260,14 @@ def cmd_suite(args) -> int:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return EXIT_ERROR
-    if params and args.name != "all" and args.name not in shaped:
-        raise GtkitError(f"suite {args.name} does not read --s or --m")
+    # `all` forwards --s and --m only to the suites that read them; any
+    # other suite rejects them
     reports = []
     for name in names:
-        kw = dict(params) if name in shaped else {}
+        kw = {k: v for k, v in params.items() if k in SUITE_PARAMS[name]}
+        if kw != params and args.name != "all":
+            unread = " or ".join(f"--{k}" for k in params if k not in kw)
+            raise GtkitError(f"suite {name} does not read {unread}")
         reports.append(run_suite(name, trials=args.trials, seed=args.seed, **kw))
     payload = {
         "seed": args.seed,

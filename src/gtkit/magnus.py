@@ -3,7 +3,8 @@
 Words over an indexed generator family x_i map to units of Z<<X_i>> via
 x_i -> 1 + X_i, truncated at a degree cap.  Images are built one
 homogeneous degree at a time, each degree from the lower ones over the
-word's syllable prefixes.  Leading terms (lowest nonzero homogeneous part)
+word's syllable prefixes, and a series is kept that way, one dict per
+degree.  Leading terms (lowest nonzero homogeneous part)
 exist for every nontrivial word at degree at most its letter length, so
 raising the degree one step at a time until the part is nonzero is exact.
 Two relation families are supported for annihilation checks: zeroing a set
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
@@ -27,60 +29,65 @@ Monomial = tuple  # tuple of variable indices, possibly empty
 
 
 class TruncatedSeries:
-    """Integer series sum of c_m * X_{i_1}..X_{i_k}, degrees <= cap."""
+    """Integer series sum of c_m * X_{i_1}..X_{i_k}, degrees <= cap.
 
-    __slots__ = ("cap", "coeffs")
+    The series is kept by degree: ``parts[d]`` maps each degree-d monomial
+    to its nonzero coefficient, for d = 0..cap.  ``coeffs`` is a read-only
+    view of all coefficients, merged in degree order.
+    """
+
+    __slots__ = ("cap", "parts")
 
     def __init__(self, cap: int, coeffs: Optional[dict] = None):
         if cap < 1:
             raise PreconditionError("cap must be >= 1")
         self.cap = cap
-        self.coeffs = {}
+        self.parts = [{} for _ in range(cap + 1)]
         if coeffs:
             for m, c in coeffs.items():
                 if c and len(m) <= cap:
-                    self.coeffs[tuple(m)] = c
+                    self.parts[len(m)][tuple(m)] = c
 
     @classmethod
     def one(cls, cap: int) -> "TruncatedSeries":
         return cls(cap, {(): 1})
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        return MappingProxyType({m: c for part in self.parts for m, c in part.items()})
+
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self.parts == other.parts
         )
 
     def __hash__(self):
-        return hash((self.cap, frozenset(self.coeffs.items())))
+        return hash((self.cap, frozenset(mc for part in self.parts for mc in part.items())))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cap = min(self.cap, other.cap)
-        out: dict = {}
-        by_deg: dict = {}
-        for m, c in other.coeffs.items():
-            by_deg.setdefault(len(m), []).append((m, c))
-        for m1, c1 in self.coeffs.items():
-            room = cap - len(m1)
-            if room < 0:
-                continue
-            for d, items in by_deg.items():
-                if d > room:
+        """Degree D of the product pairs parts[d] with other.parts[D - d]."""
+        res = TruncatedSeries(min(self.cap, other.cap))
+        left, right = self.parts, other.parts
+        for deg, out in enumerate(res.parts):
+            for d in range(deg + 1):
+                p, q = left[d], right[deg - d]
+                if not (p and q):
                     continue
-                for m2, c2 in items:
-                    m = m1 + m2
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        res = TruncatedSeries(cap)
-        res.coeffs = out
+                q = q.items()
+                for m1, c1 in p.items():
+                    for m2, c2 in q:
+                        m = m1 + m2
+                        s = out.get(m, 0) + c1 * c2
+                        if s:
+                            out[m] = s
+                        else:
+                            del out[m]
         return res
 
     def homogeneous_part(self, d: int) -> dict:
-        return {m: c for m, c in self.coeffs.items() if len(m) == d}
+        return dict(self.parts[d]) if 0 <= d <= self.cap else {}
 
     def variables(self) -> set:
         out = set()
@@ -129,13 +136,14 @@ def _add_row(syls: list, rows: list) -> dict:
     (1 + X_i)^k, so entry p + 1 is entry p plus C(k, j) rows[D - j][p] X_i^j
     over j >= 1.  For k < 0 prefix p is prefix p + 1 times (1 + X_i)^-k, so
     entry p + 1 is entry p minus C(-k, j) rows[D - j][p + 1] X_i^j: a
-    syllable costs |k| terms at most, not the D of the binomial series.
+    syllable costs |k| terms at most, not the D of the binomial series.  An
+    entry whose source entries are all empty is the previous entry's dict.
     """
     deg = len(rows)
     level: dict = {}
     row = [level]
     for p, (i, k) in enumerate(syls):
-        level = dict(level)
+        prev = level
         if k > 0:
             src, sign = p, 1
         else:
@@ -143,9 +151,14 @@ def _add_row(syls: list, rows: list) -> dict:
         j = 0
         for c in _binomials(k, deg):
             j += 1
+            part = rows[deg - j][src]
+            if not part:
+                continue
+            if level is prev:
+                level = dict(prev)
             run = (i,) * j
             c *= sign
-            for m, a in rows[deg - j][src].items():
+            for m, a in part.items():
                 m += run
                 v = level.get(m, 0) + a * c
                 if v:
@@ -170,7 +183,7 @@ def mu(w: Word, d: int) -> TruncatedSeries:
     rows = [[{(): 1}] * (len(syls) + 1)]
     for _ in range(d):
         _add_row(syls, rows)
-    out.coeffs = {m: c for row in rows for m, c in row[-1].items()}
+    out.parts = [row[-1] for row in rows]
     return out
 
 
@@ -194,9 +207,7 @@ class LeadingTerm:
         return hash((self.degree, frozenset(self.coeffs.items())))
 
     def __str__(self):
-        s = TruncatedSeries(max(self.degree, 1))
-        s.coeffs = dict(self.coeffs)
-        return str(s)
+        return str(TruncatedSeries(max(self.degree, 1), self.coeffs))
 
 
 def leading_term(w: Word) -> Optional[LeadingTerm]:
@@ -234,13 +245,14 @@ class _Images(dict):
         return v
 
 
-def _project(coeffs: dict, image) -> dict:
-    """Coefficients with each monomial's variables mapped through image;
-    a monomial with a variable sent to None drops, equal images add up."""
-    images = _Images(image).__getitem__
+def _project(coeffs: dict, images: _Images) -> dict:
+    """Coefficients with each monomial's variables mapped through images;
+    a monomial with a variable sent to None drops, equal images add up.
+    Mapping keeps the degree, so a series projects part by part."""
+    lookup = images.__getitem__
     out: dict = {}
     for m, c in coeffs.items():
-        key = tuple(map(images, m))
+        key = tuple(map(lookup, m))
         if None in key:
             continue
         v = out.get(key, 0) + c
@@ -253,11 +265,11 @@ def _project(coeffs: dict, image) -> dict:
 
 def apply_sigma(s, sigma) -> "TruncatedSeries | LeadingTerm":
     """Monomial substitution X_{i_1}..X_{i_k} -> X_{s(i_1)}..X_{s(i_k)}."""
-    out = _project(s.coeffs, sigma if callable(sigma) else (lambda i: sigma.get(i, i)))
+    images = _Images(sigma if callable(sigma) else (lambda i: sigma.get(i, i)))
     if isinstance(s, LeadingTerm):
-        return LeadingTerm(s.degree, out)
+        return LeadingTerm(s.degree, _project(s.coeffs, images))
     res = TruncatedSeries(s.cap)
-    res.coeffs = out
+    res.parts = [_project(part, images) for part in s.parts]
     return res
 
 
@@ -315,7 +327,7 @@ def annihilates(rel: RelationSpec, target) -> bool:
     (a homogeneous part) the projection is compared with 0 directly.
     """
     if isinstance(target, LeadingTerm):
-        return not _project(target.coeffs, rel.image)
+        return not _project(target.coeffs, _Images(rel.image))
     w: Word = target
     if w.is_identity:
         return True
@@ -323,7 +335,7 @@ def annihilates(rel: RelationSpec, target) -> bool:
                     if (j := rel.image(g.index)) is not None)
     result = quotient.is_identity
     cap = min(3, max(1, w.letter_len))
-    series_view = _project(mu(w, cap).coeffs, rel.image) == {(): 1}
+    series_view = apply_sigma(mu(w, cap), rel.image) == TruncatedSeries.one(cap)
     if result and not series_view:
         raise InternalInvariantError("series projection disagrees with quotient word")
     return result

@@ -11,6 +11,7 @@ counts the instances whose hypotheses cannot be established as skips.
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 from typing import Optional, Sequence
 
@@ -56,6 +57,7 @@ from .word import (
     HomSpec,
     Presentation,
     Word,
+    _word,
     abelianize_snf,
     cancellation_syllables,
     commutator,
@@ -87,16 +89,26 @@ def _csystem(s: int = 10, m: int = 8, seed: int = 0):
 
 def _rand_word(rng, alphabet: Sequence[Generator], max_letters: int,
                nonempty: bool = False) -> Word:
+    """A reduced word of randint(lo, max_letters) letters, lo = 1 if nonempty
+    else 0: random letters are appended until the reduced word is that long."""
     n = rng.randint(1 if nonempty else 0, max_letters)
-    w = Word()
-    length = 0  # w.letter_len, kept up to date letter by letter
+    syls: list = []  # the reduced syllables so far
+    length = 0  # their letter length
     while length < n:
         g = alphabet[rng.randrange(len(alphabet))]
         s = rng.choice((1, -1))
-        # the letter cancels into the last syllable or lengthens the word
-        length += -1 if w.syls and w.syls[-1][0] == g and w.syls[-1][1] * s < 0 else 1
-        w = w * Word([(g, s)])
-    return w
+        if syls and syls[-1][0] == g:
+            # the letter merges into the last syllable or cancels against it
+            e = syls[-1][1]
+            length += 1 if e * s > 0 else -1
+            if e + s:
+                syls[-1] = (g, e + s)
+            else:
+                syls.pop()
+        else:
+            syls.append((g, s))
+            length += 1
+    return _word(tuple(syls))
 
 
 _AB = (gen("a"), gen("b"))
@@ -1029,6 +1041,9 @@ def suite_factor_multimalnormal(rep: SuiteReport, rng: random.Random) -> None:
 # every suite_<name> function above, in definition order
 SUITES: dict = {name.removeprefix("suite_"): fn
                 for name, fn in globals().items() if name.startswith("suite_")}
+# the parameters each suite reads, after its report and its random.Random
+SUITE_PARAMS: dict = {name: tuple(inspect.signature(fn).parameters)[2:]
+                      for name, fn in SUITES.items()}
 
 
 def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteReport:
@@ -1036,10 +1051,13 @@ def run_suite(name: str, trials: int = 200, seed: int = 7, **params) -> SuiteRep
 
     The report is named by the registry key and carries the trials, seed and
     params; the suite gets it with one random.Random(seed) and the params,
-    and fills it in.
+    and fills it in.  A parameter the suite does not read is rejected.
     """
     if name not in SUITES:
         raise PreconditionError(f"unknown suite: {name!r}")
+    unread = [k for k in params if k not in SUITE_PARAMS[name]]
+    if unread:
+        raise PreconditionError(f"suite {name} does not read {', '.join(unread)}")
     if trials < 0:
         raise PreconditionError(f"trials must be non-negative: {trials}")
     rep = SuiteReport(name, trials, seed=seed, params=params)

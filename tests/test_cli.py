@@ -563,7 +563,9 @@ def test_abelianize_rejects_a_generator_token_that_is_not_one_generator(
 @pytest.mark.parametrize("flag", ["--s", "--m"])
 def test_suite_rejects_s_and_m_where_the_suite_reads_neither(flag, capsys):
     assert main(["suite", "magnus_inverse", flag, "9", "--trials", "2"]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"suite magnus_inverse does not read {flag}\n" in captured.err
     assert main(["suite", "nonlo_witnesses", "--m", "8", "--trials", "2"]) == 0
 
 

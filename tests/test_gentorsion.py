@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gtkit import casestudy as cs
 from gtkit import gentorsion as gt
+from gtkit import suites
 from gtkit.amalgam import (
     Amalgam,
     AmalgamElement,
@@ -22,7 +23,7 @@ from gtkit.amalgam import (
 from gtkit.cli import main
 from gtkit.errors import GtkitError, InternalInvariantError, PreconditionError
 from gtkit.stallings import SubgroupAutomaton, _witness_gen
-from gtkit.suites import SUITES, run_suite
+from gtkit.suites import SUITE_PARAMS, SUITES, run_suite
 from gtkit.tamed import TamedSampler
 from gtkit.word import Word, gen, parse_word as W, sort_words
 
@@ -1098,6 +1099,23 @@ def test_run_suite_zero_trials_empty_report():
     assert rep.trials == 0 and rep.ok
 
 
+@pytest.mark.parametrize("trials", [0, 3])
+def test_run_suite_rejects_a_parameter_no_suite_reads(trials):
+    # at every trial count, and before any trial runs
+    with pytest.raises(PreconditionError, match="does not read cap"):
+        run_suite("magnus_homomorphism", trials=trials, seed=1, cap=3)
+    with pytest.raises(PreconditionError, match="does not read t"):
+        run_suite("lemma_small_cancellation", trials=trials, seed=1, s=10, t=2)
+    rep = run_suite("lemma_small_cancellation", trials=0, seed=1, s=10, m=8)
+    assert rep.params == {"s": 10, "m": 8}
+
+
+def test_suite_params_are_the_suites_keyword_parameters():
+    shaped = {name: p for name, p in SUITE_PARAMS.items() if p}
+    assert shaped == {"lemma_small_cancellation": ("s", "m"),
+                      "nonlo_witnesses": ("s", "m")}
+
+
 def test_run_suite_rejects_negative_trials():
     with pytest.raises(PreconditionError, match="non-negative"):
         run_suite("magnus_inverse", trials=-5, seed=1)
@@ -1107,6 +1125,33 @@ def test_run_suite_deterministic():
     a = run_suite("length_subadditivity", trials=50, seed=3).to_json()
     b = run_suite("length_subadditivity", trials=50, seed=3).to_json()
     assert a == b
+
+
+def _rand_word_letter_by_letter(rng, alphabet, max_letters, nonempty=False):
+    """The reference for the suites' sampler: one Word product per letter."""
+    n = rng.randint(1 if nonempty else 0, max_letters)
+    w = Word()
+    length = 0  # w.letter_len, kept up to date letter by letter
+    while length < n:
+        g = alphabet[rng.randrange(len(alphabet))]
+        s = rng.choice((1, -1))
+        # the letter cancels into the last syllable or lengthens the word
+        length += -1 if w.syls and w.syls[-1][0] == g and w.syls[-1][1] * s < 0 else 1
+        w = w * Word([(g, s)])
+    return w
+
+
+@given(st.sampled_from([suites._AB, suites._INDEXED, (cs.v_i(0), cs.v_i(1)), (gen("a"),)]),
+       st.integers(1, 14), st.booleans(), st.integers(0, 2 ** 32))
+@settings(max_examples=300, deadline=None)
+def test_rand_word_makes_the_letter_by_letter_draws(alphabet, max_letters, nonempty, seed):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        w = suites._rand_word(rng, alphabet, max_letters, nonempty)
+        want = _rand_word_letter_by_letter(oracle_rng, alphabet, max_letters, nonempty)
+        assert w.syls == want.syls
+        assert rng.getstate() == oracle_rng.getstate()
+    assert suites._rand_word(random.Random(seed), alphabet, 0).is_identity
 
 
 def test_available_suites_nonempty():

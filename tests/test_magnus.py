@@ -63,7 +63,6 @@ def _leading_term_by_series_products(w):
     d = 1
     while True:
         s = _mu_by_series_products(w, d)
-        s.coeffs.pop(())
         degree = _min_positive_degree(s)
         if degree is not None:
             return LeadingTerm(degree, s.homogeneous_part(degree))
@@ -140,6 +139,151 @@ def test_mu_at_a_lower_cap_is_the_truncation(w, d, lower):
     lower = min(lower, d)
     high = mu(w, d).coeffs
     assert {m: c for m, c in high.items() if len(m) <= lower} == mu(w, lower).coeffs
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the series as one merged coefficient dict, with a product that
+# regroups its right operand by degree on every call, and the row kernel
+# copying every entry and reading its binomials from math.comb.
+# ---------------------------------------------------------------------------
+
+class _MergedSeries:
+    def __init__(self, cap, coeffs):
+        self.cap = cap
+        self.coeffs = {}
+        for m, c in coeffs.items():
+            if c and len(m) <= cap:
+                self.coeffs[tuple(m)] = c
+
+    def __eq__(self, other):
+        return self.cap == other.cap and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.cap, frozenset(self.coeffs.items())))
+
+    def __mul__(self, other):
+        cap = min(self.cap, other.cap)
+        out: dict = {}
+        by_deg: dict = {}
+        for m, c in other.coeffs.items():
+            by_deg.setdefault(len(m), []).append((m, c))
+        for m1, c1 in self.coeffs.items():
+            room = cap - len(m1)
+            if room < 0:
+                continue
+            for d, items in by_deg.items():
+                if d > room:
+                    continue
+                for m2, c2 in items:
+                    m = m1 + m2
+                    s = out.get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        res = _MergedSeries(cap, {})
+        res.coeffs = out
+        return res
+
+    def homogeneous_part(self, d):
+        return {m: c for m, c in self.coeffs.items() if len(m) == d}
+
+
+def _add_row_by_binomials(syls, rows):
+    deg = len(rows)
+    level: dict = {}
+    row = [level]
+    for p, (i, k) in enumerate(syls):
+        level = dict(level)
+        if k > 0:
+            src, sign = p, 1
+        else:
+            src, sign, k = p + 1, -1, -k
+        for j in range(1, min(k, deg) + 1):
+            run = (i,) * j
+            c = sign * math.comb(k, j)
+            for m, a in rows[deg - j][src].items():
+                m += run
+                v = level.get(m, 0) + a * c
+                if v:
+                    level[m] = v
+                else:
+                    del level[m]
+        row.append(level)
+    rows.append(row)
+    return level
+
+
+def _mu_merged(w, d):
+    syls = magnus._syllables(w)
+    rows = [[{(): 1}] * (len(syls) + 1)]
+    for _ in range(d):
+        _add_row_by_binomials(syls, rows)
+    return _MergedSeries(d, {m: c for row in rows for m, c in row[-1].items()})
+
+
+def _by_degree(coeffs):
+    """The items in degree order, each degree kept in its insertion order."""
+    return sorted(coeffs.items(), key=lambda mc: len(mc[0]))
+
+
+_monomial = st.lists(st.sampled_from([0, 1, 2]), max_size=7).map(tuple)
+_raw_series = st.tuples(st.integers(1, 6),
+                        st.dictionaries(_monomial, st.integers(-2, 2), max_size=12))
+
+
+def _assert_matches(s, oracle):
+    assert s.cap == oracle.cap
+    # the merged oracle keeps insertion order; the view merges the parts in
+    # degree order, which is the oracle's order for mu images and for
+    # series whose input was already in degree order
+    assert list(s.coeffs.items()) == _by_degree(oracle.coeffs)
+    assert hash(s) == hash(oracle)
+    for d in range(-1, s.cap + 2):
+        assert s.homogeneous_part(d) == oracle.homogeneous_part(d)
+
+
+@given(_raw_series, _raw_series)
+@settings(max_examples=300, deadline=None)
+def test_series_by_degree_matches_the_merged_oracle(a, b):
+    s, t = TruncatedSeries(*a), TruncatedSeries(*b)
+    # the constructor drops zero coefficients and monomials above the cap
+    assert dict(s.coeffs) == {m: c for m, c in a[1].items() if c and len(m) <= a[0]}
+    _assert_matches(s, _MergedSeries(*a))
+    _assert_matches(t, _MergedSeries(*b))
+    # the oracle multiplies in the order its coefficients are stored, so it
+    # gets them in degree order, as the series keeps them
+    so, to = _MergedSeries(s.cap, s.coeffs), _MergedSeries(t.cap, t.coeffs)
+    for x, y, xo, yo in ((s, t, so, to), (t, s, to, so), (s, s, so, so)):
+        _assert_matches(x * y, xo * yo)
+        assert (x == y) == (xo == yo)
+    # equal series built from coefficients in another order
+    r = TruncatedSeries(s.cap, dict(reversed(list(s.coeffs.items()))))
+    assert r == s and hash(r) == hash(s)
+    assert (s == TruncatedSeries(s.cap + 1, s.coeffs)) is False
+
+
+@given(_indexed_word, st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_mu_by_degree_matches_the_merged_oracle(w, cap):
+    s, oracle = mu(w, cap), _mu_merged(w, cap)
+    assert list(s.coeffs.items()) == list(oracle.coeffs.items())
+    _assert_matches(s, oracle)
+
+
+def test_series_parts_coeffs_view_and_part_copies():
+    s = mu(W("a[0] a[1]^-2"), 3)
+    assert s.parts == [{(): 1}, {(0,): 1, (1,): -2}, {(1, 1): 3, (0, 1): -2},
+                       {(1, 1, 1): -4, (0, 1, 1): 3}]
+    part = s.homogeneous_part(1)
+    part[(0,)] = 7
+    del part[(1,)]
+    assert s.homogeneous_part(1) == {(0,): 1, (1,): -2}
+    with pytest.raises(TypeError):
+        s.coeffs[(0,)] = 7
+    with pytest.raises(AttributeError):
+        s.coeffs = {}
+    assert s == mu(W("a[0] a[1]^-2"), 3)
 
 
 def test_mixed_and_unindexed_alphabets_are_rejected():
@@ -349,9 +493,7 @@ def _substitute(s, f):
             out.pop(key, None)
     if isinstance(s, LeadingTerm):
         return LeadingTerm(s.degree, out)
-    res = TruncatedSeries(s.cap)
-    res.coeffs = out
-    return res
+    return TruncatedSeries(s.cap, out)
 
 
 def _annihilates_by_family(rel, target):
