@@ -390,18 +390,19 @@ def _inverse_key(x: AmalgamElement):
 
 
 def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResult:
-    """Breadth-first search for a product of conjugates of g equal to 1.
+    """Search for a product of conjugates of g equal to 1.
 
-    Tuples are enumerated by (n, total conjugator component count,
-    lexicographic), so the first certificate found is canonical.  A
-    none-found outcome with capped=False exhausts the stated bounds; it is
-    not a proof of generalized-torsion-freeness.
+    The search runs in layers of (n, total conjugator component count), in
+    increasing order, and depth-first inside each layer (_first_product),
+    so tuples are tried by (n, total, lexicographic in ball order) and the
+    first certificate found is canonical.  A none-found outcome with
+    capped=False exhausts the stated bounds; it is not a proof of
+    generalized-torsion-freeness.
 
     The last slot is a bucket lookup: partial * g^h is 1 only when g^h is
     partial's inverse, so only the conjugates whose _cancel_key is
     partial's _inverse_key are multiplied out, in ball order.  ``nodes``
-    still counts every candidate of that slot up to the hit (or all of
-    them), exactly as trying each one in turn would, and so does the cap.
+    and the cap count every candidate of that slot as _first_product does.
     """
     if g.is_identity:
         raise PreconditionError("the base element must be nontrivial")
@@ -415,94 +416,80 @@ def search_gt(G: Amalgam, g: AmalgamElement, bounds: SearchBounds) -> SearchResu
     top = lens[-1]
     nodes = 0
 
-    def candidates(slots, left):
-        # the conjugators, in ball order, that leave a length the other
-        # slots can still fill
-        return range(bisect_left(lens, left - (slots - 1) * top),
-                     bisect_right(lens, left))
-
+    # windows[slots][left]: the conjugators, in ball order, that leave a
+    # length the other slots can still fill; row n is built for layer n
+    windows = [None]
     for n in range(1, bounds.max_n + 1):
+        windows.append([range(bisect_left(lens, left - (n - 1) * top), bisect_right(lens, left))
+                        for left in range(top * n + 1)])
         for total in range(0, top * n + 1):
-            # depth-first over conjugator tuples of n slots whose lengths sum
-            # to total; an entry is (slots left, length left, product so far,
-            # its conjugator indices, the next slot's candidates, the next of
-            # them to try), and the last slot's candidates run in one loop
-            stack = [(n, total, G.identity(), (), candidates(n, total), 0)]
-            while stack:
-                slots, left, partial, tail, cands, pos = stack.pop()
-                if slots == 1:
-                    # a hit at idx costs idx - lo + 1 nodes; one the cap
-                    # would stop first is not taken
-                    lo, hi = cands.start, cands.stop
-                    stop = min(hi, lo + bounds.node_cap - nodes)
-                    bucket = buckets.get(_inverse_key(partial), ())
-                    for j in range(bisect_left(bucket, lo), bisect_left(bucket, stop)):
-                        idx = bucket[j]
-                        if (partial * conj_cache[idx]).is_identity:
-                            nodes += idx - lo + 1
-                            cert = GtCertificate(g, [ball[i] for i in tail + (idx,)])
-                            if not verify_gt_certificate(G, cert):
-                                raise InternalInvariantError(
-                                    "found certificate fails verification")
-                            return SearchResult(cert, False, nodes)
-                    if stop < hi:
-                        return SearchResult(None, True, bounds.node_cap + 1)
-                    nodes += len(cands)
-                elif pos < len(cands):
-                    stack.append((slots, left, partial, tail, cands, pos + 1))
-                    nodes += 1
-                    if nodes > bounds.node_cap:
-                        return SearchResult(None, True, nodes)
-                    idx = cands[pos]
-                    rest = left - lens[idx]
-                    stack.append((slots - 1, rest, partial * conj_cache[idx],
-                                  tail + (idx,), candidates(slots - 1, rest), 0))
+            path, _, used = _first_product(
+                G.identity(),
+                lambda p: windows[n - len(p)][total - sum(map(lens.__getitem__, p))],
+                lambda x, i: x * conj_cache[i], lambda x, m: m == n and x.is_identity,
+                n, bounds.node_cap - nodes, lambda x: buckets.get(_inverse_key(x), ()))
+            nodes += used
+            if path is not None:
+                cert = GtCertificate(g, [ball[i] for i in path])
+                if not verify_gt_certificate(G, cert):
+                    raise InternalInvariantError("found certificate fails verification")
+                return SearchResult(cert, False, nodes)
+            if nodes > bounds.node_cap:
+                return SearchResult(None, True, nodes)
     return SearchResult(None, False, nodes)
 
 
-def _first_product(start, n_units: int, step, accept, depth: int, budget: int,
-                   last=None):
+def _first_product(start, units, step, accept, depth: int, budget: int, last=None):
     """Depth-first search over unit index sequences i_1 ... i_m, m <= depth.
 
-    The products x_m = step(x_{m-1}, i_m), from x_0 = start, are tried in
-    lexicographic order of their index sequences, one node each, and the
-    first with accept(x_m, m) ends the search.  Returns (its index tuple,
-    x_m, nodes used), or (None, None, nodes used) when none is accepted; a
-    search stopped by the budget has used budget + 1 nodes.
+    The slot after a prefix ``path`` tries the unit indices of the range
+    units(path), in order.  The products x_m = step(x_{m-1}, i_m), from
+    x_0 = start, are tried in lexicographic order of their index sequences,
+    one node each, and the first with accept(x_m, m) ends the search.
+    Returns (its index tuple, x_m, nodes used), or (None, None, nodes used)
+    when none is accepted; a search stopped by the budget has used
+    budget + 1 nodes.
 
     ``last``, when given, maps a product x one unit short of depth to the
-    one unit index i for which accept(step(x, i), depth) can hold, or None.
-    The deepest level is then one call of last per parent, not n_units
-    steps, and the nodes are counted as the unit-by-unit scan counts them:
-    i + 1 for a hit at i, n_units for a miss, and a budget that the scan
-    would exhaust first stops the search the same way.
+    ascending unit indices i for which alone accept(step(x, i), depth) can
+    hold.  The deepest slot, range(lo, hi), then multiplies out only those,
+    and its nodes are counted as the unit-by-unit scan counts them:
+    i - lo + 1 for a hit at i, hi - lo for a miss, and a budget that the
+    scan would exhaust first stops the search the same way.
     """
-    stack = [(start, (), 0)]  # (product, its indices, next unit to try)
+    # (product, its indices, the next slot's range, the rest of it to try)
+    r = units(())
+    stack = [(start, (), r, iter(r))]
     nodes = 0
     while stack:
-        x, path, i = stack.pop()
+        x, path, r, rest = stack[-1]
         if last is not None and len(path) == depth - 1:
-            j = last(x)
-            if j is not None and nodes + j < budget:
-                y = step(x, j)
+            stack.pop()
+            lo = r.start
+            stop = min(r.stop, lo + budget - nodes)
+            hits = last(x)
+            for i in hits[bisect_left(hits, lo):bisect_left(hits, stop)]:
+                y = step(x, i)
                 if accept(y, depth):
-                    return path + (j,), y, nodes + j + 1
-            if nodes + n_units > budget:
+                    return path + (i,), y, nodes + i - lo + 1
+            if stop < r.stop:
                 return None, None, budget + 1
-            nodes += n_units
+            nodes += len(r)
             continue
-        if i == n_units:
-            continue
-        stack.append((x, path, i + 1))
-        nodes += 1
-        if nodes > budget:
-            break
-        y = step(x, i)
-        p = path + (i,)
-        if accept(y, len(p)):
-            return p, y, nodes
-        if len(p) < depth:
-            stack.append((y, p, 0))
+        for i in rest:
+            nodes += 1
+            if nodes > budget:
+                return None, None, nodes
+            y = step(x, i)
+            p = path + (i,)
+            if accept(y, len(p)):
+                return p, y, nodes
+            if len(p) < depth:
+                r = units(p)
+                stack.append((y, p, r, iter(r)))
+                break
+        else:
+            stack.pop()
     return None, None, nodes
 
 
@@ -664,7 +651,7 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     if not gball:
         raise PreconditionError("subgroup contains the whole ball; not proper here")
     hball = subgroup_product_ball(subgroup_gens, bounds.radius)
-    index = {h: i for i, h in enumerate(hball)}
+    index = {h: (i,) for i, h in enumerate(hball)}
     report = SuiteReport("rtf", 0, params={
         "bounds": bounds.to_json(),
         "g_candidates": len(gball),
@@ -674,9 +661,9 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     for g in gball:
         report.trials += 1
         path, _, used = _first_product(
-            Word(), len(hball), lambda x, i: x * g * hball[i],
+            Word(), lambda _p: range(len(hball)), lambda x, i: x * g * hball[i],
             lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes,
-            lambda x: index.get((x * g).inverse()))
+            lambda x: index.get((x * g).inverse(), ()))
         nodes += used
         if path is not None:
             report.violations.append(Violation("rtf-violation", {
@@ -722,7 +709,8 @@ def check_multimalnormal(alphabet: Sequence[Generator],
     na = len(aball)
     report.trials = 1
     path, product, nodes = _first_product(
-        Word(), len(cball) * na, lambda x, i: x * cball[i // na].conj(aball[i % na]),
+        Word(), lambda _p: range(len(cball) * na),
+        lambda x, i: x * cball[i // na].conj(aball[i % na]),
         lambda x, _m: aut.contains(x), bounds.max_n, bounds.node_cap)
     if path is not None:
         report.violations.append(Violation("multimalnormal-violation", {
@@ -843,7 +831,7 @@ class _NssLevels:
                 self.conjugators = _witness_ball(len(self.letters), self.radius)
             # W is at level k if some W (A^c_k)^-1 ... (A^c_2)^-1 is a conjugate of A
             path, _, used = _first_product(
-                W, len(self.conjugators), self._unconjugate,
+                W, lambda _p: range(len(self.conjugators)), self._unconjugate,
                 lambda y, m: m == k - 1 and conjugacy_key(y) == self.key,
                 k - 1, self.node_cap - self.nodes)
             self.nodes += used

@@ -29,7 +29,6 @@ from .amalgam import (
     factors as amalgam_factors,
     free_as_free_product,
     free_product_of_free,
-    is_reduced,
     normalize,
 )
 from .errors import PreconditionError
@@ -450,7 +449,8 @@ def suite_prop_two_sided(rep: SuiteReport, rng: random.Random) -> None:
             (t_pick, g_mid),
             (t_pick, g_next),
         ])
-        if not is_reduced([g_mid.inverse(), t_pick, g_mid]):
+        # l(t) = 1, so this is exactly is_reduced([g_mid^-1, t, g_mid])
+        if x.length != 2 * g_mid.length + 1:
             rep.skips += 1
             continue
         c = cancellability(v, 2)

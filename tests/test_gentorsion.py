@@ -619,25 +619,61 @@ def test_checks_leave_no_reference_cycles():
 # oracles for the last-slot lookup and the coset reads
 # ---------------------------------------------------------------------------
 
-def _scan_first_product(start, n_units, step, accept, depth, budget):
-    """_first_product as it tried every unit in every slot, the last included."""
-    stack = [(start, (), 0)]
+def _scan_first_product(start, units, step, accept, depth, budget):
+    """_first_product as it tried every unit in every slot, the last included:
+    each product, in depth-first order, costs one node."""
+    def products(x, path):
+        for i in units(path):
+            y, p = step(x, i), path + (i,)
+            yield p, y  # the scan stops at an accepted product
+            if len(p) < depth:
+                yield from products(y, p)
+
     nodes = 0
-    while stack:
-        x, path, i = stack.pop()
-        if i == n_units:
-            continue
-        stack.append((x, path, i + 1))
+    for p, y in products(start, ()):
         nodes += 1
         if nodes > budget:
             break
-        y = step(x, i)
-        p = path + (i,)
         if accept(y, len(p)):
             return p, y, nodes
-        if len(p) < depth:
-            stack.append((y, p, 0))
     return None, None, nodes
+
+
+@given(st.integers(5, 20), st.integers(1, 6), st.integers(0, 19),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       st.lists(st.frozensets(st.integers(0, 19), max_size=5), min_size=4, max_size=4),
+       st.integers(1, 4), st.booleans(), st.frozensets(st.integers(0, 9), max_size=3),
+       st.integers(0, 200))
+@settings(max_examples=300, deadline=None)
+def test_first_product_matches_the_scan(mod, mul, start, lows, widths, targets, depth,
+                                        lookup, decoys, budget):
+    # slots whose ranges start above 0 or are empty and depend on the path,
+    # an accept that can hold at every depth, and a last slot that looks up
+    # the scan's hits plus decoys that fail accept or lie outside the range
+    def units(path):
+        lo = lows[len(path)] + (path[-1] % 2 if path else 0)
+        return range(lo, lo + widths[len(path)])
+
+    def step(x, i):
+        return (x * mul + i + 1) % mod
+
+    def accept(x, m):
+        return x in targets[m - 1]
+
+    def last(x):
+        return sorted({i for i in range(10) if accept(step(x, i), depth)} | decoys)
+
+    start %= mod
+    first = _scan_first_product(start, units, step, accept, depth, 10 ** 6)
+    budgets = [budget]
+    if first[0] is not None:
+        # one node short of the hit, on it and one past it
+        budgets += [first[2] - 1, first[2], first[2] + 1]
+    for b in budgets:
+        assert gt._first_product(start, units, step, accept, depth, b,
+                                 last if lookup else None) == \
+            _scan_first_product(start, units, step, accept, depth, b)
 
 
 def _rtf_by_scan(gens, bounds):
@@ -653,7 +689,7 @@ def _rtf_by_scan(gens, bounds):
     for g in gball:
         report.trials += 1
         path, _, used = _scan_first_product(
-            Word(), len(hball), lambda x, i: x * g * hball[i],
+            Word(), lambda _p: range(len(hball)), lambda x, i: x * g * hball[i],
             lambda x, _m: x.is_identity, bounds.max_n, bounds.node_cap - nodes)
         nodes += used
         if path is not None:
