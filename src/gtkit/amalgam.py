@@ -441,27 +441,13 @@ class AmalgamElement:
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "AmalgamElement":
-        """The |n|-fold left product (((1 * b) * b) ... ) * b, b = self or its
-        inverse.
-
-        No squaring: normal forms are not canonical, and another association
-        order may place the heads differently.  The components are built in
-        one list whose tail each step replaces, so the time is linear in
-        |n| times the length of self.
-        """
-        G = self.amalgam
+        """The |n|-fold left product (_product) of self, or of its inverse
+        for n < 0.  No squaring: normal forms are not canonical, and another
+        association order may place the heads differently."""
+        if type(n) is not int:
+            raise PreconditionError(f"an element's power must be an int: {n!r}")
         base = self if n > 0 else self.inverse()
-        b = base.comps
-        head, comps = Word(), []
-        for _ in range(abs(n)):
-            j, fi, w, k = _junction_walk(G.factors, comps, base.head, b)
-            del comps[j:]
-            if fi is None:
-                head = head * w
-            else:
-                comps.append((fi, w))
-            comps += b[k:]
-        return AmalgamElement(G, head, tuple(comps))
+        return _product(self.amalgam, itertools.repeat(base, abs(n)))
 
     def conj(self, h: "AmalgamElement") -> "AmalgamElement":
         return h.inverse() * self * h
@@ -532,6 +518,23 @@ def normalize(G: Amalgam, raw) -> AmalgamElement:
     return AmalgamElement(G, head, tuple(reversed(comps)))
 
 
+def _product(G: Amalgam, elems) -> AmalgamElement:
+    """The left product (((1 * x_1) * x_2) ... ) * x_n of the elements, built
+    in one list whose tail each factor replaces: linear in their total
+    length, where a fold through * copies the gathered components per step."""
+    factors, head, comps = G.factors, Word(), []
+    for x in elems:
+        b = x.comps
+        j, fi, w, k = _junction_walk(factors, comps, x.head, b)
+        del comps[j:]
+        if fi is None:
+            head = head * w
+        else:
+            comps.append((fi, w))
+        comps += b[k:]
+    return AmalgamElement(G, head, tuple(comps))
+
+
 def _junction_walk(factors: tuple, a, head: Word, b) -> tuple:
     """The junction of a product (head_a, a) * (head, b) of normal forms.
 
@@ -540,7 +543,7 @@ def _junction_walk(factors: tuple, a, head: Word, b) -> tuple:
     (j, fi, w, k): the product's components are a[:j], then (fi, w), then
     b[k:].  When every component of a is absorbed, fi is None, j is 0 and w
     is the edge word that head_a multiplies on its right.  The callers own
-    their containers: the product slices tuples, and the power and
+    their containers: the product slices tuples, and _product and
     normalize update one list each.  The junction step dissolves a word in
     the edge subgroup, so a one-component a needs only a canonical
     component.
@@ -601,10 +604,7 @@ def is_reduced(elems: Sequence[AmalgamElement]) -> bool:
     elems = list(elems)
     if not elems:
         return True
-    prod = elems[0]
-    for x in elems[1:]:
-        prod = prod * x
-    return prod.length == sum(x.length for x in elems)
+    return _product(elems[0].amalgam, elems).length == sum(x.length for x in elems)
 
 
 def end_preserving(elems: Sequence[AmalgamElement], side: str = "both") -> bool:
@@ -613,9 +613,7 @@ def end_preserving(elems: Sequence[AmalgamElement], side: str = "both") -> bool:
     nontrivial = [i for i, x in enumerate(elems) if x.length >= 1]
     if not nontrivial:
         raise PreconditionError("all entries have length 0")
-    prod = elems[0]
-    for x in elems[1:]:
-        prod = prod * x
+    prod = _product(elems[0].amalgam, elems)
     if prod.length == 0:
         return False
     left_ok = prod.lei == elems[nontrivial[0]].lei
@@ -672,10 +670,8 @@ class SandwichDecomposition:
             raise PreconditionError("need n >= 1 alphas and n+1 g entries")
 
     def product(self) -> AmalgamElement:
-        out = self.g[0]
-        for a, gg in zip(self.alphas, self.g[1:]):
-            out = out * a * gg
-        return out
+        rest = (x for pair in zip(self.alphas, self.g[1:]) for x in pair)
+        return _product(self.g[0].amalgam, itertools.chain(self.g[:1], rest))
 
 
 @dataclass

@@ -780,22 +780,16 @@ class OneRelatorAmalgam:
     def presentation_three_generators(self) -> Presentation:
         """<a, b, d | a^{b^2} (a^b)^-1 a = (a^{d^2})^-1 a^d a^-1>."""
         a = Word([(A_GEN, 1)])
-        b = Word([(B_GEN, 1)])
         d = Word([(D_GEN, 1)])
-        lhs = a.conj(b ** 2) * a.conj(b).inverse() * a
         rhs = a.conj(d ** 2).inverse() * a.conj(d) * a.inverse()
-        return Presentation([A_GEN, B_GEN, D_GEN], [lhs * rhs.inverse()])
+        return Presentation([A_GEN, B_GEN, D_GEN], [self.c_gens[1] * rhs.inverse()])
 
     def presentation_four_generators(self) -> Presentation:
         a = Word([(A_GEN, 1)])
-        b = Word([(B_GEN, 1)])
         c = Word([(C_GEN, 1)])
-        d = Word([(D_GEN, 1)])
-        lhs = a.conj(b ** 2) * a.conj(b).inverse() * a
-        rhs = c.conj(d ** 2) * c.conj(d).inverse() * c
         return Presentation(
             [A_GEN, B_GEN, C_GEN, D_GEN],
-            [a * c, lhs * rhs.inverse()],
+            [a * c, self.c_gens[1] * self.d_gens[1].inverse()],
         )
 
 

@@ -23,6 +23,7 @@ from .amalgam import (
     EdgeIdentification,
     FreeFactor,
     _outside_edge_balls,
+    _product,
     normalize,
 )
 from .errors import InternalInvariantError, PreconditionError
@@ -103,10 +104,7 @@ def verify_gt_certificate(G: Amalgam, cert: GtCertificate) -> bool:
     """True iff the conjugate product normalizes to 1 and the base does not."""
     if cert.base.is_identity:
         return False
-    prod = G.identity()
-    for h in cert.conjugators:
-        prod = prod * cert.base.conj(h)
-    return prod.is_identity
+    return _product(G, (cert.base.conj(h) for h in cert.conjugators)).is_identity
 
 
 @dataclass
@@ -630,6 +628,15 @@ def subgroup_product_ball(generators: Sequence[Word], radius: int,
     return _product_ball(units, radius, include_identity)
 
 
+def _outside_ball(aut: SubgroupAutomaton, alphabet: Sequence[Generator],
+                  max_letters: int) -> list:
+    """The letter ball of free_ball minus the subgroup, which must not be empty."""
+    ball = [w for w in free_ball(alphabet, max_letters) if not aut.contains(w)]
+    if not ball:
+        raise PreconditionError("subgroup contains the whole ball; not proper here")
+    return ball
+
+
 def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
               bounds: SearchBounds) -> SuiteReport:
     """Bounded search for g h_1 g h_2 ... g h_k = 1 with g outside H.
@@ -646,10 +653,7 @@ def check_rtf(alphabet: Sequence[Generator], subgroup_gens: Sequence[Word],
     trying each in turn would (see _first_product).
     """
     aut = SubgroupAutomaton(subgroup_gens)
-    gball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
-             if not aut.contains(w)]
-    if not gball:
-        raise PreconditionError("subgroup contains the whole ball; not proper here")
+    gball = _outside_ball(aut, alphabet, bounds.max_elt_letters)
     hball = subgroup_product_ball(subgroup_gens, bounds.radius)
     index = {h: (i,) for i, h in enumerate(hball)}
     report = SuiteReport("rtf", 0, params={
@@ -697,10 +701,7 @@ def check_multimalnormal(alphabet: Sequence[Generator],
     if any(w.is_identity for w in cball):
         raise PreconditionError("the identity lies in the seed ball; invalid C'")
     cball = sort_words(cball, lengths=cball)
-    aball = [w for w in free_ball(alphabet, bounds.max_elt_letters)
-             if not aut.contains(w)]
-    if not aball:
-        raise PreconditionError("subgroup contains the whole ball; not proper here")
+    aball = _outside_ball(aut, alphabet, bounds.max_elt_letters)
     report = SuiteReport("multimalnormal", 0, capped=capped, params={
         "bounds": bounds.to_json(),
         "c_candidates": len(cball),

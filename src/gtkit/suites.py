@@ -23,6 +23,7 @@ from .amalgam import (
     FreeFactor,
     SandwichDecomposition,
     _outside_edge_balls,
+    _product,
     cancellation_number,
     check_sandwich_nontrivial,
     end_preserving,
@@ -1019,15 +1020,17 @@ def suite_factor_multimalnormal(rep: SuiteReport, rng: random.Random) -> None:
     G = free_product_of_free([["a"], ["x"]])
     balls = _outside_edge_balls(G, 2)
     a_seed = normalize(G, [(0, parse_word("a"))])
+
+    def conjugate():
+        d = a_seed ** rng.randint(1, 2)
+        conj_elt = _rand_alternating(G, rng, balls, 3)
+        if not any(fi == 1 for fi, _ in conj_elt.comps):
+            conj_elt = conj_elt * normalize(G, [(1, parse_word("x"))])
+        return d.conj(conj_elt)
+
     for _ in range(rep.trials):
-        n = rng.randint(1, 3)
-        prod = G.identity()
-        for _ in range(n):
-            d = a_seed ** rng.randint(1, 2)
-            conj_elt = _rand_alternating(G, rng, balls, 3)
-            if not any(fi == 1 for fi, _ in conj_elt.comps):
-                conj_elt = conj_elt * normalize(G, [(1, parse_word("x"))])
-            prod = prod * d.conj(conj_elt)
+        # the factors are drawn in order as the product consumes them
+        prod = _product(G, (conjugate() for _ in range(rng.randint(1, 3))))
         in_a = prod.is_identity or (prod.length == 1 and prod.lei == 0)
         if in_a:
             rep.violations.append(Violation("landed-in-factor", {

@@ -18,6 +18,7 @@ from .amalgam import (
     Amalgam,
     AmalgamElement,
     _outside_edge_balls,
+    _product,
     left_factors,
     right_factors,
 )
@@ -89,10 +90,7 @@ class ConjTuple:
         return self._at(self._conjugates, i)
 
     def product(self) -> AmalgamElement:
-        out = self.amalgam.identity()
-        for c in self._conjugates:
-            out = out * c
-        return out
+        return _product(self.amalgam, self._conjugates)
 
     def to_json(self) -> dict:
         return {

@@ -278,6 +278,32 @@ def test_list_builders_match_the_product_folds(name, rx, n):
     assert_same_form(x ** n, _product_power(x, n))
 
 
+_factor_lists = st.lists(_raw_lists, max_size=6)
+
+
+@given(st.sampled_from(sorted(PROPERTY_GROUPS)), _factor_lists)
+@settings(max_examples=300, deadline=None)
+# the empty product, an identity factor and head-only factors
+@example("BS2", [])
+@example("Z2Z", [[], [(2, 0, 1)], [(0, 3, 1), (2, 0, -2)], [(2, 0, -1)], []])
+@example("doubled", [[(2, 0, 1), (1, 944, 2)], [(1, 944, -2), (2, 0, -1)], [(2, 1, 2)]])
+def test_product_of_a_sequence_matches_the_left_fold(name, raws):
+    G = PROPERTY_GROUPS[name]
+    xs = [normalize(G, _raw(name, r)) for r in raws]
+    expected = G.identity()
+    for x in xs:
+        expected = expected * x
+    assert_same_form(amalgam._product(G, xs), expected)
+    assert_same_form(amalgam._product(G, iter(xs)), expected)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_power_takes_only_an_int(n):
+    x = gt.bs_amalgam(2).parse_element("[A: a][B: b]")
+    with pytest.raises(PreconditionError, match="must be an int"):
+        x ** n
+
+
 # ---------------------------------------------------------------------------
 # junction tables
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -316,6 +317,48 @@ def test_pinned_fold_of_c_10_8():
         "7d0c03e620dc82876ffb6c75ef810b7bd5575826c45ca6592c2b129aad071cc9"
     assert str(aut.express(c[0] * c[3].inverse() * c[7] * c[7])) == "g[1] g[4]^-1 g[8]^2"
     assert str(aut.express(c[2].inverse() * c[5] * c[1] * c[2])) == "g[3]^-1 g[6] g[2] g[3]"
+
+
+def _dependent_tuples(seed, count):
+    """Seeded generator tuples over {a, b, c}: two to four words of one or
+    two syllables, exponents up to 6, then one to four products
+    gens[i] gens[j]^e, so that most tuples are no free basis."""
+    rng = random.Random(seed)
+    letters = [gen(x) for x in "abc"]
+    exps = [e for e in range(-6, 7) if e]
+
+    def word():
+        w = Word()
+        for _ in range(rng.randint(1, 2)):
+            w = w * Word([(rng.choice(letters), rng.choice(exps))])
+        return w
+
+    out = []
+    for _ in range(count):
+        gens = [word() for _ in range(rng.randint(2, 4))]
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+            gens.append(gens[i] * gens[j] ** rng.choice([1, -1, 2, -2, 3]))
+        out.append([w for w in gens if not w.is_identity])
+    return out
+
+
+def test_pinned_folds_of_dependent_tuples():
+    # the fold's adjacency order (the label a chain's interior states had
+    # first, `back`) decides which letters fold first, hence the chains, the
+    # tags and, over a non-basis, the expressions; registering a split
+    # vertex's two labels in the other order changes them on a few percent
+    # of these tuples
+    chains, exprs = [], []
+    for gens in _dependent_tuples(1, 400):
+        aut = SubgroupAutomaton(gens)
+        chains.append([[u, v, k, n, str(t)] for u, v, k, n, t in aut._chains])
+        for w in gens + [gens[0] * gens[-1], gens[-1] ** 2 * gens[0] ** -1]:
+            expr = aut.try_express(w)
+            assert aut.evaluate(expr) == w
+            exprs.append(str(expr))
+    assert _digest(chains)[:16] == "461bd723a4b9d8fb"
+    assert _digest(exprs)[:16] == "647bf6e4f8a33c9a"
 
 
 def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
