@@ -25,6 +25,7 @@ from .word import (
     _product_ball,
     _word,
     gen,
+    json_list,
     parse_generator,
     parse_word,
     sort_words,
@@ -294,9 +295,6 @@ class Amalgam:
     def identity(self) -> "AmalgamElement":
         return AmalgamElement(self, Word(), ())
 
-    def edge_element(self, ew: Word) -> "AmalgamElement":
-        return normalize(self, [(EDGE_TAG, ew)])
-
     def factor_index(self, ref) -> int:
         if isinstance(ref, int):
             if 0 <= ref < len(self.factors):
@@ -347,17 +345,21 @@ class Amalgam:
     @classmethod
     def from_json(cls, data) -> "Amalgam":
         factors = []
-        for fd in data["factors"]:
-            alphabet = [parse_generator(t) for t in fd["alphabet"]]
+        for fd in json_list(data["factors"], "factors"):
+            alphabet = [parse_generator(t) for t in json_list(fd["alphabet"], "alphabet")]
             klass = FACTOR_KINDS.get(fd["kind"])
             if klass is None:
                 raise PreconditionError(f"unknown factor kind {fd['kind']!r}; known kinds: "
                                         + ", ".join(FACTOR_KINDS))
             factors.append(klass(fd["name"], alphabet))
-        edge_alpha = tuple(parse_generator(t) for t in data["edge"]["alphabet"])
+        edge = data["edge"]
+        edge_alpha = tuple(parse_generator(t) for t in json_list(edge["alphabet"], "alphabet"))
+        rows = json_list(edge["images"], "edge images")
+        if len(rows) != len(factors):
+            raise PreconditionError("one edge image tuple per factor required")
         images = tuple(
-            tuple(parse_word(w, f.alphabet) for w in images)
-            for f, images in zip(factors, data["edge"]["images"])
+            tuple(parse_word(w, f.alphabet) for w in json_list(row, "edge images"))
+            for f, row in zip(factors, rows)
         )
         return cls(factors, EdgeIdentification(edge_alpha, images),
                    name=data.get("name", "G"))

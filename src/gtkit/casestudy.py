@@ -34,6 +34,7 @@ from .word import (
     _word,
     cancellation_syllables,
     gen,
+    json_list,
     substitute,
 )
 
@@ -63,7 +64,8 @@ class ExponentMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExponentMatrix":
-        return cls(data["s"], data["m"], data["a_exp"], data["b_exp"])
+        return cls(data["s"], data["m"], json_list(data["a_exp"], "a_exp"),
+                   json_list(data["b_exp"], "b_exp"))
 
 
 def _spread_magnitudes(signs: Sequence[int]) -> list:

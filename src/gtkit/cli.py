@@ -35,7 +35,7 @@ from . import casestudy, gentorsion
 from .amalgam import Amalgam
 from .errors import GtkitError, InternalInvariantError, PreconditionError
 from .gentorsion import GtCertificate, NclWitness, SearchBounds
-from .word import Presentation, abelianize_snf, parse_generator, parse_word
+from .word import Presentation, abelianize_snf, json_list, parse_generator, parse_word
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -94,9 +94,9 @@ class GroupFile:
         if self.kind == "amalgam":
             self.amalgam = Amalgam.from_json(data)
         elif self.kind == "free":
-            self.alphabet = [parse_generator(t) for t in data["alphabet"]]
+            self.alphabet = [parse_generator(t) for t in json_list(data["alphabet"], "alphabet")]
             self.subgroup = [parse_word(w, self.alphabet)
-                             for w in data.get("subgroup", [])]
+                             for w in json_list(data.get("subgroup", []), "subgroup")]
         elif self.kind == "nonlo":
             self._exponents = casestudy.ExponentMatrix.from_json(data["exponents"])
             casestudy.validate_exponent_matrix(self._exponents)
@@ -136,11 +136,13 @@ def cmd_verify(args) -> int:
         if args.free:
             free_data = _load_json(args.free)
             with _file_shape("presentation"):
-                alphabet = [parse_generator(t) for t in free_data["alphabet"]]
-                relators = [parse_word(w, alphabet) for w in free_data["relators"]]
+                alphabet = [parse_generator(t)
+                            for t in json_list(free_data["alphabet"], "alphabet")]
+                relators = [parse_word(w, alphabet)
+                            for w in json_list(free_data["relators"], "relators")]
         else:
             with _file_shape("witness"):
-                relators = [parse_word(w) for w in data["relators"]]
+                relators = [parse_word(w) for w in json_list(data["relators"], "relators")]
         with _file_shape("witness"):
             witness = NclWitness.from_json(data)
         ok = gentorsion.verify_ncl_witness(relators, witness)

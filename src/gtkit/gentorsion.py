@@ -11,7 +11,6 @@ re-verified by normalization before being surfaced.
 from __future__ import annotations
 
 import functools
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -37,6 +36,7 @@ from .word import (
     cancelled_letters,
     conjugacy_key,
     gen,
+    json_list,
     parse_word,
     sort_words,
 )
@@ -96,7 +96,7 @@ class GtCertificate:
     def from_json(cls, G: Amalgam, data) -> "GtCertificate":
         return cls(
             G.parse_element(data["base"]),
-            [G.parse_element(t) for t in data["conjugators"]],
+            [G.parse_element(t) for t in json_list(data["conjugators"], "conjugators")],
         )
 
 
@@ -123,7 +123,7 @@ class NclWitness:
     @classmethod
     def from_json(cls, data) -> "NclWitness":
         terms = []
-        for i, s, c in data["terms"]:
+        for i, s, c in json_list(data["terms"], "terms"):
             # a bool is an int to Python, and a float sign would build x^1.0
             if type(i) is not int or type(s) is not int or s not in (1, -1):
                 raise PreconditionError(
@@ -182,17 +182,6 @@ def amalgam_conjugator_ball(G: Amalgam, bounds: SearchBounds) -> list:
     return out
 
 
-@dataclass
-class NssBall:
-    """Bounded truncation of a normal subsemigroup, deduplicated."""
-
-    elements: list
-    capped: bool = False
-
-    def serial_set(self) -> set:
-        return {x.serialize() for x in self.elements}
-
-
 def _nss_closure(seeds: Sequence, is_identity, level1, products, bounds: SearchBounds,
                  max_elements: int):
     """The bounded NSS closure behind every NSS ball.
@@ -202,12 +191,12 @@ def _nss_closure(seeds: Sequence, is_identity, level1, products, bounds: SearchB
     of the previous level's new elements times the level-1 elements.  Every
     candidate counts as a node; the node cap and the element cap stop the
     closure and flag it as capped (a partial but sound inner approximation)
-    rather than failing.  Returns (the elements in order of first
-    appearance, their set, capped).
+    rather than failing.  Returns (the elements as the keys of a dict, in
+    order of first appearance, capped).
     """
     if not seeds or any(is_identity(s) for s in seeds):
         raise PreconditionError("seeds must be nonempty and avoid the identity")
-    seen = set()
+    seen = {}
     nodes = 0
 
     def grow(candidates):
@@ -218,35 +207,17 @@ def _nss_closure(seeds: Sequence, is_identity, level1, products, bounds: SearchB
             if nodes > bounds.node_cap or len(seen) >= max_elements:
                 return new, True
             if z not in seen:
-                seen.add(z)
+                seen[z] = None
                 new.append(z)
         return new, False
 
     first, capped = grow(level1)
-    out, frontier = list(first), first
+    frontier = first
     for _ in range(bounds.max_n - 1):
         if capped:
             break
         frontier, capped = grow(products(frontier, first))
-        out.extend(frontier)
-    return out, seen, capped
-
-
-def _products(mul):
-    """The level step that multiplies each frontier element by each level-1
-    element under mul."""
-    return lambda frontier, first: (mul(x, y) for x in frontier for y in first)
-
-
-def nss_ball(G: Amalgam, R: Sequence[AmalgamElement], bounds: SearchBounds,
-             max_elements: int = 200_000) -> NssBall:
-    """Products s_1^{g_1} ... s_k^{g_k}, k <= max_n, conjugators in the ball."""
-    R = list(R)
-    conjs = amalgam_conjugator_ball(G, bounds)
-    out, _, capped = _nss_closure(
-        R, lambda s: s.is_identity, (s.conj(h) for s in R for h in conjs),
-        _products(operator.mul), bounds, max_elements)
-    return NssBall(out, capped)
+    return seen, capped
 
 
 def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
@@ -283,8 +254,8 @@ def nss_ball_free(alphabet: Sequence[Generator], seeds: Sequence[Word],
                 lengths[z] = lx + lengths[y] - 2 * cancelled_letters(x, y)
                 yield z
 
-    _, seen, capped = _nss_closure(seeds, lambda w: w.is_identity, level1(), products,
-                                   bounds, max_elements)
+    seen, capped = _nss_closure(seeds, lambda w: w.is_identity, level1(), products,
+                                bounds, max_elements)
     if len(lengths) > len(seen):
         # a cap stops the closure after forming at most one candidate that
         # it does not keep, and such a candidate is new, so stored last
@@ -350,8 +321,8 @@ def _nss_members(aut: SubgroupAutomaton, alphabet: Sequence[Generator], alpha: W
                 else:
                     yield x * y if form_all else None
 
-    _, seen, capped = _nss_closure([alpha], lambda w: w.is_identity, first_level(),
-                                   products, bounds, max_elements)
+    seen, capped = _nss_closure([alpha], lambda w: w.is_identity, first_level(),
+                                products, bounds, max_elements)
     members = {z: e for z, e in exprs.items() if z in seen}
     for z, e in members.items():
         if aut.evaluate(e) != z:
@@ -864,10 +835,9 @@ def _factor_nss_ball(f, seeds: Sequence[Word], bounds: SearchBounds):
         return nss_ball_free(f.alphabet, seeds, bounds)
     # abelian: conjugation is trivial, the NSS is the set of sums
     seeds = list(seeds)
-    _, ball, capped = _nss_closure(
-        seeds, f.is_identity, (f.canonical(s) for s in seeds), _products(f.mul), bounds,
-        200_000)
-    return ball, capped
+    return _nss_closure(seeds, f.is_identity, (f.canonical(s) for s in seeds),
+                        lambda frontier, first: (f.mul(x, y) for x in frontier for y in first),
+                        bounds, 200_000)
 
 
 def check_family(G: Amalgam, fam: FamilySpec, bounds: SearchBounds) -> SuiteReport:

@@ -134,10 +134,6 @@ class Word:
         """The i-th component B_i, 1-based."""
         return Syllable(*self.syls[i - 1])
 
-    def component_from_right(self, i: int) -> Syllable:
-        """RB_i, the i-th component counted from the right end."""
-        return Syllable(*self.syls[len(self.syls) - i])
-
     def left(self, i: int) -> "Word":
         """L_i: the first i syllables."""
         return _word(self.syls[:i])
@@ -427,6 +423,15 @@ def parse_word(text: str, alphabet: Optional[Iterable[Generator]] = None) -> Wor
     return Word(pairs)
 
 
+def json_list(value, what: str) -> list:
+    """value, which an input file must give as a list: a string or an object
+    there would otherwise be read one character or one key at a time.  Any
+    other value raises TypeError, as iterating a number does."""
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def parse_generator(token: str) -> Generator:
     """Parse one generator token, ``g`` or ``g[i]``; anything else is rejected."""
     w = parse_word(token)
@@ -457,10 +462,6 @@ class HomSpec:
 
     def __init__(self, mapping: dict):
         self.mapping = dict(mapping)
-
-    @classmethod
-    def identity(cls, alphabet: Iterable[Generator]) -> "HomSpec":
-        return cls({g: Word([(g, 1)]) for g in alphabet})
 
     def __contains__(self, g: Generator) -> bool:
         return g in self.mapping
@@ -536,8 +537,8 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data) -> "Presentation":
-        gens = [parse_generator(g) for g in data["generators"]]
-        rels = [parse_word(r, gens) for r in data["relators"]]
+        gens = [parse_generator(g) for g in json_list(data["generators"], "generators")]
+        rels = [parse_word(r, gens) for r in json_list(data["relators"], "relators")]
         return cls(gens, rels)
 
 

@@ -661,7 +661,7 @@ def test_parse_element_allows_whitespace_between_blocks(z2z):
 
 
 def test_edge_head_serialization(z2z):
-    g = z2z.edge_element(W("e^2"))
+    g = normalize(z2z, [(EDGE_TAG, W("e^2"))])
     assert g.length == 0
     assert "[C: e^2]" == g.serialize()
     assert z2z.parse_element(g.serialize()).equals(g)
@@ -673,6 +673,21 @@ def test_amalgam_json_roundtrip(z2z):
     assert back.to_json() == data
     x = normalize(back, [(0, W("a")), (1, W("b^-2")), (0, W("a"))])
     assert x.is_identity
+
+
+# doubled amalgams A *_C A' with C = <x_1^k_1, ..., x_r^k_r>, which is free
+# on those powers
+_doubled_amalgams = st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3).map(
+    lambda ks: gt.doubled_amalgam(["a", "b_1", "c'"][:len(ks)],
+                                  [W(f"{x}^{k}") for x, k in zip(["a", "b_1", "c'"], ks)]))
+
+
+@given(st.sampled_from([*PROPERTY_GROUPS.values(), *map(gt.bs_amalgam, (2, 3, 4))])
+       | _doubled_amalgams)
+@settings(max_examples=60, deadline=None)
+def test_amalgam_json_round_trip_through_text(G):
+    data = G.to_json()
+    assert Amalgam.from_json(json.loads(json.dumps(data))).to_json() == data
 
 
 @pytest.mark.parametrize("kind", ["fre", "abelian", "Free"])

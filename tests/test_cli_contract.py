@@ -8,11 +8,17 @@ directory that holds the input files of FILES; both runs must write
 identical bytes, and the bytes must match the pinned digest.
 """
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 
 import gtkit
 from gtkit import casestudy
@@ -31,12 +37,18 @@ def _c14_half() -> dict:
     return data
 
 
-# the input files, by the names the rows read them under
-FILES = {
-    "bs2.json": {"kind": "amalgam", "name": "G", "factors": [
+def _bs2(images) -> dict:
+    """The group file of BS(2) = Z *_{a^2 = c} Z^2 with the given edge image
+    rows; [["a^2"], ["c"]] is the well-formed one."""
+    return {"kind": "amalgam", "name": "G", "factors": [
         {"kind": "free", "name": "A", "alphabet": ["a"]},
         {"kind": "free-abelian", "name": "B", "alphabet": ["b", "c"]}],
-        "edge": {"alphabet": ["e"], "images": [["a^2"], ["c"]]}},
+        "edge": {"alphabet": ["e"], "images": images}}
+
+
+# the input files, by the names the rows read them under
+FILES = {
+    "bs2.json": _bs2([["a^2"], ["c"]]),
     "free_c2.json": {"kind": "free", "alphabet": ["a", "b"], "subgroup": ["a^2", "b a b^-1"]},
     "onerel_c.json": {"kind": "free", "alphabet": ["a", "b"],
                       "subgroup": ["a", "b^-2 a b a^-1 b a"]},
@@ -52,6 +64,15 @@ FILES = {
     # x is not in ncl(x^2), and a witness term with sign 0.5 is malformed
     "ncl_x2.json": {"alphabet": ["x"], "relators": ["x^2"]},
     "ncl_half.json": {"target": "x", "terms": [[0, 0.5, "1"]]},
+    # a string where a list belongs, which must not be read one character at
+    # a time
+    "str_gens_pres.json": {"generators": "xy", "relators": ["x"]},
+    "ncl_str_rels.json": {"target": "x", "terms": [[0, 1, "1"]], "relators": "x"},
+    "free_str_alpha.json": {"kind": "free", "alphabet": "ab", "subgroup": ["a^2"]},
+    "bs2_str_image.json": _bs2([["a^2"], "c"]),
+    "str_conj_cert.json": {"base": BS_COMMUTATOR, "conjugators": "11"},
+    # an edge image row for a third factor that the group does not have
+    "bs2_extra_row.json": _bs2([["a^2"], ["c"], ["a^2"]]),
 }
 
 # (name, argv, exit code, sha256 prefix of the report or None); a row may
@@ -120,6 +141,14 @@ ROWS = [
         ("multimal_free_ab", ["search", "multimal", "--group", "free_ab.json"]),
         ("rtf_c14_half", ["search", "rtf", "--group", "c14_half.json"]),
         ("verify_ncl_half", ["verify", "--ncl", "ncl_half.json", "--free", "ncl_x2.json"]),
+        ("abelianize_str_gens", ["abelianize", "--pres", "str_gens_pres.json"]),
+        ("verify_ncl_str_rels", ["verify", "--ncl", "ncl_str_rels.json"]),
+        ("rtf_free_str_alpha", ["search", "rtf", "--group", "free_str_alpha.json"]),
+        ("gt_bs2_str_image", ["search", "gt", "--group", "bs2_str_image.json",
+                              "--elem", BS_COMMUTATOR, "--max-n", "2"]),
+        ("verify_str_conj", ["verify", "--group", "bs2.json", "--cert", "str_conj_cert.json"]),
+        ("gt_bs2_extra_row", ["search", "gt", "--group", "bs2_extra_row.json",
+                              "--elem", BS_COMMUTATOR, "--max-n", "2"]),
     ]
 ]
 
@@ -190,3 +219,52 @@ def test_found_certificate_verifies_also_conjugated_by_a_long_element(tmp_path, 
         (tmp_path / f"{name}.json").write_text(
             json.dumps(GtCertificate(base, conjugators).to_json()))
         assert main(verify + [f"{name}.json"]) == code
+
+
+# a search per well-formed group file of FILES, with bounds that keep any
+# mutant of it cheap
+_FUZZ_SEARCHES = {
+    "bs2.json": ["search", "gt", "--elem", BS_COMMUTATOR, "--max-n", "2"],
+    "free_c2.json": ["search", "nss-intersection", "--elem", "a^2", "--max-n", "2"],
+    "onerel_c.json": ["search", "multimal", "--seeds", "a", "--max-n", "2"],
+    "free_a2.json": ["search", "rtf", "--max-n", "2"],
+}
+_OTHER_VALUES = st.one_of(st.sampled_from([None, True, 0, 2, 0.5, [], ["a"], [[]], {},
+                                           {"a": 1}]),
+                          st.text("ab^-2[]: ", max_size=4))
+
+
+def _paths(node, path=()):
+    """The path of every node under node, node's own included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@given(st.sampled_from(sorted(_FUZZ_SEARCHES)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_group_files_exit_with_a_documented_code(name, data):
+    """A group file with one key deleted, or one node replaced by a value of
+    another JSON type, never ends in an internal error (exit 3); exit 2
+    writes no report, and a string in place of a list always exits 2."""
+    box = [copy.deepcopy(FILES[name])]   # a parent for the root node too
+    *head, key = data.draw(st.sampled_from(list(_paths(box[0], (0,)))))
+    parent = functools.reduce(operator.getitem, head, box)
+    old = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+        new = None
+    else:
+        new = parent[key] = data.draw(_OTHER_VALUES.filter(lambda v: type(v) is not type(old)))
+    with tempfile.TemporaryDirectory() as tmp:
+        group, report = os.path.join(tmp, name), os.path.join(tmp, "report.json")
+        with open(group, "w", encoding="utf-8") as fh:
+            json.dump(box[0], fh)
+        code = main(_FUZZ_SEARCHES[name] + ["--group", group, "--node-cap", "2000",
+                                            "--out", report])
+        wrote = os.path.exists(report)
+    assert code in (0, 1, 2)
+    assert not (code == 2 and wrote)
+    if isinstance(old, list) and isinstance(new, str):
+        assert code == 2

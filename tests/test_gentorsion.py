@@ -123,31 +123,52 @@ def test_ncl_witness_json_roundtrip():
 # balls
 # ---------------------------------------------------------------------------
 
+def _plain_nss_closure(seeds, conjugators, bounds, max_elements=200_000):
+    """The NSS closure over plain products, for words and amalgam elements
+    alike: level 1 is the conjugates s^h, each further level the frontier
+    times level 1 under *.  Returns (the elements in order, capped)."""
+    seen, capped = gt._nss_closure(
+        seeds, lambda x: x.is_identity, (s.conj(h) for s in seeds for h in conjugators),
+        lambda frontier, first: (x * y for x in frontier for y in first), bounds,
+        max_elements)
+    return list(seen), capped
+
+
+def _amalgam_nss_ball(G, seeds, bounds, max_elements=200_000):
+    """Products s_1^{g_1} ... s_k^{g_k}, k <= max_n, conjugators in G's ball."""
+    return _plain_nss_closure(seeds, gt.amalgam_conjugator_ball(G, bounds), bounds,
+                              max_elements)
+
+
+def _serial_set(elements):
+    return {x.serialize() for x in elements}
+
+
 def test_nss_ball_no_conjugators(fp2):
-    ball = gt.nss_ball(fp2, [el(fp2, "a")],
-                       gt.SearchBounds(radius=0, max_n=2, max_elt_letters=1))
-    assert ball.serial_set() == {"[A: a]", "[A: a^2]"}
+    ball, _ = _amalgam_nss_ball(fp2, [el(fp2, "a")],
+                                gt.SearchBounds(radius=0, max_n=2, max_elt_letters=1))
+    assert _serial_set(ball) == {"[A: a]", "[A: a^2]"}
 
 
 def test_nss_ball_radius_one_contains_conjugates(fp2):
-    ball = gt.nss_ball(fp2, [el(fp2, "a")],
-                       gt.SearchBounds(radius=1, max_n=1, max_elt_letters=1))
+    ball, _ = _amalgam_nss_ball(fp2, [el(fp2, "a")],
+                                gt.SearchBounds(radius=1, max_n=1, max_elt_letters=1))
     for text in ("[A: a]", "[B: b^-1][A: a][B: b]", "[B: b][A: a][B: b^-1]"):
-        assert text in ball.serial_set()
+        assert text in _serial_set(ball)
 
 
 def test_nss_ball_monotone(fp2):
-    small = gt.nss_ball(fp2, [el(fp2, "a b")],
-                        gt.SearchBounds(radius=1, max_n=2, max_elt_letters=1))
-    big = gt.nss_ball(fp2, [el(fp2, "a b")],
-                      gt.SearchBounds(radius=1, max_n=3, max_elt_letters=1))
-    assert small.serial_set() <= big.serial_set()
-    assert not small.capped
+    small, small_capped = _amalgam_nss_ball(
+        fp2, [el(fp2, "a b")], gt.SearchBounds(radius=1, max_n=2, max_elt_letters=1))
+    big, _ = _amalgam_nss_ball(
+        fp2, [el(fp2, "a b")], gt.SearchBounds(radius=1, max_n=3, max_elt_letters=1))
+    assert _serial_set(small) <= _serial_set(big)
+    assert not small_capped
 
 
 def test_nss_ball_rejects_identity_seed(fp2):
     with pytest.raises(PreconditionError):
-        gt.nss_ball(fp2, [fp2.identity()], gt.SearchBounds())
+        _amalgam_nss_ball(fp2, [fp2.identity()], gt.SearchBounds())
 
 
 @pytest.mark.parametrize("bounds", [dict(max_n=0), dict(node_cap=0), dict(radius=-1),
@@ -162,8 +183,8 @@ def test_search_bounds_reject_empty_products_and_negative_sizes(bounds):
 
 def test_nss_ball_deterministic(fp2):
     b = gt.SearchBounds(radius=1, max_n=2, max_elt_letters=1)
-    x = [e.serialize() for e in gt.nss_ball(fp2, [el(fp2, "a")], b).elements]
-    y = [e.serialize() for e in gt.nss_ball(fp2, [el(fp2, "a")], b).elements]
+    x = [e.serialize() for e in _amalgam_nss_ball(fp2, [el(fp2, "a")], b)[0]]
+    y = [e.serialize() for e in _amalgam_nss_ball(fp2, [el(fp2, "a")], b)[0]]
     assert x == y
 
 
@@ -977,18 +998,18 @@ def test_subgroup_product_ball_leaves_out_identity_at_every_radius():
      20, True, "651211d5e0da456b"),
 ])
 def test_pinned_nss_ball(fp2, text, bounds, max_elements, size, capped, digest):
-    ball = gt.nss_ball(fp2, [fp2.parse_element(text)], gt.SearchBounds(**bounds),
-                       max_elements=max_elements)
-    assert (len(ball.elements), ball.capped) == (size, capped)
-    assert _digest([x.serialize() for x in ball.elements]) == digest
+    ball, got_capped = _amalgam_nss_ball(fp2, [fp2.parse_element(text)],
+                                         gt.SearchBounds(**bounds), max_elements)
+    assert (len(ball), got_capped) == (size, capped)
+    assert _digest([x.serialize() for x in ball]) == digest
 
 
 def test_pinned_nss_ball_abelian_amalgam():
     G = gt.bs_amalgam(3)
-    ball = gt.nss_ball(G, [G.parse_element("[A: a][B: b]")],
-                       gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2))
-    assert (len(ball.elements), ball.capped) == (245, False)
-    assert _digest([x.serialize() for x in ball.elements]) == "c367fa6dcdbe277a"
+    ball, capped = _amalgam_nss_ball(G, [G.parse_element("[A: a][B: b]")],
+                                     gt.SearchBounds(radius=1, max_n=2, max_elt_letters=2))
+    assert (len(ball), capped) == (245, False)
+    assert _digest([x.serialize() for x in ball]) == "c367fa6dcdbe277a"
 
 
 @pytest.mark.parametrize("seeds, bounds, max_elements, size, capped, digest", [
@@ -1021,10 +1042,8 @@ def test_nss_ball_free_lengths_are_letter_lengths(seeds, radius, max_n, cap, max
     ball, capped = gt.nss_ball_free(AB, seeds, bounds, max_elements=max_elements)
     assert all(n == w.letter_len for w, n in ball.items())
     # the same ball, in the same order, as the closure over plain products
-    conjugators = gt.free_ball(AB, radius)
-    out, _, plain_capped = gt._nss_closure(
-        seeds, lambda w: w.is_identity, (s.conj(h) for s in seeds for h in conjugators),
-        gt._products(Word.__mul__), bounds, max_elements)
+    out, plain_capped = _plain_nss_closure(seeds, gt.free_ball(AB, radius), bounds,
+                                           max_elements)
     assert list(ball) == out and capped == plain_capped
     assert sort_words(ball, ball) == sort_words(ball)
 

