@@ -25,8 +25,9 @@ from .word import (
     _product_ball,
     _word,
     gen,
+    json_alphabet,
     json_list,
-    parse_generator,
+    json_str,
     parse_word,
     sort_words,
     substitute,
@@ -346,14 +347,14 @@ class Amalgam:
     def from_json(cls, data) -> "Amalgam":
         factors = []
         for fd in json_list(data["factors"], "factors"):
-            alphabet = [parse_generator(t) for t in json_list(fd["alphabet"], "alphabet")]
+            alphabet = json_alphabet(fd["alphabet"], "alphabet")
             klass = FACTOR_KINDS.get(fd["kind"])
             if klass is None:
                 raise PreconditionError(f"unknown factor kind {fd['kind']!r}; known kinds: "
                                         + ", ".join(FACTOR_KINDS))
-            factors.append(klass(fd["name"], alphabet))
+            factors.append(klass(json_str(fd["name"], "factor name"), alphabet))
         edge = data["edge"]
-        edge_alpha = tuple(parse_generator(t) for t in json_list(edge["alphabet"], "alphabet"))
+        edge_alpha = tuple(json_alphabet(edge["alphabet"], "edge alphabet"))
         rows = json_list(edge["images"], "edge images")
         if len(rows) != len(factors):
             raise PreconditionError("one edge image tuple per factor required")
@@ -362,7 +363,7 @@ class Amalgam:
             for f, row in zip(factors, rows)
         )
         return cls(factors, EdgeIdentification(edge_alpha, images),
-                   name=data.get("name", "G"))
+                   name=json_str(data.get("name", "G"), "group name"))
 
 
 def _outside_edge_balls(G: Amalgam, max_letters: int) -> list:

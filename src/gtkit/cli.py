@@ -13,11 +13,16 @@ JSON object; a file whose top-level value is a string, list or number
 exits 2.  An amalgam factor's kind is exactly `free` or `free-abelian`.
 Generator tokens in group and presentation files (alphabets, generator
 lists) must each be a single generator, `a` or `a[2]`; `a^2` or `x y`
-exits 2.  `search --max-n` and `--max-k` name one bound; giving both
-with different values exits 2.  `verify` takes `--group` and `--cert`, or
-`--ncl` with an optional `--free`; anything less, `--free` without
-`--ncl`, or `--group` or `--cert` with `--ncl`, exits 2.  `suite --trials`
-must be non-negative.
+exits 2, and so does a list that names one generator twice.  A group's and
+each factor's `name` must be a string.  `search --max-n` and `--max-k` name
+one bound; giving both with different values exits 2.  `verify` takes
+`--group` and `--cert`, or `--ncl` with an optional `--free`; anything less,
+`--free` without `--ncl`, or `--group` or `--cert` with `--ncl`, exits 2.
+`suite --trials` must be non-negative.
+Besides its bounds, `search gt` reads `--elem` and `--elt-letters`, `rtf`
+reads `--elt-letters`, `multimal` reads `--seeds` and `--elt-letters`, and
+`nss-intersection` reads `--elem`; giving a target a flag it does not read
+exits 2.
 Of the suites, only lemma_small_cancellation and nonlo_witnesses read --s
 and --m; giving either to another single suite exits 2, and `suite all`
 passes them to those two.
@@ -35,7 +40,7 @@ from . import casestudy, gentorsion
 from .amalgam import Amalgam
 from .errors import GtkitError, InternalInvariantError, PreconditionError
 from .gentorsion import GtCertificate, NclWitness, SearchBounds
-from .word import Presentation, abelianize_snf, json_list, parse_generator, parse_word
+from .word import Presentation, abelianize_snf, json_alphabet, json_list, parse_word
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -94,7 +99,7 @@ class GroupFile:
         if self.kind == "amalgam":
             self.amalgam = Amalgam.from_json(data)
         elif self.kind == "free":
-            self.alphabet = [parse_generator(t) for t in json_list(data["alphabet"], "alphabet")]
+            self.alphabet = json_alphabet(data["alphabet"], "alphabet")
             self.subgroup = [parse_word(w, self.alphabet)
                              for w in json_list(data.get("subgroup", []), "subgroup")]
         elif self.kind == "nonlo":
@@ -136,8 +141,7 @@ def cmd_verify(args) -> int:
         if args.free:
             free_data = _load_json(args.free)
             with _file_shape("presentation"):
-                alphabet = [parse_generator(t)
-                            for t in json_list(free_data["alphabet"], "alphabet")]
+                alphabet = json_alphabet(free_data["alphabet"], "alphabet")
                 relators = [parse_word(w, alphabet)
                             for w in json_list(free_data["relators"], "relators")]
         else:
@@ -168,9 +172,20 @@ def _elem(args) -> str:
     return args.elem
 
 
+# the optional flags each search target reads besides its bounds
+_SEARCH_READS = {
+    "gt": {"elem", "elt_letters"},
+    "rtf": {"elt_letters"},
+    "multimal": {"seeds", "elt_letters"},
+    "nss-intersection": {"elem"},
+}
+
+
 def cmd_search(args) -> int:
-    if args.what == "nss-intersection" and args.elt_letters is not None:
-        raise GtkitError("search nss-intersection does not read --elt-letters")
+    unread = [f"--{flag.replace('_', '-')}" for flag in ("elem", "seeds", "elt_letters")
+              if getattr(args, flag) is not None and flag not in _SEARCH_READS[args.what]]
+    if unread:
+        raise GtkitError(f"search {args.what} does not read {' or '.join(unread)}")
     group = GroupFile(_load_json(args.group))
     bounds = _bounds(args)
     if args.what == "gt":

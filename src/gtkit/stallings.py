@@ -17,9 +17,7 @@ per letter.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, NotMemberError, PreconditionError
@@ -37,12 +35,9 @@ class SubgroupAutomaton:
 
     The graph is a set of vertices joined by chains (u, v, g, n, tag): n
     edges u --g--> ... --g--> v through states of degree 2, untagged unless
-    n = 1.  A letter state, or point, is a vertex or a (chain, offset) pair.
-    Vertex x is state x (the base is 0), and each chain's n - 1 interior
-    states follow the vertices in chain order; ``trace``, ``successors`` and
-    ``step`` use these numbers, the reads run on points.  A fold builds only
-    the chain tables; the chains' first numbers and the turn table of
-    prefix acceptance are built on first use.
+    n = 1.  A state, or point, is a vertex x (the base is 0) or a pair (c, j)
+    for the state j letters into chain c, 0 < j < n.  A fold builds only the
+    chain tables; the turn table of prefix acceptance is built on first use.
     """
 
     def __init__(self, generators: Iterable[Word]):
@@ -362,29 +357,20 @@ class SubgroupAutomaton:
         return [x == 0 or len(p.keys() | m.keys()) > 1
                 for x, (p, m) in enumerate(zip(self._plus, self._minus))]
 
-    @cached_property
-    def _first(self) -> list:
-        """Per chain, the number of its first interior state: the vertices
-        come first, then each chain's n - 1 interior states in chain order.
-        Built on first use."""
-        sizes = [n - 1 for _u, _v, _k, n, _t in self._chains]
-        return list(accumulate(sizes, initial=len(self._plus)))[:-1]
+    # -- basic queries -------------------------------------------------------
 
-    def _number(self, at) -> int:
-        """The state number of a point: vertex x is state x, and the state j
-        letters into chain c is _first[c] + j - 1."""
-        return at if type(at) is int else self._first[at[0]] + at[1] - 1
+    @property
+    def delta(self) -> "_StateView":
+        """Sized view of the states: len(aut.delta) is num_states.  It
+        remains for the benchmark tracer's fold-state count."""
+        return _StateView(self)
 
-    def _point(self, state: int):
-        """The point numbered state: a vertex or a pair (chain, offset)."""
-        if not 0 <= state < self.num_states:
-            raise IndexError(f"no state {state}")
-        if state < len(self._plus):
-            return state
-        c = bisect_right(self._first, state) - 1
-        return c, state - self._first[c] + 1
+    @property
+    def rank(self) -> int:
+        """First Betti number: the rank of the subgroup."""
+        return self.num_edges - self.num_states + 1
 
-    def _moves(self, at) -> list:
+    def successors(self, at) -> list:
         """The (label, point) pairs one letter away from point at, in label
         order: alphabet order, -1 before +1."""
         if type(at) is not int:
@@ -396,37 +382,10 @@ class SubgroupAutomaton:
         steps = [((g, s), self._syllable(at, g, s)) for g in self._alphabet for s in (-1, 1)]
         return [(lab, t) for lab, (t, left) in steps if not left]
 
-    # -- basic queries -------------------------------------------------------
-
-    @property
-    def delta(self) -> "_StateView":
-        """Read-only view: delta[q] is dict(successors(q)), computed on
-        access.  It remains for the benchmark tracer's fold-state count,
-        len(aut.delta), which is num_states."""
-        return _StateView(self)
-
-    @property
-    def rank(self) -> int:
-        """First Betti number: the rank of the subgroup."""
-        return self.num_edges - self.num_states + 1
-
-    def successors(self, state: int) -> list:
-        """The (label, successor) pairs leaving a state, in label order."""
-        return [(lab, self._number(t)) for lab, t in self._moves(self._point(state))]
-
-    def step(self, state: int, g: Generator, sign: int) -> Optional[int]:
-        return dict(self.successors(state)).get((g, sign))
-
-    def trace(self, w: Word) -> Optional[int]:
-        """Read w from the base; None if some transition is missing."""
-        at = self._walk(w)
-        return None if at is None else self._number(at)
-
     def _walk(self, w: Word, tags: Optional[list] = None):
-        """Where w leads from the base: a vertex, a pair (chain, offset) for
-        a state inside a chain, or None where an edge is missing.  tags,
-        when given, collects the nontrivial tags of the edges taken, in
-        order."""
+        """The point w leads to from the base, or None where an edge is
+        missing.  tags, when given, collects the nontrivial tags of the
+        edges taken, in order."""
         at, rest = self._read(w.syls, tags)
         return None if rest else at
 
@@ -492,7 +451,7 @@ class SubgroupAutomaton:
                 return x, 0
 
     def contains(self, w: Word) -> bool:
-        # the base is vertex 0 and state 0; a chain point or None is not 0
+        # the base is vertex 0; a chain point or None is not 0
         return self._walk(w) == 0
 
     # -- canonical form (for isomorphism/confluence checks) ------------------
@@ -500,37 +459,20 @@ class SubgroupAutomaton:
     def canonical_form(self):
         """BFS-renumbered transition table; equal iff automata are isomorphic.
 
-        The search runs on points keyed by state number.  Interior state q
-        of chain c moves by -1 to q - 1 or c's start, by +1 to q + 1 or its
-        end, and makes the point of a state only when it first reaches it."""
-        names = [str(g) for g in self._alphabet]
-        at_vertex = [sorted((str(g), s, self._number(t), t) for (g, s), t in self._moves(x))
-                     for x in range(len(self._plus))]
+        The search runs on points and numbers each point when it first
+        reaches it.  A row lists a point's labels in (name, sign) order: a
+        Generator compares as its name, and a row holds each label once, so
+        its sort never compares points."""
         order = {self.base: 0}
         queue, rows = [self.base], []
         for at in queue:
-            if type(at) is int:
-                rows.append(at_vertex[at])
-                for _g, _s, q, t in at_vertex[at]:
-                    if q not in order:
-                        order[q] = len(order)
-                        queue.append(t)
-                continue
-            c, j = at
-            u, v, k, n, _t = self._chains[c]
-            q = self._first[c] + j - 1
-            back, on = q - 1 if j > 1 else u, q + 1 if j + 1 < n else v
-            rows.append((names[k], back, on))
-            if back not in order:
-                order[back] = len(order)
-                queue.append((c, j - 1) if j > 1 else u)
-            if on not in order:
-                order[on] = len(order)
-                queue.append((c, j + 1) if j + 1 < n else v)
-        return tuple(
-            ((row[0], -1, order[row[1]]), (row[0], 1, order[row[2]])) if type(row) is tuple
-            else tuple([(g, s, order[q]) for g, s, q, _t in row])
-            for row in rows)
+            row = sorted(self.successors(at))
+            rows.append(row)
+            for _lab, t in row:
+                if t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
+        return tuple([tuple([(str(g), s, order[t]) for (g, s), t in row]) for row in rows])
 
     # -- expression over the original generators -----------------------------
 
@@ -653,7 +595,7 @@ def _joined(edges: list, nv: int) -> tuple:
 
 
 class _StateView:
-    """Per-state successor dicts computed on access from an automaton's chains."""
+    """The number of an automaton's states, as len()."""
 
     __slots__ = ("_aut",)
 
@@ -662,9 +604,6 @@ class _StateView:
 
     def __len__(self) -> int:
         return self._aut.num_states
-
-    def __getitem__(self, state: int) -> dict:
-        return dict(self._aut.successors(range(self._aut.num_states)[state]))
 
 
 # -- syllable-exact prefix values ------------------------------------------

@@ -240,24 +240,25 @@ def suite_oracle_prefix_acceptable(rep: SuiteReport, rng: random.Random) -> None
 
 def _prefix_witness(aut: SubgroupAutomaton, p: Word, i: int) -> Optional[Word]:
     """Construct a member c with l(c) >= i and L_i(c) = p, if any exists."""
-    q = aut.trace(p)
-    if q is None:
+    at, rest = aut.coset(p)
+    if rest:
         return None
-    if q == aut.base:
+    if at == aut.base:
         return p
     last_gen = p.syls[-1][0]
-    for (g, s), _nxt in aut.successors(q):
+    for (g, s), nxt in aut.successors(at):
         if g == last_gen:
             continue
-        path = _immersed_path_to_base(aut, q, (g, s))
+        path = _immersed_path_to_base(aut, nxt, (g, s))
         if path is not None:
             return p * path
     return None
 
 
-def _immersed_path_to_base(aut, state, first_lab) -> Optional[Word]:
-    """BFS over (state, last label) for a reduced path with a forced first edge."""
-    start = (aut.step(state, *first_lab), first_lab)
+def _immersed_path_to_base(aut, nxt, first_lab) -> Optional[Word]:
+    """BFS over (point, last label) for a reduced path whose first edge,
+    labelled first_lab, leads to point nxt."""
+    start = (nxt, first_lab)
     seen = {start}
     queue = [(start, Word([(first_lab[0], first_lab[1])]))]
     while queue:

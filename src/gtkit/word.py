@@ -440,6 +440,22 @@ def parse_generator(token: str) -> Generator:
     return w.syls[0][0]
 
 
+def json_alphabet(value, what: str) -> list:
+    """The generators of an alphabet, which an input file must give as a
+    list of distinct generator tokens."""
+    gens = [parse_generator(t) for t in json_list(value, what)]
+    if len(set(gens)) != len(gens):
+        raise PreconditionError(f"{what} lists a generator twice: {value}")
+    return gens
+
+
+def json_str(value, what: str) -> str:
+    """value, which an input file must give as a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -537,7 +553,7 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data) -> "Presentation":
-        gens = [parse_generator(g) for g in json_list(data["generators"], "generators")]
+        gens = json_alphabet(data["generators"], "generators")
         rels = [parse_word(r, gens) for r in json_list(data["relators"], "relators")]
         return cls(gens, rels)
 

@@ -46,6 +46,15 @@ def _bs2(images) -> dict:
         "edge": {"alphabet": ["e"], "images": images}}
 
 
+def _bs2_with(path, value) -> dict:
+    """The well-formed bs2.json with the node at path, a tuple of keys,
+    replaced by value."""
+    data = _bs2([["a^2"], ["c"]])
+    *head, key = path
+    functools.reduce(operator.getitem, head, data)[key] = value
+    return data
+
+
 # the input files, by the names the rows read them under
 FILES = {
     "bs2.json": _bs2([["a^2"], ["c"]]),
@@ -73,6 +82,20 @@ FILES = {
     "str_conj_cert.json": {"base": BS_COMMUTATOR, "conjugators": "11"},
     # an edge image row for a third factor that the group does not have
     "bs2_extra_row.json": _bs2([["a^2"], ["c"], ["a^2"]]),
+    # group and factor names that are not strings
+    "bs2_null_name.json": _bs2_with(("name",), None),
+    "bs2_list_name.json": _bs2_with(("name",), ["a"]),
+    "bs2_half_name.json": _bs2_with(("name",), 0.5),
+    "bs2_int_factor.json": _bs2_with(("factors", 0, "name"), 5),
+    "bs2_null_factor.json": _bs2_with(("factors", 0, "name"), None),
+    "bs2_true_factor.json": _bs2_with(("factors", 0, "name"), True),
+    # alphabets and generator lists that name a generator twice
+    "dup_gens_pres.json": {"generators": ["x", "x"], "relators": ["x"]},
+    "free_dup_alpha.json": {"kind": "free", "alphabet": ["a", "b", "a"], "subgroup": ["a^2"]},
+    "bs2_dup_free.json": _bs2_with(("factors", 0, "alphabet"), ["a", "a"]),
+    "bs2_dup_abelian.json": _bs2_with(("factors", 1, "alphabet"), ["b", "c", "c"]),
+    "bs2_dup_edge.json": _bs2_with(("edge", "alphabet"), ["e", "e"]),
+    "ncl_dup_alpha.json": {"alphabet": ["x", "x"], "relators": ["x"]},
 }
 
 # (name, argv, exit code, sha256 prefix of the report or None); a row may
@@ -98,8 +121,7 @@ ROWS = [
         ("prop_length_bound", "d234eee6b040dfdc"),
         ("lemma_cancellable_one_side", "bdeeb7f7cf54e308"),
         ("prop_two_sided", "2572fa263bc22797"),
-        # the automaton suites read states, successors and canonical forms
-        # through the closed-form numbering
+        # the automaton suites read points, successors and canonical forms
         ("oracle_prefix_acceptable", "fef586f722531af4"),
         ("fold_confluence", "e3031e48f7429aee"),
     ]
@@ -149,6 +171,34 @@ ROWS = [
         ("verify_str_conj", ["verify", "--group", "bs2.json", "--cert", "str_conj_cert.json"]),
         ("gt_bs2_extra_row", ["search", "gt", "--group", "bs2_extra_row.json",
                               "--elem", BS_COMMUTATOR, "--max-n", "2"]),
+    ]
+] + [
+    # a name that is not a string: no element text can name such a factor
+    (f"gt_{name}", ["search", "gt", "--group", f"{name}.json", "--elem", elem, "--max-n", "2"],
+     2, None)
+    for name, elem in [
+        ("bs2_null_name", BS_COMMUTATOR), ("bs2_list_name", BS_COMMUTATOR),
+        ("bs2_half_name", BS_COMMUTATOR), ("bs2_int_factor", "[B: b]"),
+        ("bs2_null_factor", "[B: b]"), ("bs2_true_factor", "[B: b]"),
+        # a generator listed twice in a factor or edge alphabet
+        ("bs2_dup_free", BS_COMMUTATOR), ("bs2_dup_abelian", BS_COMMUTATOR),
+        ("bs2_dup_edge", BS_COMMUTATOR),
+    ]
+] + [
+    (name, argv, 2, None) for name, argv in [
+        # <x | x> is trivial, not Z; {a, b, a} is not the alphabet {a, b}
+        ("abelianize_dup_gens", ["abelianize", "--pres", "dup_gens_pres.json"]),
+        ("rtf_free_dup_alpha", ["search", "rtf", "--group", "free_dup_alpha.json"]),
+        ("verify_ncl_dup_alpha", ["verify", "--ncl", "ncl_x.json", "--free", "ncl_dup_alpha.json"]),
+        # a flag the search target does not read is an error, not ignored
+        ("rtf_free_a2_elem", ["search", "rtf", "--group", "free_a2.json", "--elem", "b"]),
+        ("rtf_free_a2_seeds", ["search", "rtf", "--group", "free_a2.json", "--seeds", "a"]),
+        ("multimal_free_c2_elem", ["search", "multimal", "--group", "free_c2.json",
+                                   "--elem", "a", "--max-n", "2"]),
+        ("gt_bs2_seeds", ["search", "gt", "--group", "bs2.json", "--elem", BS_COMMUTATOR,
+                          "--seeds", "a", "--max-n", "2"]),
+        ("nss_free_c2_seeds", ["search", "nss-intersection", "--group", "free_c2.json",
+                               "--elem", "a^2", "--seeds", "b", "--max-n", "2"]),
     ]
 ]
 
@@ -268,3 +318,6 @@ def test_mutated_group_files_exit_with_a_documented_code(name, data):
     assert not (code == 2 and wrote)
     if isinstance(old, list) and isinstance(new, str):
         assert code == 2
+    if key == "name":
+        # a name deleted from a factor or replaced by a non-string
+        assert code == 2 or (head == [0] and key not in parent)

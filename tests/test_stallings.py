@@ -231,6 +231,30 @@ def _state_number(aut, point):
     return len(aut._plus) + sum(n - 1 for _u, _v, _k, n, _t in aut._chains[:c]) + j - 1
 
 
+def _trace(aut, w):
+    """The point w leads to from the base, or None where an edge is missing."""
+    point, rest = aut.coset(w)
+    return None if rest else point
+
+
+def _trace_number(aut, w):
+    """_trace as a state number, for comparison with the letter rows."""
+    point = _trace(aut, w)
+    return None if point is None else _state_number(aut, point)
+
+
+def _points(aut):
+    """Every point in state-number order: the vertices, then each chain's
+    n - 1 interior points in chain order."""
+    return list(range(len(aut._plus))) + [
+        (c, j) for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) for j in range(1, n)]
+
+
+def _step(aut, point, g, s):
+    """The point one letter g^s away from point, or None."""
+    return dict(aut.successors(point)).get((g, s))
+
+
 @functools.lru_cache(maxsize=8)
 def _letter_rows(aut):
     """Per (generator, sign) label in label order, the successor row of
@@ -363,8 +387,7 @@ def test_pinned_folds_of_dependent_tuples():
 
 def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
     # a fold builds the chain tables only: membership, coset and express
-    # reads number no state and build no turn table, prefix reads build
-    # only the turn table, and trace builds only the chains' first numbers
+    # reads build no turn table, and prefix reads build only the turn table
     c = cs.generator_words(cs.sample_exponents(10, 8, 5))
     aut = SubgroupAutomaton(c)
     member = c[0] * c[3].inverse() * c[7]
@@ -375,14 +398,14 @@ def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
     assert [aut.coset(w)[0] for w in probes] == [0, (1, 13), 3, 1, 7, (5, 201)]
     assert str(aut.try_express(member)) == "g[1] g[4]^-1 g[8]"
     assert aut.try_express(member * W("a")) is None
-    assert not {"_first", "_turns"} & vars(aut).keys()
+    assert "_turns" not in vars(aut)
     assert [lambda_value(aut, w) for w in probes] == [58, 0, 1, 59, 5, 4]
-    assert "_turns" in vars(aut) and "_first" not in vars(aut)
-    # vertices keep their numbers; (1, 13) is state 172: the 160 vertices,
-    # no interior state of the one-letter chain 0, then 13 - 1
+    assert "_turns" in vars(aut)
+    # (1, 13) is state 172: the 160 vertices, no interior state of the
+    # one-letter chain 0, then 13 - 1
     assert (len(aut._plus), aut._chains[0][3]) == (160, 1)
-    assert [aut.trace(w) for w in probes] == [0, 172, 3, 1, 7, None]
-    assert len(aut._first) == len(aut._chains)
+    assert [_trace(aut, w) for w in probes] == [0, (1, 13), 3, 1, 7, None]
+    assert [_trace_number(aut, w) for w in probes] == [0, 172, 3, 1, 7, None]
     assert _digest(aut.canonical_form()) == \
         "9f28a3aa64d348f0c7ddd59a0bc19c14f30a08c78e8b766653aa6f3be3ca49e0"
 
@@ -390,12 +413,12 @@ def test_reads_of_c_10_8_build_numbering_and_turns_on_first_use():
 def test_trace_stops_at_a_missing_label_mid_syllable():
     # the core graph of <a^3 b> is one cycle of three a-edges and a b-edge
     aut = SubgroupAutomaton([W("a^3 b")])
-    q = aut.trace(W("a^3"))
-    assert q is not None and q != aut.base and aut.step(q, A, 1) is None
-    assert aut.trace(W("a^4")) is None
-    assert aut.trace(W("a^3 b a^5")) is None
-    assert aut.trace(W("a^2 c")) is None
-    assert aut.trace(W("a^3 b")) == 0
+    q = _trace(aut, W("a^3"))
+    assert q is not None and q != aut.base and _step(aut, q, A, 1) is None
+    assert _trace(aut, W("a^4")) is None
+    assert _trace(aut, W("a^3 b a^5")) is None
+    assert _trace(aut, W("a^2 c")) is None
+    assert _trace(aut, W("a^3 b")) == 0
     assert not aut.contains(W("a^4 b"))
 
 
@@ -524,7 +547,7 @@ def test_fold_matches_reference_fold(gens, picks, probe):
 def _retrace_acceptable(aut, p, side):
     """Acceptance of one prefix by a fresh trace from the base."""
     w = p if side == "left" else p.inverse()
-    q = aut.trace(w)
+    q = _trace(aut, w)
     if q is None:
         return False
     last = w.syls[-1][0]
@@ -644,7 +667,7 @@ def test_pinned_forms_and_tag_tables_of_large_c_folds(shape, states, form, tags)
 # ---------------------------------------------------------------------------
 
 def _letterwise_trace(aut, w):
-    """trace, one row step per letter."""
+    """_trace_number, one row step per letter."""
     rows = _letter_rows(aut)[0]
     cur = aut.base
     for g, e in w.syls:
@@ -712,7 +735,7 @@ def _first_letters(w, n):
 
 
 def _check_reads(aut, w, every=1):
-    """trace, contains, express and the prefix runs of w and w^-1 agree with
+    """_trace, contains, express and the prefix runs of w and w^-1 agree with
     the letter-at-a-time reads, and so do those of the prefixes of w that
     stop one letter into, or one letter short of the end of, every
     every-th syllable."""
@@ -724,7 +747,7 @@ def _check_reads(aut, w, every=1):
         n += abs(e)
     for p in probes:
         q = _letterwise_trace(aut, p)
-        assert aut.trace(p) == q
+        assert _trace_number(aut, p) == q
         assert aut.contains(p) == (q == aut.base)
         if q == aut.base:
             assert aut.express(p) == aut.try_express(p) == _letterwise_express(aut, p)
@@ -784,7 +807,7 @@ def test_chain_reads_match_letterwise_reads(gens, picks, pos, delta, tail):
        _chain_word, st.integers(0, 3), st.sampled_from([-1, 1, 5]))
 @settings(max_examples=200, deadline=None)
 def test_contains_is_a_trace_to_the_base(gens, picks, tail, pos, delta):
-    # contains reads without numbering states; it must agree with trace
+    # contains is a read to the base; it must agree with the coset read
     gens = [w for w in gens if not w.is_identity]
     assume(gens)
     aut = SubgroupAutomaton(gens)
@@ -795,7 +818,7 @@ def test_contains_is_a_trace_to_the_base(gens, picks, tail, pos, delta):
     g, e = syls[pos % len(syls)]
     syls[pos % len(syls)] = (g, e + delta)
     for w in (member, Word(syls), member * tail, tail, Word(tail.syls[:-1]) * member):
-        assert aut.contains(w) == (aut.trace(w) == aut.base)
+        assert aut.contains(w) == (_trace(aut, w) == aut.base)
 
 
 @functools.lru_cache(maxsize=None)
@@ -835,13 +858,15 @@ def test_read_down_a_chain_stops_at_the_base_without_an_edge():
     # -1 marks a missing edge and equals q - 1 at q = 0: a long a^-1 run
     # that reaches the base must stop there, since the base has no a^-1 edge
     aut = SubgroupAutomaton([W("a^40 b")])
-    assert aut.step(aut.base, A, -1) is None
+    assert _step(aut, aut.base, A, -1) is None
     assert sorted(n for _u, _v, _k, n, _t in aut._chains) == [1, 40]
-    # the vertices are the base and the end of a^40; the b edge has no
-    # interior state, so the a chain's first interior state is state 2
-    for w, q in ((W("b^-1 a^-40"), aut.base), (W("b^-1 a^-41"), None),
-                 (W("b^-1 a^-45 b"), None), (W("a^40 b a"), 2)):
-        assert aut.trace(w) == _letterwise_trace(aut, w) == q
+    # the vertices are the base and the end of a^40; the a chain is chain
+    # 0, and the b edge has no interior state, so the a chain's first
+    # interior point (0, 1) is state 2
+    for w, q, point in ((W("b^-1 a^-40"), aut.base, aut.base), (W("b^-1 a^-41"), None, None),
+                        (W("b^-1 a^-45 b"), None, None), (W("a^40 b a"), 2, (0, 1))):
+        assert _trace(aut, w) == point
+        assert _trace_number(aut, w) == _letterwise_trace(aut, w) == q
         _check_reads(aut, w)
     with pytest.raises(NotMemberError):
         aut.express(W("b^-1 a^-41"))
@@ -931,12 +956,12 @@ def test_folds_and_reads_scale_with_syllables(n):
             (Word([(B, -1), (A, 1 - n)]), W("a")), (W("a^3 b^-2"), Word([(B, n - 2)])),
             (Word([(B, n - 1)]), W("a^3 b^-1")), (g1 * g2, Word())]
     for v, w in same:
-        assert aut.trace(v) == aut.trace(w)
-    states = [aut.trace(w) for w in (W("a"), W("a^2"), W("a^3"), W("a^4"), W("a^5"),
-                                     W("b^-1"), Word([(B, n - 1)]), Word([(B, n - 2)]))]
+        assert _trace(aut, v) == _trace(aut, w)
+    states = [_trace_number(aut, w) for w in (W("a"), W("a^2"), W("a^3"), W("a^4"), W("a^5"),
+                                              W("b^-1"), Word([(B, n - 1)]), Word([(B, n - 2)]))]
     assert len(set(states)) == len(states) and 0 < min(states) and max(states) < 2 * n
-    assert aut.trace(Word()) == 0
-    assert aut.trace(Word([(A, n + 1)])) is None and aut.trace(W("a^-1")) is None
+    assert _trace(aut, Word()) == 0
+    assert _trace(aut, Word([(A, n + 1)])) is None and _trace(aut, W("a^-1")) is None
     # a^n is two chains, a^3 and a^(n-3), and b^n is n - 1 letters and a
     # tagged one; the b of g1 is another tagged letter
     assert sorted(m for _u, _v, _k, m, _t in aut._chains) == [1, 1, 3, n - 3, n - 1]
@@ -964,60 +989,60 @@ def test_loop_reads_go_round_at_once():
     assert aut.num_states == 10 ** 9 and aut.contains(w)
     assert str(aut.express(w)) == f"g[1]^{10 ** 12} g[2] g[1]^-5"
     # the b loop's last letter carries the tag g[2], so the vertices are the
-    # base and the state before it (state 1); the a loop has no interior
-    # state, so the state j letters into the b loop is state j + 1
-    assert aut.trace(Word([(B, 2 * 10 ** 9 + 7)])) == 8
-    assert aut.trace(Word([(B, -1)])) == 1
+    # base and the state before it (vertex 1), and the rest of the b loop is
+    # chain 1: the state j letters into the b loop is the point (1, j)
+    assert _trace(aut, Word([(B, 2 * 10 ** 9 + 7)])) == (1, 7)
+    assert _trace(aut, Word([(B, -1)])) == 1
+    # the a loop has no interior state, so that point is state j + 1
+    assert _trace_number(aut, Word([(B, 2 * 10 ** 9 + 7)])) == 8
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 0), (12, 8, 1), (10, 10, 2)])
 def test_state_counts_and_views_of_c(shape):
     # perfbench counts fold states as len(aut.delta); the chain-built rows
-    # give the same counts, and the numbering holds on the vertices, on
-    # each chain's first and last interior states and on a sample between
+    # give the same counts, and successors agrees with them on the vertices,
+    # on each chain's first and last interior points and on a sample between
     aut = SubgroupAutomaton(cs.generator_words(cs.sample_exponents(*shape)))
     assert len(aut.delta) == aut.num_states
     rows = _letter_rows(aut)[0]
     edges = sum(len(row) - row.count(-1) for row in rows.values()) // 2
     assert all(len(row) == aut.num_states for row in rows.values())
     assert (aut.num_edges, aut.rank) == (edges, edges - aut.num_states + 1)
-    ends = {q for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) if n > 1
-            for q in (_state_number(aut, (c, 1)), _state_number(aut, (c, n - 1)))}
-    _check_numbering(aut, sorted(ends | set(range(len(aut._plus)))
-                                 | set(range(0, aut.num_states, 997))))
+    points = _points(aut)
+    ends = {p for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) if n > 1
+            for p in ((c, 1), (c, n - 1))}
+    _check_successors(aut, sorted(ends | set(range(len(aut._plus))) | set(points[::997]),
+                                  key=functools.partial(_state_number, aut)))
     _check_chains(aut)
 
 
-def _check_numbering(aut, states):
-    """On the given states: _point and _number are inverse maps that number
-    points by definition, successors is involutive and agrees with the
-    chain-built rows, and delta[q] is dict(successors(q))."""
+def _check_successors(aut, points):
+    """On the given points: successors is involutive and, numbered by
+    _state_number, agrees with the chain-built rows."""
     rows = _letter_rows(aut)[0]
-    for q in states:
-        point = aut._point(q)
-        assert aut._number(point) == q == _state_number(aut, point)
-        succ = aut.successors(q)
-        assert succ == [(lab, row[q]) for lab, row in rows.items() if row[q] >= 0]
-        assert aut.delta[q] == dict(succ)
+    for p in points:
+        q = _state_number(aut, p)
+        succ = aut.successors(p)
+        assert [(lab, _state_number(aut, t)) for lab, t in succ] == [
+            (lab, row[q]) for lab, row in rows.items() if row[q] >= 0]
         for (g, s), t in succ:
-            assert aut.step(q, g, s) == t and aut.step(t, g, -s) == q
+            assert _step(aut, p, g, s) == t and _step(aut, t, g, -s) == p
             for (h, r), x in aut.successors(t):
-                assert x != q or aut.step(q, h, -r) == t
+                assert x != p or _step(aut, p, h, -r) == t
 
 
 @given(st.lists(_chain_word, min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
 def test_numbering_is_a_bijection_with_involutive_successors(gens):
+    # the points enumerated from the chains number exactly num_states, and
+    # successors is involutive on every point
     gens = [w for w in gens if not w.is_identity]
     assume(gens)
     aut = SubgroupAutomaton(gens)
-    points = list(range(len(aut._plus))) + [
-        (c, j) for c, (_u, _v, _k, n, _t) in enumerate(aut._chains) for j in range(1, n)]
-    assert sorted(map(aut._number, points)) == list(range(aut.num_states))
-    _check_numbering(aut, range(aut.num_states))
-    for q in (-1, aut.num_states):
-        with pytest.raises(IndexError):
-            aut._point(q)
+    points = _points(aut)
+    assert len(set(points)) == len(points) == aut.num_states
+    assert sorted(_state_number(aut, p) for p in points) == list(range(aut.num_states))
+    _check_successors(aut, points)
 
 
 # ---------------------------------------------------------------------------
